@@ -41,10 +41,6 @@ def _dump_json(obj, path):
 
 # -- verification checks ----------------------------------------------
 
-def _frac(c):
-    return Fraction(c)
-
-
 def _check_three_term_compose():
     for d in (1, 2):
         corolla = poly.make_term(2, d, [(1, 2)])
@@ -344,68 +340,56 @@ def _serialize_witness(complex_id, w):
                       for word, c in sorted(w.terms.items())]}
 
 
-def _slice_witness(complex_id, d, key, sl):
+# the options that bound a table, one per component of the slice key
+_TABLE_LIMITS = {"fcgc": ("max_vertices", "max_edges"),
+                 "gc": ("max_vertices", "max_edges"),
+                 "def-olie": ("arity", "internal"), "def-lie": ("arity",)}
+
+
+def _slice_witness(chain, sl, image_dim):
     """A closed, non-exact representative of the slice, if any."""
-    kern = linalg.kernel_basis(sl.matrix)
-    pk = defcx._pred_key(complex_id, key)
-    pred = defcx.build_slice(complex_id, d, pk) if pk is not None else None
-    for vec in kern:
+    # with no incoming image every kernel vector is non-exact
+    pred = chain.pred(sl) if image_dim else None
+    for vec in linalg.kernel_basis(sl.matrix):
         if pred is None or not linalg.in_image(pred.matrix, vec):
             combo = None
             for idx, c in sorted(vec.items()):
                 b = sl.basis[idx]
-                if complex_id in ("fcgc", "gc"):
+                if sl.complex_id in ("fcgc", "gc"):
                     combo = combo or {}
                     combo[b] = combo.get(b, Fraction(0)) + c
                 else:
                     piece = b.scaled(c)
                     combo = piece if combo is None else combo + piece
-            return _serialize_witness(complex_id, combo)
+            return _serialize_witness(sl.complex_id, combo)
     return None
 
 
 def _cohomology_rows(args):
+    """The chain of the table and its rows (bidegree, slice, kernel
+    dim, image dim, cohomology dim), one per non-empty slice."""
+    chain = defcx.Chain(args.complex, args.d)
+    limits = [getattr(args, name) for name in _TABLE_LIMITS[args.complex]]
     rows = []
-    if args.complex in ("fcgc", "gc"):
-        for v in range(1, args.max_vertices + 1):
-            for e in range(1, args.max_edges + 1):
-                sl = defcx.build_slice(args.complex, args.d, (v, e))
-                if not sl.basis:
-                    continue
-                k, im, coh = defcx.cohomology_rank(args.complex, args.d,
-                                                   (v, e))
-                rows.append(((f"{v}:{e}"), (v, e), len(sl.basis), k, im,
-                             coh, sl))
-    elif args.complex == "def-olie":
-        for n in range(1, args.arity + 1):
-            for kk in range(0, args.internal + 1):
-                sl = defcx.build_slice("def-olie", args.d, (n, kk))
-                if not sl.basis:
-                    continue
-                k, im, coh = defcx.cohomology_rank("def-olie", args.d,
-                                                   (n, kk))
-                rows.append((f"{n}:{kk}", (n, kk), len(sl.basis), k, im,
-                             coh, sl))
-    else:
-        for n in range(2, args.arity + 1):
-            sl = defcx.build_slice("def-lie", args.d, (n,))
-            if not sl.basis:
-                continue
-            k, im, coh = defcx.cohomology_rank("def-lie", args.d, (n,))
-            rows.append((str(n), (n,), len(sl.basis), k, im, coh, sl))
-    return rows
+    for key in product(*(range(lo, hi + 1)
+                         for lo, hi in zip(chain.lower, limits))):
+        sl = chain.slice(key)
+        if sl.basis:
+            rows.append((":".join(map(str, key)), sl,
+                         *chain.cohomology(key)))
+    return chain, rows
 
 
 def cmd_cohomology(args):
     try:
-        rows = _cohomology_rows(args)
+        chain, rows = _cohomology_rows(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     header = ["complex", "d", "bidegree", "basis dim", "kernel dim",
               "image dim", "cohomology dim"]
-    table = [[args.complex, args.d, bid, dim, k, im, coh]
-             for bid, _key, dim, k, im, coh, _sl in rows]
+    table = [[args.complex, args.d, bid, len(sl.basis), k, im, coh]
+             for bid, sl, k, im, coh in rows]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -414,12 +398,12 @@ def cmd_cohomology(args):
     csv_text = buf.getvalue()
 
     json_rows = []
-    for bid, key, dim, k, im, coh, sl in rows:
+    for bid, sl, k, im, coh in rows:
         rec = {"complex": args.complex, "d": args.d, "bidegree": bid,
-               "basis_dim": dim, "kernel_dim": k, "image_dim": im,
+               "basis_dim": len(sl.basis), "kernel_dim": k, "image_dim": im,
                "cohomology_dim": coh}
         if coh > 0:
-            rec["witness"] = _slice_witness(args.complex, args.d, key, sl)
+            rec["witness"] = _slice_witness(chain, sl, im)
         json_rows.append(rec)
     json_obj = {"format_version": FORMAT_VERSION, "rows": json_rows}
 

@@ -302,9 +302,13 @@ def to_gc_classes(y: GraElement):
 
 # -- slice bases ------------------------------------------------------
 
-_GC_BOUNDS = (7, 12)      # vertices, edges
-_DEF_O_BOUNDS = (4, 4)    # arity, internal vertices
-_DEF_LIE_BOUND = 6        # arity
+# Lowest and highest slice key of each complex: (vertices, edges) for
+# the graph complexes, (arity, internal vertices) for 'def-olie' and
+# (arity,) for 'def-lie'.  Every differential steps along the diagonal:
+# a slice's predecessor is key - 1 and its successor key + 1 in every
+# component.
+_BOUNDS = {"fcgc": ((1, 1), (7, 12)), "gc": ((1, 1), (7, 12)),
+           "def-olie": ((1, 0), (4, 4)), "def-lie": ((2,), (6,))}
 
 
 @dataclass(frozen=True)
@@ -349,66 +353,145 @@ def _o_slice_terms(n, k, d):
     return sorted(set(out))
 
 
-def _independent_columns(vectors, n_rows):
-    """Deterministically keep a maximal independent subset (as indices)."""
-    kept = []
-    cols = []
-    for idx, vec in enumerate(vectors):
-        if not vec:
-            continue
-        mat = SparseMatrix.from_columns(cols + [vec], n_rows)
-        if linalg.rank(mat) > len(cols):
-            cols.append(vec)
-            kept.append(idx)
-    return kept, cols
-
-
-def _o_invariant_basis(n, k, d):
-    """Invariant vectors in the (n, k) slice, as OElements."""
-    terms = _o_slice_terms(n, k, d)
+def _invariant_basis(terms, make, d):
+    """A maximal independent set of the symmetrized terms, taken in
+    term order, as (elements, term -> row, matrix of their coordinates)."""
     index = {t: i for i, t in enumerate(terms)}
-    vectors = []
     elements = []
+    cols = []
     for t in terms:
-        x = symmetrize(OElement(n, d, {t: Fraction(1)}, "lie"), d)
+        x = symmetrize(make(t), d)
         vec = {}
         for tt, c in x.terms.items():
             if tt not in index:
                 raise ValueError("symmetrizer left the slice")
             vec[index[tt]] = c
-        vectors.append(vec)
-        elements.append(x)
-    kept, _ = _independent_columns(vectors, len(terms))
-    return [elements[i] for i in kept], terms
+        if vec and linalg.rank(SparseMatrix.from_columns(
+                cols + [vec], len(terms))) > len(cols):
+            cols.append(vec)
+            elements.append(x)
+    return tuple(elements), index, SparseMatrix.from_columns(cols, len(terms))
 
 
-def _lie_invariant_basis(n, d):
-    words = basis_words(n)
-    index = {w: i for i, w in enumerate(words)}
-    vectors = []
-    elements = []
-    for w in words:
-        x = symmetrize(LieElement(n, {w: Fraction(1)}, d), d)
-        vectors.append({index[ww]: c for ww, c in x.terms.items()})
-        elements.append(x)
-    kept, _ = _independent_columns(vectors, len(words))
-    return [elements[i] for i in kept], words
+def _slice_basis(complex_id, d, key):
+    """(generators, term -> row, matrix of the generators' coordinates)
+    of one slice.  The matrix is None for the graph complexes, whose
+    generators are their own terms."""
+    if complex_id in ("fcgc", "gc"):
+        mv = 3 if complex_id == "gc" else 1
+        gens = tuple(enumerate_graphs(*key, d, min_valence=mv,
+                                      connected=True))
+        return gens, {g: i for i, g in enumerate(gens)}, None
+    if complex_id == "def-olie":
+        n, k = key
+        return _invariant_basis(
+            _o_slice_terms(n, k, d),
+            lambda t: OElement(n, d, {t: Fraction(1)}, "lie"), d)
+    n, = key
+    return _invariant_basis(basis_words(n),
+                            lambda w: LieElement(n, {w: Fraction(1)}, d), d)
 
 
-def _element_coords(x, basis, index_of):
-    """Coordinates of x in the span of basis (list of elements of the
-    same kind); raises if x is outside the span."""
-    vec = {}
-    for t, c in x.terms.items():
-        vec[index_of[t]] = c
-    cols = []
-    for b in basis:
-        cols.append({index_of[t]: c for t, c in b.terms.items()})
-    mat = SparseMatrix.from_columns(cols, len(index_of))
-    sol = linalg.solve(mat, vec)
-    if sol is None:
-        raise ValueError("element outside the slice basis span")
-    return sol
+def _image(complex_id, d, x):
+    """The differential of the generator x, as a dict term -> coeff."""
+    if complex_id in ("fcgc", "gc"):
+        return gc_differential(x, min_valence=3 if complex_id == "gc" else 1)
+    return def_differential(x, d).terms
+
+
+def _check_square_zero(first, second):
+    """Raise ArithmeticError unless the differential of the slice
+    `first` followed by that of its successor `second` is zero."""
+    for col in first.matrix.transpose().rows:
+        if second.matrix.mul_vector(dict(col)):
+            raise ArithmeticError(f"d o d != 0 from slice {first.key}"
+                                  f" to {second.key}")
+
+
+class Chain:
+    """The slices of one complex at one d.
+
+    Each basis, differential matrix and rank is built once and kept for
+    the life of the chain, which is meant to be one table.  Every pair
+    of adjacent matrices the chain holds is checked to compose to zero.
+    Keys are tuples; 'def-lie' also takes a bare arity."""
+
+    def __init__(self, complex_id, d):
+        if complex_id not in _BOUNDS:
+            raise ValueError(f"unknown complex {complex_id!r}")
+        self.complex_id, self.d = complex_id, d
+        self.lower, self.upper = _BOUNDS[complex_id]
+        self._bases, self._slices, self._ranks = {}, {}, {}
+
+    def in_bounds(self, key):
+        return len(key) == len(self.lower) and all(
+            lo <= k <= hi for lo, k, hi in zip(self.lower, key, self.upper))
+
+    def _basis(self, key):
+        """_slice_basis of a slice; nothing outside the grid."""
+        if key not in self._bases:
+            self._bases[key] = _slice_basis(self.complex_id, self.d, key) \
+                if self.in_bounds(key) else ((), {}, None)
+        return self._bases[key]
+
+    def _column(self, x, succ):
+        """The differential of the generator x in the coordinates of
+        the successor slice's generators."""
+        _, index, span = self._basis(succ)
+        vec = {}
+        for t, c in _image(self.complex_id, self.d, x).items():
+            if t not in index:
+                raise ValueError("differential left the slice grid")
+            vec[index[t]] = c
+        if span is None:
+            return vec
+        sol = linalg.solve(span, vec)
+        if sol is None:
+            raise ValueError("element outside the slice basis span")
+        return sol
+
+    def slice(self, key):
+        """Basis and differential matrix of one slice.  Raises
+        ValueError outside the bounds, or where the differential leaves
+        the grid."""
+        key = (key,) if isinstance(key, int) else tuple(key)
+        if key in self._slices:
+            return self._slices[key]
+        if not self.in_bounds(key):
+            raise ValueError(f"slice {key} outside bounds"
+                             f" {self.lower}..{self.upper}")
+        gens = self._basis(key)[0]
+        succ = tuple(k + 1 for k in key)
+        cols = [self._column(x, succ) for x in gens]
+        n_rows = len(self._basis(succ)[0]) if cols else 0
+        sl = SliceBasis(self.complex_id, self.d, key, gens,
+                        SparseMatrix.from_columns(cols, n_rows,
+                                                  n_cols=len(gens)))
+        pred = tuple(k - 1 for k in key)
+        if pred in self._slices:
+            _check_square_zero(self._slices[pred], sl)
+        if succ in self._slices:
+            _check_square_zero(sl, self._slices[succ])
+        self._slices[key] = sl
+        return sl
+
+    def pred(self, sl):
+        """The predecessor of the slice sl, or None at the lower bound."""
+        key = tuple(k - 1 for k in sl.key)
+        return self.slice(key) if self.in_bounds(key) else None
+
+    def rank(self, sl):
+        if sl.key not in self._ranks:
+            self._ranks[sl.key] = linalg.rank(sl.matrix)
+        return self._ranks[sl.key]
+
+    def cohomology(self, key):
+        """(kernel dim, incoming image dim, cohomology dim) of a slice."""
+        sl = self.slice(key)
+        kernel = len(sl.basis) - self.rank(sl)
+        pred = self.pred(sl)
+        image = self.rank(pred) if pred is not None else 0
+        return kernel, image, kernel - image
 
 
 def build_slice(complex_id, d, key):
@@ -417,88 +500,12 @@ def build_slice(complex_id, d, key):
     complex_id in {'fcgc', 'gc', 'def-olie', 'def-lie'}; key is (v, e)
     for the graph complexes, (n, k) for 'def-olie', (n,) or n for
     'def-lie'.  The matrix maps this slice into its successor."""
-    if complex_id in ("fcgc", "gc"):
-        v, e = key
-        if not (1 <= v <= _GC_BOUNDS[0] and 0 <= e <= _GC_BOUNDS[1]):
-            raise ValueError(
-                f"slice {key} outside bounds v<={_GC_BOUNDS[0]},"
-                f" e<={_GC_BOUNDS[1]}")
-        mv = 3 if complex_id == "gc" else 1
-        basis = tuple(enumerate_graphs(v, e, d, min_valence=mv,
-                                       connected=True)) if e else ()
-        succ = {g: i for i, g in enumerate(
-            enumerate_graphs(v + 1, e + 1, d, min_valence=mv,
-                             connected=True))} if e + 1 <= _GC_BOUNDS[1] \
-            and v + 1 <= _GC_BOUNDS[0] else {}
-        cols = []
-        for g in basis:
-            img = gc_differential(g, min_valence=mv)
-            col = {}
-            for G, c in img.items():
-                if G not in succ:
-                    raise ValueError("differential left the slice grid")
-                col[succ[G]] = c
-            cols.append(col)
-        mat = SparseMatrix.from_columns(cols, len(succ), n_cols=len(basis))
-        return SliceBasis(complex_id, d, (v, e), basis, mat)
-
-    if complex_id == "def-olie":
-        n, k = key
-        if not (1 <= n <= _DEF_O_BOUNDS[0] and 0 <= k <= _DEF_O_BOUNDS[1]):
-            raise ValueError(
-                f"slice {key} outside bounds n<={_DEF_O_BOUNDS[0]},"
-                f" k<={_DEF_O_BOUNDS[1]}")
-        basis, _ = _o_invariant_basis(n, k, d)
-        nb, nterms = ([], []) if (n + 1 > _DEF_O_BOUNDS[0]
-                                  or k + 1 > _DEF_O_BOUNDS[1]) \
-            else _o_invariant_basis(n + 1, k + 1, d)
-        index_of = {t: i for i, t in enumerate(nterms)}
-        cols = [_element_coords(def_differential(x, d), nb, index_of)
-                for x in basis]
-        mat = SparseMatrix.from_columns(cols, len(index_of),
-                                        n_cols=len(basis))
-        return SliceBasis(complex_id, d, (n, k), tuple(basis), mat)
-
-    if complex_id == "def-lie":
-        n = key[0] if isinstance(key, tuple) else key
-        if not 2 <= n <= _DEF_LIE_BOUND:
-            raise ValueError(f"slice {key} outside bounds 2..{_DEF_LIE_BOUND}")
-        basis, _ = _lie_invariant_basis(n, d)
-        if n + 1 <= _DEF_LIE_BOUND:
-            nb, nwords = _lie_invariant_basis(n + 1, d)
-        else:
-            nb, nwords = [], []
-        index_of = {w: i for i, w in enumerate(nwords)}
-        cols = [_element_coords(def_differential(x, d), nb, index_of)
-                for x in basis]
-        mat = SparseMatrix.from_columns(cols, len(index_of),
-                                        n_cols=len(basis))
-        return SliceBasis(complex_id, d, (n,), tuple(basis), mat)
-
-    raise ValueError(f"unknown complex {complex_id!r}")
-
-
-def _pred_key(complex_id, key):
-    if complex_id in ("fcgc", "gc"):
-        v, e = key
-        return (v - 1, e - 1) if v >= 2 and e >= 1 else None
-    if complex_id == "def-olie":
-        n, k = key
-        return (n - 1, k - 1) if n >= 2 and k >= 1 else None
-    n = key[0] if isinstance(key, tuple) else key
-    return (n - 1,) if n >= 3 else None
+    return Chain(complex_id, d).slice(key)
 
 
 def cohomology_rank(complex_id, d, key):
     """(kernel dim, incoming image dim, cohomology dim) of one slice."""
-    this = build_slice(complex_id, d, key)
-    kernel = len(this.basis) - linalg.rank(this.matrix)
-    pk = _pred_key(complex_id, key)
-    image = 0
-    if pk is not None:
-        pred = build_slice(complex_id, d, pk)
-        image = linalg.rank(pred.matrix)
-    return kernel, image, kernel - image
+    return Chain(complex_id, d).cohomology(key)
 
 
 # -- witnesses --------------------------------------------------------

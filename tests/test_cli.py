@@ -70,10 +70,16 @@ def test_cohomology_def_lie(capsys):
 
 
 def test_cohomology_out_of_bounds(capsys):
-    code, _, err = run(["cohomology", "--complex", "gc", "--d", "1",
-                        "--max-vertices", "9", "--max-edges", "3"], capsys)
-    assert code == 1
-    assert "bounds" in err
+    cases = [(["--complex", "gc", "--d", "1", "--max-vertices", "9",
+               "--max-edges", "3"], "bounds"),
+             # (2, 4) is in bounds, but its differential leaves the grid
+             (["--complex", "def-olie", "--d", "2", "--arity", "2",
+               "--internal", "4"], "left the slice grid")]
+    for argv, why in cases:
+        code, _, err = run(["cohomology"] + argv, capsys)
+        assert code == 1
+        assert err.startswith("error:") and why in err
+        assert "Traceback" not in err
 
 
 def _write(tmp_path, name, rec):

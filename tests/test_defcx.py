@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from liegraphs import defcx
 from liegraphs.defcx import (SliceBasis, _add_class, bracket_generator,
                              build_slice, cohomology_rank, def_degree,
                              def_differential, five_wheel_cocycle,
@@ -179,8 +180,31 @@ def test_slice_bounds():
         build_slice("def-olie", 1, (5, 2))
     with pytest.raises(ValueError):
         build_slice("def-lie", 1, (7,))
+    # the differential leaves the grid: its successor (3, 5) is outside
+    with pytest.raises(ValueError):
+        build_slice("def-olie", 2, (2, 4))
     with pytest.raises(ValueError):
         build_slice("nope", 1, (2, 2))
+
+
+def test_chain_checks_square_zero(monkeypatch):
+    """A differential corrupted on one slice breaks d o d = 0; the chain
+    reports that as a library fault, not as bad input."""
+    theta = theta_graph()
+    # a generator of the successor slice with a nonzero differential
+    hot = OrientedGraph(1, 3, ((1, 3), (2, 3), (2, 3), (2, 3)))
+    image = defcx._image
+
+    def corrupted(complex_id, d, x):
+        out = dict(image(complex_id, d, x))
+        if x == theta:
+            out[hot] = out.get(hot, 0) + 1
+        return out
+
+    cohomology_rank("fcgc", 1, (3, 4))  # the true differential passes
+    monkeypatch.setattr(defcx, "_image", corrupted)
+    with pytest.raises(ArithmeticError):
+        cohomology_rank("fcgc", 1, (3, 4))
 
 
 def test_to_gc_classes():
