@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 from . import defcx, gra, gutt, linalg, poly
 from .graphs import OrientedGraph, canonicalize, perm_sign
-from .lie import BracketParseError, LieElement, normalize
+from .lie import BracketParseError
 
 FORMAT_VERSION = "1.0"
 

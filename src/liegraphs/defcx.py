@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 from . import linalg, poly
 from .gra import GraElement, compose as gra_compose, element as gra_element
@@ -355,10 +355,11 @@ def _o_slice_terms(n, k, d):
 
 def _invariant_basis(terms, make, d):
     """A maximal independent set of the symmetrized terms, taken in
-    term order, as (elements, term -> row, matrix of their coordinates)."""
+    term order, as (elements, term -> row, Echelon of their
+    coordinates)."""
     index = {t: i for i, t in enumerate(terms)}
     elements = []
-    cols = []
+    span = linalg.Echelon()
     for t in terms:
         x = symmetrize(make(t), d)
         vec = {}
@@ -366,16 +367,14 @@ def _invariant_basis(terms, make, d):
             if tt not in index:
                 raise ValueError("symmetrizer left the slice")
             vec[index[tt]] = c
-        if vec and linalg.rank(SparseMatrix.from_columns(
-                cols + [vec], len(terms))) > len(cols):
-            cols.append(vec)
+        if span.add(vec):
             elements.append(x)
-    return tuple(elements), index, SparseMatrix.from_columns(cols, len(terms))
+    return tuple(elements), index, span
 
 
 def _slice_basis(complex_id, d, key):
-    """(generators, term -> row, matrix of the generators' coordinates)
-    of one slice.  The matrix is None for the graph complexes, whose
+    """(generators, term -> row, Echelon of the generators' coordinates)
+    of one slice.  The Echelon is None for the graph complexes, whose
     generators are their own terms."""
     if complex_id in ("fcgc", "gc"):
         mv = 3 if complex_id == "gc" else 1
@@ -443,12 +442,7 @@ class Chain:
             if t not in index:
                 raise ValueError("differential left the slice grid")
             vec[index[t]] = c
-        if span is None:
-            return vec
-        sol = linalg.solve(span, vec)
-        if sol is None:
-            raise ValueError("element outside the slice basis span")
-        return sol
+        return vec if span is None else span.coords(vec)
 
     def slice(self, key):
         """Basis and differential matrix of one slice.  Raises

@@ -22,7 +22,6 @@ complex, under which the vertex ordering is part of the orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 ZERO = 0

@@ -16,7 +16,7 @@ polydifferential layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 

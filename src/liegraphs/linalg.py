@@ -107,13 +107,12 @@ class SparseMatrix:
         return cls(n_rows, n_cols, rows)
 
 
-def _eliminate(matrix, extra_cols=()):
+def _eliminate(matrix):
     """Sparse Gaussian elimination with a Markowitz-style pivot choice.
 
     Returns (pivots, reduced_rows) where pivots is a list of (row_key,
     pivot_col) and reduced_rows maps an internal row key to a dict
-    col -> Fraction.  `extra_cols` columns are never chosen as pivots
-    (used for augmented solves).
+    col -> Fraction.
     """
     work = {}
     col_rows = {}
@@ -122,22 +121,17 @@ def _eliminate(matrix, extra_cols=()):
             work[i] = dict(row)
             for j, _ in row:
                 col_rows.setdefault(j, set()).add(i)
-    banned = set(extra_cols)
     pivots = []
     done = {}
     while True:
         best = None
         for i, row in work.items():
-            rc = sum(1 for j in row if j not in banned)
-            if rc == 0:
-                continue
+            rc = len(row)
             for j in row:
-                if j in banned:
-                    continue
                 cost = (rc - 1) * (len(col_rows[j]) - 1)
                 if best is None or cost < best[0]:
                     best = (cost, i, j)
-            if best is not None and best[0] == 0:
+            if best[0] == 0:
                 break
         if best is None:
             break
@@ -146,7 +140,6 @@ def _eliminate(matrix, extra_cols=()):
         for j in prow:
             col_rows[j].discard(pi)
         pivots.append((pi, pj))
-        banned.add(pj)
         pv = prow[pj]
         targets = [i for i in col_rows.get(pj, ()) if i in work]
         for i in targets:
@@ -197,87 +190,96 @@ def kernel_basis(matrix):
     return basis
 
 
+def _axpy(target, a, source):
+    """target += a * source, for sparse dicts; zero entries are dropped."""
+    for j, v in source.items():
+        nv = target.get(j, 0) + a * v
+        if nv:
+            target[j] = nv
+        else:
+            target.pop(j, None)
+
+
+class Echelon:
+    """Incremental exact echelon form of a growing set of vectors.
+
+    Vectors are dicts key -> Fraction over sortable keys.  Every
+    independent vector added is stored as a row reduced against the
+    pivots of the rows before it (pivot entry 1), together with the
+    combination of the independent vectors that the row equals.  An
+    independence test or a solve is then one forward pass over the rows.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self):
+        self._rows = []  # (pivot, reduced row, combination)
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def _reduce(self, vec):
+        """(rest, combination) with vec = rest + the combination of the
+        independent vectors, and rest zero at every pivot."""
+        rest = {i: Fraction(v) for i, v in vec.items() if v != 0}
+        combo = {}
+        for pivot, row, row_combo in self._rows:
+            f = rest.get(pivot)
+            if f is not None:
+                _axpy(rest, -f, row)
+                _axpy(combo, f, row_combo)
+        return rest, combo
+
+    def add(self, vec):
+        """Add vec; True when it is independent of the vectors added
+        before (it then becomes independent vector number rank - 1)."""
+        rest, combo = self._reduce(vec)
+        if not rest:
+            return False
+        pivot = min(rest)
+        scale = 1 / rest[pivot]
+        combo = {k: -c * scale for k, c in combo.items()}
+        combo[len(self._rows)] = scale
+        self._rows.append((pivot, {j: v * scale for j, v in rest.items()},
+                           combo))
+        return True
+
+    def coords(self, vec):
+        """The coordinates of vec over the independent vectors, as a
+        dict k -> Fraction; ValueError when vec is outside their span."""
+        rest, combo = self._reduce(vec)
+        if rest:
+            raise ValueError("vector outside the span")
+        return combo
+
+
+def _column_echelon(matrix, b):
+    """Echelon of the columns of matrix, and the indices of the
+    independent columns; b is checked against the row range."""
+    for i in b:
+        if not 0 <= i < matrix.n_rows:
+            raise ValueError("vector index out of range")
+    span, independent = Echelon(), []
+    for j, col in enumerate(matrix.transpose().rows):
+        if span.add(dict(col)):
+            independent.append(j)
+    return span, independent
+
+
 def solve(matrix, b):
     """One exact solution x (dict col -> Fraction) of M.x = b, or None.
 
     b is a dict row -> Fraction.
     """
-    for i in b:
-        if not 0 <= i < matrix.n_rows:
-            raise ValueError("vector index out of range")
-    aug = matrix.n_cols
-    rows = [list(r) for r in matrix.rows]
-    for i, v in b.items():
-        if v != 0:
-            rows[i].append((aug, v))
-    work = SparseMatrix(matrix.n_rows, matrix.n_cols + 1, rows)
-    pivots, reduced = _eliminate(work, extra_cols=(aug,))
-    # back-substitute; consistency is checked by verifying M.x = b at the
-    # end (cheaper than tracking rows left over by the elimination)
-    x = {}
-    for pi, pj in reversed(pivots):
-        row = reduced[pi]
-        s = sum((v * x.get(j, 0) for j, v in row.items()
-                 if j not in (pj, aug)), Fraction(0))
-        x[pj] = (row.get(aug, Fraction(0)) - s) / row[pj]
-    x = {j: v for j, v in x.items() if v != 0}
-    if matrix.mul_vector(x) != {i: v for i, v in b.items() if v != 0}:
+    span, independent = _column_echelon(matrix, b)
+    try:
+        x = span.coords(b)
+    except ValueError:
         return None
-    return x
+    return {independent[k]: v for k, v in x.items()}
 
 
 def in_image(matrix, b):
     """Decide exactly whether b (dict row -> Fraction) is in the column span."""
-    for i in b:
-        if not 0 <= i < matrix.n_rows:
-            raise ValueError("vector index out of range")
-    if all(v == 0 for v in b.values()):
-        return True
-    aug_col = matrix.n_cols
-    rows = [list(r) for r in matrix.rows]
-    for i, v in b.items():
-        if v != 0:
-            rows[i].append((aug_col, v))
-    aug = SparseMatrix(matrix.n_rows, matrix.n_cols + 1, rows)
-    return rank(aug) == rank(matrix)
-
-
-class PresolvedSolver:
-    """Eliminate a matrix once, then solve M.x = b for many b.
-
-    The elimination is run on [M | I]; the identity block records the
-    row transform, so each solve is a back-substitution plus a
-    verification product instead of a fresh elimination.
-    """
-
-    __slots__ = ("matrix", "_aug0", "_pivots", "_rows")
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self._aug0 = matrix.n_cols
-        rows = [list(r) + [(self._aug0 + i, Fraction(1))]
-                for i, r in enumerate(matrix.rows)]
-        work = SparseMatrix(matrix.n_rows, self._aug0 + matrix.n_rows, rows)
-        extra = tuple(range(self._aug0, self._aug0 + matrix.n_rows))
-        self._pivots, self._rows = _eliminate(work, extra_cols=extra)
-
-    def solve(self, b):
-        """One exact solution x of M.x = b, or None when inconsistent."""
-        for i in b:
-            if not 0 <= i < self.matrix.n_rows:
-                raise ValueError("vector index out of range")
-        a0 = self._aug0
-        x = {}
-        for pi, pj in reversed(self._pivots):
-            row = self._rows[pi]
-            rhs = sum((v * b.get(j - a0, Fraction(0))
-                       for j, v in row.items() if j >= a0), Fraction(0))
-            s = sum((v * x.get(j, 0) for j, v in row.items()
-                     if j < a0 and j != pj), Fraction(0))
-            val = (rhs - s) / row[pj]
-            if val != 0:
-                x[pj] = val
-        if self.matrix.mul_vector(x) != {i: v for i, v in b.items()
-                                         if v != 0}:
-            return None
-        return x
+    return not _column_echelon(matrix, b)[0].add(b)

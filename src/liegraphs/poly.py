@@ -33,9 +33,8 @@ from itertools import permutations, product
 
 from .gra import GraElement, element as gra_element
 from .graphs import OrientedGraph, perm_sign
-from .lie import LieElement, parse_bracket, pretty_bracket, word_to_tree
-from . import linalg
-from .linalg import SparseMatrix, solve
+from .lie import LieElement, parse_bracket, pretty_bracket
+from .linalg import Echelon
 
 
 # -- free (super) Lie normal forms on repeated letters ----------------
@@ -103,15 +102,17 @@ _NF_CACHE = {}
 
 
 def _basis_system(multiset, p):
+    """(basis words, Echelon of their associative expansions) of one
+    letter multiset; ArithmeticError if the expansions are dependent."""
     key = (tuple(multiset), p)
     if key not in _NF_CACHE:
         words = basis_for_multiset(multiset, p)
-        expansions = [_super_expand(lyndon_tree(w), p) for w in words]
-        rows = sorted({t for e in expansions for t in e})
-        index = {t: i for i, t in enumerate(rows)}
-        cols = [{index[t]: c for t, c in e.items()} for e in expansions]
-        mat = SparseMatrix.from_columns(cols, n_rows=len(rows))
-        _NF_CACHE[key] = (words, index, linalg.PresolvedSolver(mat))
+        span = Echelon()
+        for w in words:
+            if not span.add(_super_expand(lyndon_tree(w), p)):
+                raise ArithmeticError(f"basis word {w} has a dependent"
+                                      " expansion")
+        _NF_CACHE[key] = (words, span)
     return _NF_CACHE[key]
 
 
@@ -168,16 +169,8 @@ def _component_normal_form(tree, p):
     if not expansion:
         return {}
     multiset = tuple(sorted(next(iter(expansion))))
-    words, index, solver = _basis_system(multiset, p)
-    b = {}
-    for t, c in expansion.items():
-        if t not in index:
-            raise ValueError("expansion outside basis span")
-        b[index[t]] = c
-    x = solver.solve(b)
-    if x is None:
-        raise ValueError("expansion outside basis span")
-    return {words[j]: c for j, c in x.items()}
+    words, span = _basis_system(multiset, p)
+    return {words[j]: c for j, c in span.coords(expansion).items()}
 
 
 # -- elements ---------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from liegraphs import defcx
+from liegraphs import defcx, linalg
 from liegraphs.defcx import (SliceBasis, _add_class, bracket_generator,
                              build_slice, cohomology_rank, def_degree,
                              def_differential, five_wheel_cocycle,
@@ -15,7 +15,8 @@ from liegraphs.defcx import (SliceBasis, _add_class, bracket_generator,
                              theta_graph, to_gc_classes)
 from liegraphs.gra import element as gra_element
 from liegraphs.graphs import OrientedGraph, enumerate_graphs
-from liegraphs.lie import LieElement
+from liegraphs.lie import LieElement, basis_words
+from liegraphs.linalg import SparseMatrix
 from liegraphs.poly import OElement, make_term
 
 
@@ -205,6 +206,54 @@ def test_chain_checks_square_zero(monkeypatch):
     monkeypatch.setattr(defcx, "_image", corrupted)
     with pytest.raises(ArithmeticError):
         cohomology_rank("fcgc", 1, (3, 4))
+
+
+def _greedy_basis(complex_id, d, key):
+    """The slice basis chosen the slow way: keep a symmetrized term when
+    it raises the rank of the matrix of the terms kept so far."""
+    n = key[0]
+    if complex_id == "def-olie":
+        terms = defcx._o_slice_terms(n, key[1], d)
+    else:
+        terms = basis_words(n)
+    index = {t: i for i, t in enumerate(terms)}
+    elements, cols = [], []
+    for t in terms:
+        x = symmetrize(OElement(n, d, {t: Fraction(1)}, "lie")
+                       if complex_id == "def-olie"
+                       else LieElement(n, {t: Fraction(1)}, d), d)
+        vec = {index[tt]: c for tt, c in x.terms.items()}
+        if vec and linalg.rank(SparseMatrix.from_columns(
+                cols + [vec], len(terms))) > len(cols):
+            cols.append(vec)
+            elements.append(x)
+    return elements, index, SparseMatrix.from_columns(cols, len(terms))
+
+
+def test_invariant_basis_matches_greedy_rank():
+    """The incremental echelon keeps the same generators as the rank
+    test on growing matrices, and the slice matrices equal the ones
+    solved for column by column."""
+    cases = [("def-olie", d, (n, k)) for d in (1, 2) for n in (1, 2)
+             for k in range(4)]
+    cases += [("def-lie", d, (n,)) for d in (1, 2) for n in (2, 3, 4)]
+    for complex_id, d, key in cases:
+        chain = defcx.Chain(complex_id, d)
+        sl = chain.slice(key)
+        gens, _, _ = _greedy_basis(complex_id, d, key)
+        assert list(sl.basis) == gens
+        succ = tuple(k + 1 for k in key)
+        succ_gens, index, span = _greedy_basis(complex_id, d, succ) \
+            if chain.in_bounds(succ) else ([], {}, SparseMatrix(0, 0, []))
+        cols = []
+        for x in gens:
+            vec = {index[t]: c
+                   for t, c in def_differential(x, d).terms.items()}
+            col = linalg.solve(span, vec)
+            assert col is not None and span.mul_vector(col) == vec
+            cols.append(col)
+        assert sl.matrix == SparseMatrix.from_columns(
+            cols, len(succ_gens) if gens else 0, n_cols=len(gens))
 
 
 def test_to_gc_classes():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liegraphs.linalg import (PresolvedSolver, SparseMatrix, in_image,
-                              kernel_basis, rank, solve)
+from liegraphs.linalg import (Echelon, SparseMatrix, in_image, kernel_basis,
+                              rank, solve)
 
 
 def dense_rank(dense):
@@ -136,18 +136,68 @@ def test_rank_bound_property(n_rows, n_cols, seed):
     assert r == dense_rank(dense)
 
 
-def test_presolved_matches_solve():
+def column_echelon(mat):
+    """Echelon of the columns of mat, and the independent columns."""
+    span, independent = Echelon(), []
+    for j, col in enumerate(mat.transpose().rows):
+        if span.add(dict(col)):
+            independent.append(j)
+    return span, independent
+
+
+def test_echelon_coords_match_solve():
     rng = random.Random(11)
     for _ in range(25):
-        mat = SparseMatrix.from_dense(random_dense(rng, 6, 5))
-        ps = PresolvedSolver(mat)
+        dense = random_dense(rng, 6, 5)
+        mat = SparseMatrix.from_dense(dense)
+        span, independent = column_echelon(mat)
         for _ in range(4):
             x = {j: Fraction(rng.randint(-3, 3)) for j in range(mat.n_cols)}
             b = mat.mul_vector(x)
-            got = ps.solve(b)
-            assert got is not None
+            got = {independent[k]: v for k, v in span.coords(b).items()}
             assert mat.mul_vector(got) == b
-            assert (solve(mat, b) is None) == (got is None)
+            assert solve(mat, b) is not None
         # a vector outside the image must be rejected
         bad = {i: Fraction(rng.randint(-3, 3)) for i in range(mat.n_rows)}
-        assert (ps.solve(bad) is None) == (solve(mat, bad) is None)
+        outside = dense_rank([row + [bad.get(i, Fraction(0))]
+                              for i, row in enumerate(dense)]) \
+            > dense_rank(dense)
+        try:
+            span.coords(bad)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == outside == (solve(mat, bad) is None)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers())
+@settings(max_examples=50, deadline=None)
+def test_echelon_matches_dense_oracle(n_rows, n_cols, seed):
+    rng = random.Random(seed)
+    dense = random_dense(rng, n_rows, n_cols)
+    cols = [[dense[i][j] for i in range(n_rows)] for j in range(n_cols)]
+    span, added = Echelon(), []
+    for j, col in enumerate(cols):
+        grows = dense_rank(added + [col]) > dense_rank(added)
+        assert span.add({i: v for i, v in enumerate(col) if v}) == grows
+        if grows:
+            added.append(col)
+        assert span.rank == len(added)
+    assert span.rank == dense_rank(dense)
+    # coordinates recombine to M.x exactly
+    x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+         for _ in range(n_cols)]
+    b = [sum((x[j] * cols[j][i] for j in range(n_cols)), Fraction(0))
+         for i in range(n_rows)]
+    coords = span.coords({i: v for i, v in enumerate(b) if v})
+    assert all(k < len(added) for k in coords)
+    assert [sum((c * added[k][i] for k, c in coords.items()), Fraction(0))
+            for i in range(n_rows)] == b
+    # a unit vector outside the span raises ValueError
+    for i in range(n_rows):
+        unit = [Fraction(int(r == i)) for r in range(n_rows)]
+        if dense_rank(added + [unit]) > len(added):
+            with pytest.raises(ValueError):
+                span.coords({i: Fraction(1)})
+        else:
+            span.coords({i: Fraction(1)})

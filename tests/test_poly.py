@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from liegraphs import poly
 from liegraphs.gra import compose as gra_compose, gra_image, lie_to_gra
 from liegraphs.lie import normalize
 from liegraphs.poly import (OElement, ass_corolla, ass_remark_check,
@@ -53,6 +54,19 @@ def test_component_normal_form_oracle():
             for w, c in component_normal_form(t, p).items():
                 total[w] = total.get(w, Fraction(0)) + c
         assert all(c == 0 for c in total.values())
+
+
+def test_dependent_basis_expansion_raises(monkeypatch):
+    """A basis word listed twice has a dependent expansion; the normal
+    form system reports that as a library fault."""
+    words = poly.basis_for_multiset
+    monkeypatch.setattr(poly, "basis_for_multiset",
+                        lambda letters, p: words(letters, p)
+                        + words(letters, p)[:1])
+    monkeypatch.setattr(poly, "_NF_CACHE", {})
+    monkeypatch.setattr(poly, "_CNF_CACHE", {})
+    with pytest.raises(ArithmeticError):
+        component_normal_form(((1, 2), 3), 0)
 
 
 def test_compose_corollas_three_terms():
