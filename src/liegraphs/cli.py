@@ -195,7 +195,10 @@ def _check_w3():
 def _check_w5():
     w5 = defcx.five_wheel_cocycle()
     ok = defcx.gc_differential_combo(w5, 3) == {}
-    return ok, "five-wheel with 5/2 correction is closed"
+    k, im, coh = defcx.cohomology_rank("gc", 2, (6, 10))
+    return ok and (k, im, coh) == (1, 0, 1), \
+        (f"five-wheel with 5/2 correction closed={ok},"
+         f" (6,10) slice (ker,im,coh)=({k},{im},{coh})")
 
 
 def _check_theta():

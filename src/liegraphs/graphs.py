@@ -22,7 +22,7 @@ complex, under which the vertex ordering is part of the orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 
 ZERO = 0
 
@@ -82,13 +82,7 @@ def _sort_sign(seq):
     for a, b in zip(items, items[1:]):
         if a == b:
             return items, None
-    # count inversions of the index permutation
-    inv = 0
-    for i in range(len(indexed)):
-        for j in range(i + 1, len(indexed)):
-            if indexed[i] > indexed[j]:
-                inv += 1
-    return items, (-1) ** inv
+    return items, perm_sign(indexed)
 
 
 def perm_sign(perm):
@@ -187,21 +181,18 @@ def canonicalize(g, permute_vertices=True):
     return SignedCanonical(OrientedGraph(g.d, n, best), best_signs.pop())
 
 
+def _components(n, edges):
+    """Number of connected components of a graph on vertices 1..n."""
+    label = list(range(n + 1))
+    for t, h in edges:
+        a, b = label[t], label[h]
+        if a != b:
+            label = [a if x == b else x for x in label]
+    return len(set(label[1:]))
+
+
 def is_connected(g):
-    if g.n_vertices <= 1:
-        return True
-    adj = {v: set() for v in range(1, g.n_vertices + 1)}
-    for t, h in g.edges:
-        adj[t].add(h)
-        adj[h].add(t)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n_vertices
+    return _components(g.n_vertices, g.edges) <= 1
 
 
 def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
@@ -209,26 +200,49 @@ def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
 
     For d even only simple graphs occur (parallel edges are zero); for
     d odd parallel edges are kept, each directed low -> high.
+
+    The slice is built one edge at a time over isomorphism classes
+    (McKay, "Isomorph-free exhaustive generation", 1998): each class of
+    k-edge graphs is extended by every vertex pair, and each child is
+    reduced to its unsigned class, the canonical form of its underlying
+    multigraph (the d = 1 form, which ignores signs).  A graph is kept
+    only while it can still reach the slice: every vertex needs
+    min_valence edge ends (at least one when n_vertices > 1), and the
+    graph must be connected when asked; each edge left adds two ends
+    and joins at most two components.
     """
     if n_vertices > 8 or n_edges > 14:
         raise ValueError("out of desk-scale bounds (v <= 8, e <= 14)")
-    pairs = list(combinations(range(1, n_vertices + 1), 2))
-    if d % 2 == 0:
-        candidates = combinations(pairs, n_edges)
-    else:
-        candidates = combinations_with_replacement(pairs, n_edges)
-    seen = {}
-    for edges in candidates:
-        g = OrientedGraph(d, n_vertices, edges)
-        val = g.valences()
-        if any(v < min_valence for v in val):
-            continue
-        if n_vertices > 1 and any(v == 0 for v in val):
-            continue
-        if connected and not is_connected(g):
-            continue
-        sc = canonicalize(g, permute_vertices=True)
-        if sc.is_zero():
-            continue
-        seen.setdefault(sc.canonical.edges, sc.canonical)
-    return [seen[k] for k in sorted(seen)]
+    if n_edges < 0:
+        raise ValueError("negative edge count")
+    n = n_vertices
+    pairs = list(combinations(range(1, n + 1), 2))
+    need = max(min_valence, 1 if n > 1 else 0)
+
+    def viable(edges, left):
+        val = [0] * (n + 1)
+        for t, h in edges:
+            val[t] += 1
+            val[h] += 1
+        if sum(max(0, need - x) for x in val[1:]) > 2 * left:
+            return False
+        return not connected or _components(n, edges) - 1 <= left
+
+    level = {()} if viable((), n_edges) else set()
+    for left in range(n_edges - 1, -1, -1):
+        children, tried = set(), set()
+        for edges in level:
+            for pair in pairs:
+                if d % 2 == 0 and pair in edges:
+                    continue
+                child = tuple(sorted(edges + (pair,)))
+                # several classes can give the same labelled child
+                if child in tried or not viable(child, left):
+                    continue
+                tried.add(child)
+                children.add(canonicalize(
+                    OrientedGraph(1, n, child)).canonical.edges)
+        level = children
+    signed = [canonicalize(OrientedGraph(d, n, edges)) for edges in level]
+    return sorted((sc.canonical for sc in signed if not sc.is_zero()),
+                  key=lambda g: g.edges)

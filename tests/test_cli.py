@@ -34,6 +34,12 @@ def test_verify_operads(capsys):
     assert "three-term-compose" in out
 
 
+def test_verify_complexes(capsys):
+    code, out, _ = run(["verify", "complexes"], capsys)
+    assert code == 0
+    assert "(6,10) slice (ker,im,coh)=(1,0,1)" in out
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nope"])

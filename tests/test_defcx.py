@@ -163,6 +163,16 @@ def test_five_wheel_witness():
     assert gc_differential_combo(w5, 3) == {}
 
 
+def test_five_wheel_slice():
+    """The (6,10) slice of GC_2 has one class, spanned by the five-wheel
+    cocycle: the wheel plus 5/2 times its correction graph."""
+    assert cohomology_rank("gc", 2, (6, 10)) == (1, 0, 1)
+    sl = build_slice("gc", 2, (6, 10))
+    kernel = linalg.kernel_basis(sl.matrix)
+    coeffs = {sl.basis.index(g): c for g, c in five_wheel_cocycle().items()}
+    assert kernel == [coeffs]
+
+
 def test_def_lie_cohomology_small():
     for d in (1, 2):
         total = 0

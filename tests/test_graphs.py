@@ -146,6 +146,9 @@ def test_is_connected():
     assert is_connected(OrientedGraph(1, 2, ((1, 2),)))
     assert not is_connected(OrientedGraph(1, 4, ((1, 2), (3, 4))))
     assert is_connected(OrientedGraph(1, 1, ()))
+    assert is_connected(OrientedGraph(1, 4, ((3, 4), (1, 2), (4, 2))))
+    assert not is_connected(OrientedGraph(1, 5, ((5, 4), (1, 2), (3, 1))))
+    assert not is_connected(OrientedGraph(1, 3, ()))
 
 
 def test_enumerate_v2_e1():
@@ -181,6 +184,48 @@ def test_enumerate_against_unpruned_oracle():
         if len(forms[best]) == 1:
             reps.add(best)
     assert {g.edges for g in out} == reps
+
+
+def _all_subsets_enumeration(n_vertices, n_edges, d, min_valence,
+                             connected):
+    """The brute-force enumeration: every edge subset (multiset at odd
+    d) of K_v, filtered and canonicalized one by one."""
+    pairs = list(combinations(range(1, n_vertices + 1), 2))
+    if d % 2 == 0:
+        candidates = combinations(pairs, n_edges)
+    else:
+        candidates = combinations_with_replacement(pairs, n_edges)
+    seen = {}
+    for edges in candidates:
+        g = OrientedGraph(d, n_vertices, edges)
+        val = g.valences()
+        if any(v < min_valence for v in val):
+            continue
+        if n_vertices > 1 and any(v == 0 for v in val):
+            continue
+        if connected and not is_connected(g):
+            continue
+        sc = canonicalize(g, permute_vertices=True)
+        if sc.is_zero():
+            continue
+        seen.setdefault(sc.canonical.edges, sc.canonical)
+    return [seen[k] for k in sorted(seen)]
+
+
+def test_enumerate_matches_all_subsets_oracle():
+    """Edge augmentation over isomorphism classes returns exactly the
+    list, in order, that brute force over all edge subsets returns."""
+    for d in (1, 2):
+        for mv in (0, 1, 3):
+            for connected in (True, False):
+                for v in range(1, 6):
+                    for e in range(0, 8):
+                        if not connected and (v, e) > (5, 5):
+                            continue
+                        assert enumerate_graphs(v, e, d, mv, connected) \
+                            == _all_subsets_enumeration(v, e, d, mv,
+                                                        connected), \
+                            (d, mv, connected, v, e)
 
 
 def test_enumerate_closed_under_canonicalize():
