@@ -428,24 +428,37 @@ def cmd_cohomology(args):
 
 # -- composition ------------------------------------------------------
 
+def _read_operands(path, op):
+    """The operands a, b of a compose input file."""
+    with open(path) as fh:
+        rec = json.load(fh)
+    if not isinstance(rec, dict):
+        raise ValueError(f"{path}: top level must be a JSON object")
+    _check_version(rec, path)
+    cls = gra.GraElement if op == "gra" else poly.OElement
+    return cls.from_json(rec["a"]), cls.from_json(rec["b"])
+
+
 def cmd_compose(args):
     try:
-        with open(args.file) as fh:
-            rec = json.load(fh)
-        _check_version(rec, args.file)
-        if args.op == "gra":
-            a = gra.GraElement.from_json(rec["a"])
-            b = gra.GraElement.from_json(rec["b"])
-            out = gra.compose(a, args.i, b)
-        else:
-            a = poly.OElement.from_json(rec["a"])
-            b = poly.OElement.from_json(rec["b"])
-            out = poly.o_compose(a, args.i, b)
+        a, b = _read_operands(args.file, args.op)
     except BracketParseError as exc:
         print(f"error: parse failure at line {exc.line}, column"
               f" {exc.column}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (LookupError, TypeError, AttributeError) as exc:
+        print(f"error: {args.file}: malformed operands: {exc!r}",
+              file=sys.stderr)
+        return 1
+    try:
+        if args.op == "gra":
+            out = gra.compose(a, args.i, b)
+        else:
+            out = poly.o_compose(a, args.i, b)
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     result = {"format_version": FORMAT_VERSION, "op": args.op, "i": args.i,

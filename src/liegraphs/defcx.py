@@ -26,11 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from . import linalg, poly
+from . import linalg, memo, poly
 from .gra import GraElement, compose as gra_compose, element as gra_element
 from .gra import lie_to_gra, s_action as gra_s_action
 from .graphs import OrientedGraph, canonicalize, enumerate_graphs, perm_sign
-from .lie import LieElement, basis_words, graft, normalize, word_to_tree
+from .lie import LieElement, _relabel_tree, basis_words, graft, normalize
+from .lie import word_to_tree
 from .linalg import SparseMatrix
 from .poly import OElement, make_term, o_compose
 
@@ -59,17 +60,12 @@ def bracket_generator(d, target):
 
 
 def _lie_relabel(x: LieElement, sigma):
-    combos = [(c, _map_tree(word_to_tree(w), sigma))
+    mapping = dict(enumerate(sigma, 1))
+    combos = [(c, _relabel_tree(word_to_tree(w), mapping))
               for w, c in x.terms.items()]
     if not combos:
         return x
     return normalize(combos, x.parity_d)
-
-
-def _map_tree(tree, sigma):
-    if isinstance(tree, tuple):
-        return (_map_tree(tree[0], sigma), _map_tree(tree[1], sigma))
-    return sigma[tree - 1]
 
 
 def _compose(d, target, a, i, b):
@@ -97,26 +93,20 @@ def _act(d, target, x, sigma):
     return out
 
 
-_PLAIN_CHANGES = {}
-
-
+@memo
 def _plain_changes(n):
     """Adjacent-swap positions (0-based) visiting all of S_n once."""
-    if n in _PLAIN_CHANGES:
-        return _PLAIN_CHANGES[n]
     if n <= 1:
-        out = []
-    else:
-        sub = _plain_changes(n - 1)
-        out = []
-        for k in range(len(sub) + 1):
-            if k % 2 == 0:
-                out.extend(range(n - 2, -1, -1))
-            else:
-                out.extend(range(0, n - 1))
-            if k < len(sub):
-                out.append(sub[k] + (1 if k % 2 == 0 else 0))
-    _PLAIN_CHANGES[n] = out
+        return []
+    sub = _plain_changes(n - 1)
+    out = []
+    for k in range(len(sub) + 1):
+        if k % 2 == 0:
+            out.extend(range(n - 2, -1, -1))
+        else:
+            out.extend(range(0, n - 1))
+        if k < len(sub):
+            out.append(sub[k] + (1 if k % 2 == 0 else 0))
     return out
 
 
@@ -222,9 +212,6 @@ def _add_class(out, graph, coeff):
         out[key] = nv
 
 
-_GC_DIFF_CACHE = {}
-
-
 def gc_differential(g: OrientedGraph, min_valence=1):
     """Differential of one graph generator, keyed by canonical unlabeled
     graphs.
@@ -237,9 +224,11 @@ def gc_differential(g: OrientedGraph, min_valence=1):
     attachment multiplicity emerging from the two bracket slots.
     min_valence=3 projects onto the subcomplex of at-least-trivalent
     graphs."""
-    cached = _GC_DIFF_CACHE.get((g, min_valence))
-    if cached is not None:
-        return dict(cached)
+    return dict(_gc_differential(g, min_valence))
+
+
+@memo
+def _gc_differential(g, min_valence):
     d, n = g.d, g.n_vertices
     e = gra_element(g)
     mu = lie_to_gra(d)
@@ -263,8 +252,7 @@ def gc_differential(g: OrientedGraph, min_valence=1):
     if min_valence > 1:
         out = {G: c for G, c in out.items()
                if min(G.valences()) >= min_valence}
-    _GC_DIFF_CACHE[(g, min_valence)] = out
-    return dict(out)
+    return out
 
 
 def gc_differential_combo(combo, min_valence=1):

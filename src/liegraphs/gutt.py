@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
+from . import memo
 from .gra import GraElement, element as gra_element, s_action
 from .graphs import OrientedGraph
 
@@ -43,12 +44,6 @@ class FPLieAlgebra:
             if clean:
                 self.brackets[(i, j)] = clean
         self._check_jacobi()
-        # per-instance memo tables; all three maps commute with h-shifts
-        # and scaling, so caching the (h=0, coeff=1) case suffices
-        self._str_cache = {}
-        self._sigma_cache = {}
-        self._sigma_inv_cache = {}
-        self._star_cache = {}
 
     def bracket(self, i, j):
         """[t_i, t_j] as {k: coefficient}."""
@@ -140,28 +135,34 @@ def monomial(indices, h=0, coeff=Fraction(1)):
 def straighten(alg, word, h=0, coeff=Fraction(1)):
     """PBW normal form of a generator word in the deformed enveloping
     algebra; independent of rewrite order by the diamond property."""
-    word = tuple(word)
-    base = alg._str_cache.get(word)
-    if base is None:
-        base = {}
-        stack = [(word, 0, Fraction(1))]
-        while stack:
-            w, hh, c = stack.pop()
-            for p in range(len(w) - 1):
-                if w[p] > w[p + 1]:
-                    swapped = w[:p] + (w[p + 1], w[p]) + w[p + 2:]
-                    stack.append((swapped, hh, c))
-                    for k, ck in alg.bracket(w[p], w[p + 1]).items():
-                        stack.append((w[:p] + (k,) + w[p + 2:],
-                                      hh + 1, c * ck))
-                    break
-            else:
-                _add(base, (w, hh), c)
-        alg._str_cache[word] = base
     coeff = Fraction(coeff)
     if coeff == 0:
         return {}
-    return {(m, hh + h): c * coeff for (m, hh), c in base.items()}
+    return {(m, hh + h): c * coeff
+            for (m, hh), c in _straighten(alg, tuple(word)).items()}
+
+
+# The memoised maps below are keyed by the algebra object and hold the
+# (h = 0, coefficient 1) case: straightening, sigma and sigma_inv commute
+# with h-shifts and scaling, and the star product is bilinear.
+
+@memo
+def _straighten(alg, word):
+    base = {}
+    stack = [(word, 0, Fraction(1))]
+    while stack:
+        w, hh, c = stack.pop()
+        for p in range(len(w) - 1):
+            if w[p] > w[p + 1]:
+                swapped = w[:p] + (w[p + 1], w[p]) + w[p + 2:]
+                stack.append((swapped, hh, c))
+                for k, ck in alg.bracket(w[p], w[p + 1]).items():
+                    stack.append((w[:p] + (k,) + w[p + 2:],
+                                  hh + 1, c * ck))
+                break
+        else:
+            _add(base, (w, hh), c)
+    return base
 
 
 def u_mul(alg, u, v):
@@ -174,18 +175,16 @@ def u_mul(alg, u, v):
     return out
 
 
+@memo
 def _sigma_basis(alg, m):
-    base = alg._sigma_cache.get(m)
-    if base is None:
-        base = {}
-        perms = set(permutations(m))
-        scale = Fraction(1, math.factorial(len(m)))
-        # multiset permutations are repeated in the full sum
-        rep = math.factorial(len(m)) // (len(perms) or 1) if m else 1
-        for w in perms:
-            for key, cv in straighten(alg, w, 0, scale * rep).items():
-                _add(base, key, cv)
-        alg._sigma_cache[m] = base
+    base = {}
+    perms = set(permutations(m))
+    scale = Fraction(1, math.factorial(len(m)))
+    # multiset permutations are repeated in the full sum
+    rep = math.factorial(len(m)) // (len(perms) or 1) if m else 1
+    for w in perms:
+        for key, cv in straighten(alg, w, 0, scale * rep).items():
+            _add(base, key, cv)
     return base
 
 
@@ -198,19 +197,17 @@ def sigma(alg, p):
     return out
 
 
+@memo
 def _sigma_inv_basis(alg, m):
-    base = alg._sigma_inv_cache.get(m)
-    if base is None:
-        base = {}
-        rem = {(m, 0): Fraction(1)}
-        while rem:
-            top = max(len(w) for w, _ in rem)
-            for (w, h), c in [it for it in rem.items()
-                              if len(it[0][0]) == top]:
-                _add(base, (w, h), c)
-                for (ww, hh), cv in _sigma_basis(alg, w).items():
-                    _add(rem, (ww, hh + h), -c * cv)
-        alg._sigma_inv_cache[m] = base
+    base = {}
+    rem = {(m, 0): Fraction(1)}
+    while rem:
+        top = max(len(w) for w, _ in rem)
+        for (w, h), c in [it for it in rem.items()
+                          if len(it[0][0]) == top]:
+            _add(base, (w, h), c)
+            for (ww, hh), cv in _sigma_basis(alg, w).items():
+                _add(rem, (ww, hh + h), -c * cv)
     return base
 
 
@@ -231,16 +228,17 @@ def star(alg, p, q):
     out = {}
     for (m1, h1), c1 in p.items():
         for (m2, h2), c2 in q.items():
-            base = alg._star_cache.get((m1, m2))
-            if base is None:
-                base = sigma_inv(alg, u_mul(alg, _sigma_basis(alg, m1),
-                                            _sigma_basis(alg, m2)))
-                alg._star_cache[(m1, m2)] = base
             c = c1 * c2
             h = h1 + h2
-            for (mm, hh), cv in base.items():
+            for (mm, hh), cv in _star_basis(alg, m1, m2).items():
                 _add(out, (mm, hh + h), c * cv)
     return out
+
+
+@memo
+def _star_basis(alg, m1, m2):
+    return sigma_inv(alg, u_mul(alg, _sigma_basis(alg, m1),
+                                _sigma_basis(alg, m2)))
 
 
 # -- the arity-2 graph shadow -----------------------------------------

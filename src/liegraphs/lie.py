@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from .linalg import _axpy
+
 
 # -- bracket expression grammar ---------------------------------------
 #
@@ -121,15 +123,6 @@ def assoc_expand(tree):
 
 # -- multilinear normal form ------------------------------------------
 
-def _add_into(target, source, scale=Fraction(1)):
-    for k, v in source.items():
-        nv = target.get(k, Fraction(0)) + scale * v
-        if nv == 0:
-            target.pop(k, None)
-        else:
-            target[k] = nv
-
-
 def _expand_left(a, b):
     """[a, b] for left-normed words with first(a) < first(b); the result
     is a combination of left-normed words starting with first(a)."""
@@ -137,9 +130,9 @@ def _expand_left(a, b):
         return {a + b: Fraction(1)}
     out = {}
     for w, c in _expand_left(a, b[:-1]).items():
-        _add_into(out, {w + b[-1:]: c})
+        _axpy(out, c, {w + b[-1:]: 1})
     for w, c in _expand_left(a + b[-1:], b[:-1]).items():
-        _add_into(out, {w: -c})
+        _axpy(out, -c, {w: 1})
     return out
 
 
@@ -158,7 +151,7 @@ def _normalize_tree(tree):
     out = {}
     for wa, ca in left.items():
         for wb, cb in right.items():
-            _add_into(out, _bracket_words(wa, wb), ca * cb)
+            _axpy(out, ca * cb, _bracket_words(wa, wb))
     return out
 
 
@@ -186,7 +179,7 @@ class LieElement:
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
         out = dict(self.terms)
-        _add_into(out, other.terms)
+        _axpy(out, 1, other.terms)
         return LieElement(self.arity, out, self.parity_d)
 
     def __sub__(self, other):
@@ -202,7 +195,7 @@ class LieElement:
     def assoc_expansion(self):
         out = {}
         for w, c in self.terms.items():
-            _add_into(out, assoc_expand(word_to_tree(w)), c)
+            _axpy(out, c, assoc_expand(word_to_tree(w)))
         return out
 
 
@@ -224,7 +217,7 @@ def normalize(exprs, d=1):
             leafset = frozenset(leaves)
         elif frozenset(leaves) != leafset:
             raise ValueError("inconsistent leaf sets")
-        _add_into(out, _normalize_tree(tree), Fraction(coeff))
+        _axpy(out, Fraction(coeff), _normalize_tree(tree))
     arity = len(leafset) if leafset is not None else 0
     return LieElement(arity, out, d)
 
@@ -317,7 +310,7 @@ def bch_truncated(order, letters=("X", "Y")):
     power = {(): Fraction(1)}
     for k in range(1, order + 1):
         power = _series_mul(power, u, order)
-        _add_into(log, power, Fraction((-1) ** (k + 1), k))
+        _axpy(log, Fraction((-1) ** (k + 1), k), power)
     out = {n: {} for n in range(1, order + 1)}
     for w, c in log.items():
         n = len(w)
@@ -329,7 +322,7 @@ def bch_truncated(order, letters=("X", "Y")):
             if w[0] > w[1]:
                 w = (w[1], w[0]) + w[2:]
                 coeff = -coeff
-        _add_into(out[n], {w: coeff})
+        _axpy(out[n], coeff, {w: 1})
     return out
 
 
@@ -337,5 +330,5 @@ def left_normed_assoc_expansion(combo):
     """Associative expansion of a combination of left-normed words."""
     out = {}
     for w, c in combo.items():
-        _add_into(out, assoc_expand(word_to_tree(w)), c)
+        _axpy(out, c, assoc_expand(word_to_tree(w)))
     return out

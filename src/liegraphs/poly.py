@@ -31,9 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
+from . import memo
 from .gra import GraElement, element as gra_element
 from .graphs import OrientedGraph, perm_sign
-from .lie import LieElement, parse_bracket, pretty_bracket
+from .lie import LieElement, _relabel_tree, parse_bracket, pretty_bracket
+from .lie import tree_leaves
 from .linalg import Echelon
 
 
@@ -98,73 +100,35 @@ def basis_for_multiset(multiset, p):
     return sorted(words)
 
 
-_NF_CACHE = {}
-
-
+@memo
 def _basis_system(multiset, p):
     """(basis words, Echelon of their associative expansions) of one
     letter multiset; ArithmeticError if the expansions are dependent."""
-    key = (tuple(multiset), p)
-    if key not in _NF_CACHE:
-        words = basis_for_multiset(multiset, p)
-        span = Echelon()
-        for w in words:
-            if not span.add(_super_expand(lyndon_tree(w), p)):
-                raise ArithmeticError(f"basis word {w} has a dependent"
-                                      " expansion")
-        _NF_CACHE[key] = (words, span)
-    return _NF_CACHE[key]
+    words = basis_for_multiset(multiset, p)
+    span = Echelon()
+    for w in words:
+        if not span.add(_super_expand(lyndon_tree(w), p)):
+            raise ArithmeticError(f"basis word {w} has a dependent"
+                                  " expansion")
+    return words, span
 
 
-_CNF_CACHE = {}
-
-
-def _tree_labels(tree, acc):
-    if isinstance(tree, tuple):
-        _tree_labels(tree[0], acc)
-        _tree_labels(tree[1], acc)
-    else:
-        acc.append(tree)
-
-
+@memo
 def component_normal_form(tree, p):
     """Express a bracket tree over white labels in the basis.
 
     Returns a dict basis word -> Fraction (empty when the tree is zero,
     e.g. [x, x] for even generators).  Normal forms commute with
-    order-preserving relabelings, so results are cached per label-rank
-    pattern and translated back.
+    order-preserving relabelings, so a tree over other labels is
+    normalized through its label-rank pattern over 1..k (memoised like
+    every tree) and translated back.
     """
-    key = (tree, p)
-    cached = _CNF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    labels = []
-    _tree_labels(tree, labels)
-    distinct = sorted(set(labels))
-    rank = {l: i + 1 for i, l in enumerate(distinct)}
-    pattern = _relabel_tree(tree, rank)
-    pkey = (pattern, p)
-    pout = _CNF_CACHE.get(pkey)
-    if pout is None:
-        pout = _component_normal_form(pattern, p)
-        _CNF_CACHE[pkey] = pout
-    if pattern == tree:
-        return pout
-    back = {i + 1: l for i, l in enumerate(distinct)}
-    out = {tuple(back[l] for l in w): c for w, c in pout.items()}
-    _CNF_CACHE[key] = out
-    return out
-
-
-def _relabel_tree(tree, mapping):
-    if isinstance(tree, tuple):
-        return (_relabel_tree(tree[0], mapping),
-                _relabel_tree(tree[1], mapping))
-    return mapping[tree]
-
-
-def _component_normal_form(tree, p):
+    distinct = sorted(set(tree_leaves(tree)))
+    if distinct != list(range(1, len(distinct) + 1)):
+        rank = {l: i + 1 for i, l in enumerate(distinct)}
+        pout = component_normal_form(_relabel_tree(tree, rank), p)
+        return {tuple(distinct[l - 1] for l in w): c
+                for w, c in pout.items()}
     expansion = _super_expand(tree, p)
     if not expansion:
         return {}
@@ -191,16 +155,11 @@ def _sort_term(words, d, kind):
     out = tuple(words[i] for i in keyed)
     if kind == "ass" or d % 2 == 1:
         return out, 1
-    odd_positions = [i for i in keyed if _parity(words[i], d, kind) == 1]
     for a, b in zip(out, out[1:]):
         if a == b and _parity(a, d, kind) == 1:
             return out, 0
-    inv = 0
-    for x in range(len(odd_positions)):
-        for y in range(x + 1, len(odd_positions)):
-            if odd_positions[x] > odd_positions[y]:
-                inv += 1
-    return out, (-1) ** inv
+    return out, perm_sign([i for i in keyed
+                           if _parity(words[i], d, kind) == 1])
 
 
 @dataclass(frozen=True)
@@ -397,18 +356,6 @@ def _injective_assignments(n_items, slots):
     yield from rec(0, frozenset())
 
 
-def _koszul_reorder_sign(parities, final_order):
-    """Koszul sign of reordering objects (initial order 0..k-1) into
-    final_order, odd objects anticommuting."""
-    sign = 1
-    for x in range(len(final_order)):
-        for y in range(x + 1, len(final_order)):
-            if final_order[x] > final_order[y]:
-                if parities[final_order[x]] and parities[final_order[y]]:
-                    sign = -sign
-    return sign
-
-
 def o_compose(a, i, b):
     """Operadic partial composition a o_i b."""
     if not 1 <= i <= a.arity:
@@ -465,7 +412,8 @@ def o_compose(a, i, b):
                         if marker_comp[m] == t_idx and m in covered:
                             final.append(len(ta) + covered[m])
                 final.extend(len(ta) + u for u in unconsumed)
-                sign = _koszul_reorder_sign(pa + pb, final)
+                parities = pa + pb
+                sign = perm_sign([x for x in final if parities[x]])
                 # graft crossing sign: an odd grafted component passes
                 # the leaves right of its marker (even d only)
                 if kind == "lie" and d % 2 == 0:
@@ -538,6 +486,7 @@ def s_action(x: OElement, sigma):
     if len(sigma) != x.arity:
         raise ValueError("permutation size mismatch")
     p = (x.d - 1) % 2 if x.kind == "lie" else 0
+    mapping = dict(enumerate(sigma, 1))
     out_terms = {}
     for t, c in x.terms.items():
         combos = []
@@ -547,15 +496,9 @@ def s_action(x: OElement, sigma):
                 combos.append({rw: Fraction(1)})
             else:
                 combos.append(component_normal_form(
-                    _relabel(lyndon_tree(w), sigma), p))
+                    _relabel_tree(lyndon_tree(w), mapping), p))
         _expand_product(out_terms, combos, [], c, x.d, x.kind)
     return OElement(x.arity, x.d, out_terms, x.kind)
-
-
-def _relabel(tree, sigma):
-    if isinstance(tree, tuple):
-        return tuple(_relabel(t, sigma) for t in tree)
-    return sigma[tree - 1]
 
 
 def map_i(x: LieElement, d=None):

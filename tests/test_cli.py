@@ -133,6 +133,22 @@ def test_compose_parse_error_location(capsys, tmp_path):
     assert "line 1" in err and "column" in err
 
 
+def test_compose_malformed_file(capsys, tmp_path):
+    """A missing file, a non-object top level and non-list terms are
+    reported as errors, never as a traceback."""
+    g = gra.unit(1).to_json()
+    cases = [str(tmp_path / "missing.json"),
+             _write(tmp_path, "list.json", [g, g]),
+             _write(tmp_path, "terms.json",
+                    {"format_version": FORMAT_VERSION,
+                     "a": dict(g, terms=5), "b": g})]
+    for f in cases:
+        code, _, err = run(["compose", f, "--op", "gra", "--i", "1"],
+                           capsys)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_compose_rejects_unknown_major(capsys, tmp_path):
     g = gra.unit(1)
     f = _write(tmp_path, "v2.json",

@@ -80,6 +80,21 @@ def test_abelian_star_is_product():
     assert star(a, p, q) == sym_mul(p, q)
 
 
+def test_memo_keeps_algebras_apart():
+    """The memoised straightening, sigma and star tables are keyed by the
+    algebra: the same monomials interleaved on two algebras keep their
+    own products."""
+    h, a = heisenberg(), abelian(3)
+    x, y = monomial([1]), monomial([2])
+    for _ in range(2):
+        assert star(h, x, y) == poly_add(sym_mul(x, y),
+                                         poly_scale(monomial([3], h=1),
+                                                    Fraction(1, 2)))
+        assert star(a, x, y) == sym_mul(x, y)
+        assert star(h, y, x) != star(a, y, x)
+        assert straighten(h, (2, 1)) != straighten(a, (2, 1))
+
+
 def test_sigma_roundtrip():
     for alg in (heisenberg(), two_dim()):
         p = poly_add(poly_add(monomial([1, 2, 2]),

@@ -63,10 +63,13 @@ def test_dependent_basis_expansion_raises(monkeypatch):
     monkeypatch.setattr(poly, "basis_for_multiset",
                         lambda letters, p: words(letters, p)
                         + words(letters, p)[:1])
-    monkeypatch.setattr(poly, "_NF_CACHE", {})
-    monkeypatch.setattr(poly, "_CNF_CACHE", {})
+    memos = (poly._basis_system, component_normal_form)
+    for f in memos:
+        f.cache_clear()
     with pytest.raises(ArithmeticError):
         component_normal_form(((1, 2), 3), 0)
+    for f in memos:
+        f.cache_clear()
 
 
 def test_compose_corollas_three_terms():
