@@ -97,7 +97,7 @@ def _act(d, target, x, sigma):
 def _plain_changes(n):
     """Adjacent-swap positions (0-based) visiting all of S_n once."""
     if n <= 1:
-        return []
+        return ()
     sub = _plain_changes(n - 1)
     out = []
     for k in range(len(sub) + 1):
@@ -107,7 +107,7 @@ def _plain_changes(n):
             out.extend(range(0, n - 1))
         if k < len(sub):
             out.append(sub[k] + (1 if k % 2 == 0 else 0))
-    return out
+    return tuple(out)
 
 
 def symmetrize(x, d=None):

@@ -145,8 +145,9 @@ def compose(g1, i, g2):
 
 def s_action(g, sigma):
     """Relabel vertices by the permutation sigma (sequence of images)."""
-    if len(sigma) != g.arity:
-        raise ValueError("permutation size mismatch")
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(1, g.arity + 1)):
+        raise ValueError(f"not a permutation of 1..{g.arity}: {sigma}")
     mapping = {v: sigma[v - 1] for v in range(1, g.arity + 1)}
     terms = {}
     for G, c in g.terms.items():

@@ -480,24 +480,39 @@ def _expand_product(out_terms, combos, tail, coeff, d, kind):
 
 # -- symmetric action and morphisms -----------------------------------
 
+@memo
+def _component_action(word, sigma, p):
+    """Normal form of a basis word's bracket tree relabelled by sigma,
+    as (word, coeff) items."""
+    tree = _relabel_tree(lyndon_tree(word), dict(enumerate(sigma, 1)))
+    return tuple(component_normal_form(tree, p).items())
+
+
+@memo
+def _term_action(term, sigma, d, kind):
+    """Image of one term with coefficient 1 under sigma, as (term,
+    coeff) items; integral coefficients are stored as int."""
+    if kind == "ass":
+        combos = [{tuple(sigma[l - 1] for l in w): 1} for w in term]
+    else:
+        p = (d - 1) % 2
+        combos = [dict(_component_action(w, sigma, p)) for w in term]
+    out = {}
+    _expand_product(out, combos, [], 1, d, kind)
+    return tuple((t, int(c) if c.denominator == 1 else c)
+                 for t, c in out.items())
+
+
 def s_action(x: OElement, sigma):
     """Relabel white vertices by sigma (sequence of images); components
     are renormalized, so internal orientation signs are automatic."""
-    if len(sigma) != x.arity:
-        raise ValueError("permutation size mismatch")
-    p = (x.d - 1) % 2 if x.kind == "lie" else 0
-    mapping = dict(enumerate(sigma, 1))
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(1, x.arity + 1)):
+        raise ValueError(f"not a permutation of 1..{x.arity}: {sigma}")
     out_terms = {}
     for t, c in x.terms.items():
-        combos = []
-        for w in t:
-            rw = tuple(sigma[l - 1] for l in w)
-            if x.kind == "ass":
-                combos.append({rw: Fraction(1)})
-            else:
-                combos.append(component_normal_form(
-                    _relabel_tree(lyndon_tree(w), mapping), p))
-        _expand_product(out_terms, combos, [], c, x.d, x.kind)
+        for tt, cc in _term_action(t, sigma, x.d, x.kind):
+            out_terms[tt] = out_terms.get(tt, 0) + c * cc
     return OElement(x.arity, x.d, out_terms, x.kind)
 
 

@@ -115,6 +115,14 @@ def test_s_action_examples():
     assert s_action(e2, (2, 1)) == e2
 
 
+def test_s_action_rejects_non_permutations():
+    e = lie_to_gra(1)
+    for sigma in ((2, 3), (0, 2), (1, 1), (1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            s_action(e, sigma)
+    assert s_action(e, [2, 1]) == s_action(e, (2, 1))
+
+
 def test_s_action_composes():
     rng = random.Random(11)
     for _ in range(30):

@@ -4,6 +4,7 @@ from liegraphs import MEMO_MAXSIZE, defcx, gutt, poly
 
 MEMOISED = (defcx._plain_changes, defcx._gc_differential,
             poly._basis_system, poly.component_normal_form,
+            poly._component_action, poly._term_action,
             gutt._straighten, gutt._sigma_basis, gutt._sigma_inv_basis,
             gutt._star_basis)
 

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from liegraphs import poly
+from liegraphs.defcx import _o_slice_terms
 from liegraphs.gra import compose as gra_compose, gra_image, lie_to_gra
-from liegraphs.lie import normalize
+from liegraphs.lie import _relabel_tree, normalize
 from liegraphs.poly import (OElement, ass_corolla, ass_remark_check,
                             basis_for_multiset, component_normal_form,
                             is_connected_element, is_lyndon, lyndon_tree,
@@ -141,6 +143,80 @@ def test_jacobi_image_zero():
         for sigma in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             total = total + s_action(nested, sigma)
         assert total.is_zero()
+
+
+def test_s_action_rejects_non_permutations():
+    x = make_term(2, 1, [(1, 2)])
+    poly._term_action.cache_clear()
+    for sigma in ((2, 3), (0, 2), (1, 1), (1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            poly.s_action(x, sigma)
+    assert poly._term_action.cache_info().currsize == 0
+    assert poly.s_action(x, [2, 1]) == poly.s_action(x, (2, 1))
+
+
+def _reference_s_action(x, sigma):
+    """The uncached action: relabel each component's Lyndon tree,
+    renormalize it and expand the product of the components."""
+    p = (x.d - 1) % 2 if x.kind == "lie" else 0
+    mapping = dict(enumerate(sigma, 1))
+    out_terms = {}
+    for t, c in x.terms.items():
+        combos = []
+        for w in t:
+            if x.kind == "ass":
+                combos.append({tuple(sigma[l - 1] for l in w): Fraction(1)})
+            else:
+                combos.append(component_normal_form(
+                    _relabel_tree(lyndon_tree(w), mapping), p))
+        poly._expand_product(out_terms, combos, [], c, x.d, x.kind)
+    return OElement(x.arity, x.d, out_terms, x.kind)
+
+
+def _slice_elements():
+    """Every term of the def-olie slices with n <= 3, k <= 3, d in
+    {1, 2}, one at a time and all together with distinct weights."""
+    for d in (1, 2):
+        for n in (1, 2, 3):
+            for k in range(4):
+                terms = _o_slice_terms(n, k, d)
+                for t in terms:
+                    yield OElement(n, d, {t: Fraction(1)})
+                if terms:
+                    yield OElement(n, d, {t: Fraction(j + 1, 2)
+                                          for j, t in enumerate(terms)})
+
+
+def _ass_elements():
+    m = ass_corolla(2)
+    return [ass_remark_check(), o_compose(m, 1, m),
+            make_term(3, 1, [(3, 1, 1), (2, 3)], Fraction(5), kind="ass")
+            + make_term(3, 1, [(2,), (1, 3, 2)], Fraction(-1, 3),
+                        kind="ass")]
+
+
+def test_s_action_matches_uncached_oracle():
+    for x in list(_slice_elements()) + _ass_elements():
+        for sigma in permutations(range(1, x.arity + 1)):
+            assert poly.s_action(x, sigma) == _reference_s_action(x, sigma)
+
+
+def test_s_action_is_an_action():
+    # convention, from a hand example: acting by sigma, then by tau, is
+    # acting by the permutation i -> tau[sigma[i]]
+    x = make_term(3, 1, [(1, 2)])
+    sigma, tau = (2, 1, 3), (1, 3, 2)
+    want = make_term(3, 1, [(1, 3)], Fraction(-1))
+    assert poly.s_action(poly.s_action(x, sigma), tau) == want
+    assert poly.s_action(x, (3, 1, 2)) == want
+    for x in list(_slice_elements()) + _ass_elements():
+        perms = list(permutations(range(1, x.arity + 1)))
+        for sigma in perms:
+            once = poly.s_action(x, sigma)
+            for tau in perms:
+                composed = tuple(tau[s - 1] for s in sigma)
+                assert (poly.s_action(once, tau)
+                        == poly.s_action(x, composed))
 
 
 def test_map_i_corolla():
