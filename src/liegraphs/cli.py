@@ -353,17 +353,21 @@ def _slice_witness(chain, sl, image_dim):
     """A closed, non-exact representative of the slice, if any."""
     # with no incoming image every kernel vector is non-exact
     pred = chain.pred(sl) if image_dim else None
+    row = {t: i for i, t in enumerate(pred.rows)} if pred else {}
     for vec in linalg.kernel_basis(sl.matrix):
-        if pred is None or not linalg.in_image(pred.matrix, vec):
+        if sl.complex_id in ("fcgc", "gc"):
+            combo = terms = {sl.basis[idx]: c for idx, c in vec.items()}
+        else:
             combo = None
             for idx, c in sorted(vec.items()):
-                b = sl.basis[idx]
-                if sl.complex_id in ("fcgc", "gc"):
-                    combo = combo or {}
-                    combo[b] = combo.get(b, Fraction(0)) + c
-                else:
-                    piece = b.scaled(c)
-                    combo = piece if combo is None else combo + piece
+                piece = sl.basis[idx].scaled(c)
+                combo = piece if combo is None else combo + piece
+            terms = combo.terms
+        # exact: in the span of the predecessor's images, whose rows
+        # are the terms they reach
+        if pred is None or not row.keys() >= terms.keys() or not \
+                linalg.in_image(pred.matrix,
+                                {row[t]: c for t, c in terms.items()}):
             return _serialize_witness(sl.complex_id, combo)
     return None
 

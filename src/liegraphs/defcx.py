@@ -22,9 +22,10 @@ attachments plus the sum of vertex splittings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 from . import linalg, memo, poly
 from .gra import GraElement, compose as gra_compose, element as gra_element
@@ -252,7 +253,7 @@ def _gc_differential(g, min_valence):
     if min_valence > 1:
         out = {G: c for G, c in out.items()
                if min(G.valences()) >= min_valence}
-    return out
+    return MappingProxyType(out)
 
 
 def gc_differential_combo(combo, min_valence=1):
@@ -304,8 +305,10 @@ class SliceBasis:
     complex_id: str
     d: int
     key: tuple
-    basis: tuple           # generators: graphs, or coordinate dicts
-    matrix: SparseMatrix   # differential into the successor slice
+    basis: tuple           # generators: graphs, or invariant elements
+    span: linalg.Echelon = field(compare=False)  # their term coordinates
+    rows: tuple            # the successor terms the differentials reach
+    matrix: SparseMatrix   # differential, rows indexed by `rows`
 
 
 def _o_slice_terms(n, k, d):
@@ -341,42 +344,29 @@ def _o_slice_terms(n, k, d):
     return sorted(set(out))
 
 
-def _invariant_basis(terms, make, d):
-    """A maximal independent set of the symmetrized terms, taken in
-    term order, as (elements, term -> row, Echelon of their
-    coordinates)."""
-    index = {t: i for i, t in enumerate(terms)}
-    elements = []
-    span = linalg.Echelon()
-    for t in terms:
-        x = symmetrize(make(t), d)
-        vec = {}
-        for tt, c in x.terms.items():
-            if tt not in index:
-                raise ValueError("symmetrizer left the slice")
-            vec[index[tt]] = c
-        if span.add(vec):
-            elements.append(x)
-    return tuple(elements), index, span
-
-
 def _slice_basis(complex_id, d, key):
-    """(generators, term -> row, Echelon of the generators' coordinates)
-    of one slice.  The Echelon is None for the graph complexes, whose
-    generators are their own terms."""
+    """(generators, Echelon of their term coordinates) of one slice:
+    the graphs, or a maximal independent set of the symmetrized terms,
+    taken in term order."""
     if complex_id in ("fcgc", "gc"):
         mv = 3 if complex_id == "gc" else 1
-        gens = tuple(enumerate_graphs(*key, d, min_valence=mv,
-                                      connected=True))
-        return gens, {g: i for i, g in enumerate(gens)}, None
-    if complex_id == "def-olie":
+        gens = enumerate_graphs(*key, d, min_valence=mv, connected=True)
+        vectors = ((g, {g: Fraction(1)}) for g in gens)
+    elif complex_id == "def-olie":
         n, k = key
-        return _invariant_basis(
-            _o_slice_terms(n, k, d),
-            lambda t: OElement(n, d, {t: Fraction(1)}, "lie"), d)
-    n, = key
-    return _invariant_basis(basis_words(n),
-                            lambda w: LieElement(n, {w: Fraction(1)}, d), d)
+        vectors = ((x, x.terms) for x in (
+            symmetrize(OElement(n, d, {t: Fraction(1)}, "lie"), d)
+            for t in _o_slice_terms(n, k, d)))
+    else:
+        n, = key
+        vectors = ((x, x.terms) for x in (
+            symmetrize(LieElement(n, {w: Fraction(1)}, d), d)
+            for w in basis_words(n)))
+    gens, span = [], linalg.Echelon()
+    for x, vec in vectors:
+        if span.add(vec):
+            gens.append(x)
+    return tuple(gens), span
 
 
 def _image(complex_id, d, x):
@@ -390,7 +380,11 @@ def _check_square_zero(first, second):
     """Raise ArithmeticError unless the differential of the slice
     `first` followed by that of its successor `second` is zero."""
     for col in first.matrix.transpose().rows:
-        if second.matrix.mul_vector(dict(col)):
+        try:
+            x = second.span.coords({first.rows[i]: c for i, c in col})
+        except ValueError:  # the image is not in the complex
+            x = None
+        if x is None or second.matrix.mul_vector(x):
             raise ArithmeticError(f"d o d != 0 from slice {first.key}"
                                   f" to {second.key}")
 
@@ -408,29 +402,11 @@ class Chain:
             raise ValueError(f"unknown complex {complex_id!r}")
         self.complex_id, self.d = complex_id, d
         self.lower, self.upper = _BOUNDS[complex_id]
-        self._bases, self._slices, self._ranks = {}, {}, {}
+        self._slices, self._ranks = {}, {}
 
     def in_bounds(self, key):
         return len(key) == len(self.lower) and all(
             lo <= k <= hi for lo, k, hi in zip(self.lower, key, self.upper))
-
-    def _basis(self, key):
-        """_slice_basis of a slice; nothing outside the grid."""
-        if key not in self._bases:
-            self._bases[key] = _slice_basis(self.complex_id, self.d, key) \
-                if self.in_bounds(key) else ((), {}, None)
-        return self._bases[key]
-
-    def _column(self, x, succ):
-        """The differential of the generator x in the coordinates of
-        the successor slice's generators."""
-        _, index, span = self._basis(succ)
-        vec = {}
-        for t, c in _image(self.complex_id, self.d, x).items():
-            if t not in index:
-                raise ValueError("differential left the slice grid")
-            vec[index[t]] = c
-        return vec if span is None else span.coords(vec)
 
     def slice(self, key):
         """Basis and differential matrix of one slice.  Raises
@@ -442,12 +418,19 @@ class Chain:
         if not self.in_bounds(key):
             raise ValueError(f"slice {key} outside bounds"
                              f" {self.lower}..{self.upper}")
-        gens = self._basis(key)[0]
+        gens, span = _slice_basis(self.complex_id, self.d, key)
         succ = tuple(k + 1 for k in key)
-        cols = [self._column(x, succ) for x in gens]
-        n_rows = len(self._basis(succ)[0]) if cols else 0
-        sl = SliceBasis(self.complex_id, self.d, key, gens,
-                        SparseMatrix.from_columns(cols, n_rows,
+        images = []
+        for x in gens:
+            image = _image(self.complex_id, self.d, x)
+            if image and not self.in_bounds(succ):
+                raise ValueError("differential left the slice grid")
+            images.append(image)
+        rows = tuple(sorted({t for image in images for t in image}))
+        index = {t: i for i, t in enumerate(rows)}
+        cols = [{index[t]: c for t, c in image.items()} for image in images]
+        sl = SliceBasis(self.complex_id, self.d, key, gens, span, rows,
+                        SparseMatrix.from_columns(cols, len(rows),
                                                   n_cols=len(gens)))
         pred = tuple(k - 1 for k in key)
         if pred in self._slices:

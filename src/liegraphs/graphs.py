@@ -27,7 +27,9 @@ from itertools import combinations, permutations
 ZERO = 0
 
 
-@dataclass(frozen=True)
+# ordered by (d, n_vertices, edges): within one slice, the order in
+# which enumerate_graphs lists its canonical graphs
+@dataclass(frozen=True, order=True)
 class OrientedGraph:
     d: int
     n_vertices: int

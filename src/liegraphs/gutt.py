@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
+from types import MappingProxyType
 
 from . import memo
 from .gra import GraElement, element as gra_element, s_action
@@ -144,7 +145,9 @@ def straighten(alg, word, h=0, coeff=Fraction(1)):
 
 # The memoised maps below are keyed by the algebra object and hold the
 # (h = 0, coefficient 1) case: straightening, sigma and sigma_inv commute
-# with h-shifts and scaling, and the star product is bilinear.
+# with h-shifts and scaling, and the star product is bilinear.  They
+# return read-only mappings, since the memo hands the same one to every
+# caller.
 
 @memo
 def _straighten(alg, word):
@@ -162,7 +165,7 @@ def _straighten(alg, word):
                 break
         else:
             _add(base, (w, hh), c)
-    return base
+    return MappingProxyType(base)
 
 
 def u_mul(alg, u, v):
@@ -185,7 +188,7 @@ def _sigma_basis(alg, m):
     for w in perms:
         for key, cv in straighten(alg, w, 0, scale * rep).items():
             _add(base, key, cv)
-    return base
+    return MappingProxyType(base)
 
 
 def sigma(alg, p):
@@ -208,7 +211,7 @@ def _sigma_inv_basis(alg, m):
             _add(base, (w, h), c)
             for (ww, hh), cv in _sigma_basis(alg, w).items():
                 _add(rem, (ww, hh + h), -c * cv)
-    return base
+    return MappingProxyType(base)
 
 
 def sigma_inv(alg, u):
@@ -237,8 +240,8 @@ def star(alg, p, q):
 
 @memo
 def _star_basis(alg, m1, m2):
-    return sigma_inv(alg, u_mul(alg, _sigma_basis(alg, m1),
-                                _sigma_basis(alg, m2)))
+    return MappingProxyType(sigma_inv(alg, u_mul(alg, _sigma_basis(alg, m1),
+                                                 _sigma_basis(alg, m2))))
 
 
 # -- the arity-2 graph shadow -----------------------------------------

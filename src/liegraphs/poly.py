@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from types import MappingProxyType
 
 from . import memo
 from .gra import GraElement, element as gra_element
@@ -104,7 +105,7 @@ def basis_for_multiset(multiset, p):
 def _basis_system(multiset, p):
     """(basis words, Echelon of their associative expansions) of one
     letter multiset; ArithmeticError if the expansions are dependent."""
-    words = basis_for_multiset(multiset, p)
+    words = tuple(basis_for_multiset(multiset, p))
     span = Echelon()
     for w in words:
         if not span.add(_super_expand(lyndon_tree(w), p)):
@@ -117,8 +118,9 @@ def _basis_system(multiset, p):
 def component_normal_form(tree, p):
     """Express a bracket tree over white labels in the basis.
 
-    Returns a dict basis word -> Fraction (empty when the tree is zero,
-    e.g. [x, x] for even generators).  Normal forms commute with
+    Returns a read-only mapping basis word -> Fraction (empty when the
+    tree is zero, e.g. [x, x] for even generators); the memo hands the
+    same mapping to every caller.  Normal forms commute with
     order-preserving relabelings, so a tree over other labels is
     normalized through its label-rank pattern over 1..k (memoised like
     every tree) and translated back.
@@ -127,14 +129,15 @@ def component_normal_form(tree, p):
     if distinct != list(range(1, len(distinct) + 1)):
         rank = {l: i + 1 for i, l in enumerate(distinct)}
         pout = component_normal_form(_relabel_tree(tree, rank), p)
-        return {tuple(distinct[l - 1] for l in w): c
-                for w, c in pout.items()}
+        return MappingProxyType({tuple(distinct[l - 1] for l in w): c
+                                 for w, c in pout.items()})
     expansion = _super_expand(tree, p)
     if not expansion:
-        return {}
+        return MappingProxyType({})
     multiset = tuple(sorted(next(iter(expansion))))
     words, span = _basis_system(multiset, p)
-    return {words[j]: c for j, c in span.coords(expansion).items()}
+    return MappingProxyType({words[j]: c
+                             for j, c in span.coords(expansion).items()})
 
 
 # -- elements ---------------------------------------------------------

@@ -1,12 +1,15 @@
 """Command-line surface: suites, tables, composition, determinism."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from liegraphs import gra, poly
-from liegraphs.cli import FORMAT_VERSION, main
+from liegraphs import defcx, gra, linalg, poly
+from liegraphs.cli import FORMAT_VERSION, _slice_witness, main
 from liegraphs.graphs import OrientedGraph
+from liegraphs.linalg import SparseMatrix
 
 
 def run(argv, capsys):
@@ -86,6 +89,61 @@ def test_cohomology_out_of_bounds(capsys):
         assert code == 1
         assert err.startswith("error:") and why in err
         assert "Traceback" not in err
+
+
+# sha256 of the `cohomology --format json` stdout of three tables, as
+# computed at commit ee73043, where slice matrices were still written in
+# the successor's generators.  The fcgc and gc tables hold witnesses
+# decided over nonzero incoming images.
+TABLE_DIGESTS = [
+    (["--complex", "fcgc", "--d", "1", "--max-vertices", "4",
+      "--max-edges", "6"],
+     "217b6746139bb7c22a5dcf8578340b99084c382a50e87a014816d3f5e068aed7"),
+    (["--complex", "gc", "--d", "1", "--max-vertices", "5",
+      "--max-edges", "7"],
+     "d45dfb3be18dfd6717880cdc690ece51cfdcd7195c4d470551a7961efb326d22"),
+    (["--complex", "def-olie", "--d", "1", "--arity", "2",
+      "--internal", "3"],
+     "b741076fd38990ceffb0d0210f001fb2fea60ad5d03f37e0f5d309bb1616a977"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", TABLE_DIGESTS,
+                         ids=["fcgc-d1", "gc-d1", "def-olie-d1"])
+def test_cohomology_json_byte_identical(capsys, argv, digest):
+    code, out, _ = run(["cohomology"] + argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_witness_exactness_over_incoming_images():
+    """Every table row with an incoming image: the witness is decided in
+    the predecessor's rows, and is missing exactly when the cohomology
+    is zero.  A graph witness is closed, and not exact in the
+    coordinates of the slice's own generators."""
+    cases = [("fcgc", 1, (4, 4)), ("fcgc", 1, (4, 5)), ("fcgc", 1, (4, 6)),
+             ("gc", 1, (4, 6)), ("def-olie", 1, (2, 1)),
+             ("def-olie", 2, (2, 1))]
+    for complex_id, d, key in cases:
+        chain = defcx.Chain(complex_id, d)
+        sl = chain.slice(key)
+        _, image, coh = chain.cohomology(key)
+        assert image > 0
+        witness = _slice_witness(chain, sl, image)
+        assert (witness is None) == (coh == 0), (complex_id, d, key)
+        if witness is None:
+            continue
+        mv = 3 if complex_id == "gc" else 1
+        combo = {OrientedGraph.from_json(w["graph"]): Fraction(w["coeff"])
+                 for w in witness}
+        assert defcx.gc_differential_combo(combo, mv) == {}
+        pred = chain.pred(sl)
+        incoming = SparseMatrix.from_columns(
+            [{sl.basis.index(g): c
+              for g, c in defcx.gc_differential(x, mv).items()}
+             for x in pred.basis], len(sl.basis), n_cols=len(pred.basis))
+        assert not linalg.in_image(
+            incoming, {sl.basis.index(g): c for g, c in combo.items()})
 
 
 def _write(tmp_path, name, rec):

@@ -198,6 +198,22 @@ def test_slice_bounds():
         build_slice("nope", 1, (2, 2))
 
 
+def test_grid_edge_raises_at_first_image(monkeypatch):
+    """At the grid edge the slice stops at the first nonzero image,
+    before it computes any more of them."""
+    image = defcx._image
+    seen = []
+
+    def recorded(complex_id, d, x):
+        seen.append(image(complex_id, d, x))
+        return seen[-1]
+
+    monkeypatch.setattr(defcx, "_image", recorded)
+    with pytest.raises(ValueError, match="left the slice grid"):
+        build_slice("def-olie", 2, (3, 4))
+    assert seen and seen[-1] and not any(seen[:-1])
+
+
 def test_chain_checks_square_zero(monkeypatch):
     """A differential corrupted on one slice breaks d o d = 0; the chain
     reports that as a library fault, not as bad input."""
@@ -242,8 +258,9 @@ def _greedy_basis(complex_id, d, key):
 
 def test_invariant_basis_matches_greedy_rank():
     """The incremental echelon keeps the same generators as the rank
-    test on growing matrices, and the slice matrices equal the ones
-    solved for column by column."""
+    test on growing matrices.  The slice matrix has one row per term
+    the differentials reach, and its rank is that of the matrix solved
+    for column by column in the successor's generators."""
     cases = [("def-olie", d, (n, k)) for d in (1, 2) for n in (1, 2)
              for k in range(4)]
     cases += [("def-lie", d, (n,)) for d in (1, 2) for n in (2, 3, 4)]
@@ -256,14 +273,32 @@ def test_invariant_basis_matches_greedy_rank():
         succ_gens, index, span = _greedy_basis(complex_id, d, succ) \
             if chain.in_bounds(succ) else ([], {}, SparseMatrix(0, 0, []))
         cols = []
-        for x in gens:
-            vec = {index[t]: c
-                   for t, c in def_differential(x, d).terms.items()}
+        for x, new_col in zip(gens, sl.matrix.transpose().rows):
+            image = def_differential(x, d).terms
+            vec = {index[t]: c for t, c in image.items()}
             col = linalg.solve(span, vec)
             assert col is not None and span.mul_vector(col) == vec
             cols.append(col)
-        assert sl.matrix == SparseMatrix.from_columns(
-            cols, len(succ_gens) if gens else 0, n_cols=len(gens))
+            assert {sl.rows[i]: c for i, c in new_col} == image
+        assert linalg.rank(sl.matrix) == linalg.rank(SparseMatrix.from_columns(
+            cols, len(succ_gens) if gens else 0, n_cols=len(gens)))
+
+
+def test_graph_slice_rows_drop_empty_rows():
+    """For the graph complexes the slice matrix is the matrix over the
+    successor's generators with its empty rows dropped."""
+    for complex_id, d, key in (("gc", 1, (3, 8)), ("fcgc", 1, (3, 6)),
+                               ("fcgc", 2, (4, 5)), ("fcgc", 2, (5, 6))):
+        sl = build_slice(complex_id, d, key)
+        mv = 3 if complex_id == "gc" else 1
+        succ = enumerate_graphs(key[0] + 1, key[1] + 1, d, min_valence=mv)
+        old = SparseMatrix.from_columns(
+            [{succ.index(g): c for g, c in gc_differential(x, mv).items()}
+             for x in sl.basis], len(succ), n_cols=len(sl.basis))
+        kept = [i for i, r in enumerate(old.rows) if r]
+        assert 0 < len(kept) < len(succ)
+        assert sl.rows == tuple(succ[i] for i in kept)
+        assert sl.matrix.rows == tuple(old.rows[i] for i in kept)
 
 
 def test_to_gc_classes():

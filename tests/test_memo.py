@@ -1,6 +1,11 @@
 """The library's memoised functions share one bounded cache policy."""
 
+from fractions import Fraction
+
+import pytest
+
 from liegraphs import MEMO_MAXSIZE, defcx, gutt, poly
+from liegraphs.graphs import OrientedGraph
 
 MEMOISED = (defcx._plain_changes, defcx._gc_differential,
             poly._basis_system, poly.component_normal_form,
@@ -22,3 +27,38 @@ def test_memo_counts_hits():
     assert defcx._plain_changes(4) is first
     info = defcx._plain_changes.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
+
+
+def test_memo_results_are_read_only():
+    """A memo hands the same result to every caller, so a caller that
+    writes to it must fail rather than corrupt the later calls.  The
+    oracles are hand-derived: [2, 1] = -[1, 2], and y x = x y - h z on
+    the Heisenberg algebra with [x, y] = z."""
+    h = gutt.heisenberg()
+    xy, z = ((1, 2), 0), ((3,), 1)
+    cases = [
+        (poly.component_normal_form, ((2, 1), 0), {(1, 2): Fraction(-1)}),
+        # through the label-rank pattern
+        (poly.component_normal_form, ((5, 3), 0), {(3, 5): Fraction(-1)}),
+        (gutt._straighten, (h, (2, 1)), {xy: 1, z: Fraction(-1)}),
+        (gutt._sigma_basis, (h, (1, 2)), {xy: 1, z: Fraction(-1, 2)}),
+        (gutt._sigma_inv_basis, (h, (1, 2)), {xy: 1, z: Fraction(1, 2)}),
+        (gutt._star_basis, (h, (2,), (1,)), {xy: 1, z: Fraction(-1, 2)}),
+    ]
+    for f, args, want in cases:
+        got = f(*args)
+        assert got == want, f.__name__
+        with pytest.raises(TypeError):
+            got[(9, 9)] = 5
+        assert f(*args) == want, f.__name__
+    # a graph with a nonzero differential, compared with a copy taken
+    # before the write
+    g = OrientedGraph(1, 3, ((1, 3), (2, 3), (2, 3), (2, 3)))
+    got = defcx._gc_differential(g, 1)
+    want = dict(got)
+    assert want
+    with pytest.raises(TypeError):
+        got[g] = 5
+    assert defcx._gc_differential(g, 1) == want
+    words, _ = poly._basis_system((1, 1, 2), 1)
+    assert words == ((1, 1, 2),)
