@@ -33,7 +33,7 @@ from .gra import lie_to_gra, s_action as gra_s_action
 from .graphs import OrientedGraph, canonicalize, enumerate_graphs, perm_sign
 from .lie import LieElement, _relabel_tree, basis_words, graft, normalize
 from .lie import word_to_tree
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, _add, _axpy
 from .poly import OElement, make_term, o_compose
 
 
@@ -60,13 +60,21 @@ def bracket_generator(d, target):
     raise ValueError(f"unknown target {target!r}")
 
 
+@memo
+def _word_action(word, sigma):
+    """Normal form of a basis word relabelled by sigma, as (word,
+    coeff) items."""
+    tree = _relabel_tree(word_to_tree(word), dict(enumerate(sigma, 1)))
+    return tuple(normalize(tree).terms.items())
+
+
 def _lie_relabel(x: LieElement, sigma):
-    mapping = dict(enumerate(sigma, 1))
-    combos = [(c, _relabel_tree(word_to_tree(w), mapping))
-              for w, c in x.terms.items()]
-    if not combos:
-        return x
-    return normalize(combos, x.parity_d)
+    sigma = tuple(sigma)
+    out = {}
+    for w, c in x.terms.items():
+        for v, cv in _word_action(w, sigma):
+            _add(out, v, c * cv)
+    return x.with_terms(out)
 
 
 def _compose(d, target, a, i, b):
@@ -125,30 +133,17 @@ def symmetrize(x, d=None):
     scale = Fraction(1, math.factorial(n))
     odd = d % 2 == 1
     sgn = 1
-
-    def absorb(y, tw):
-        for tt, cc in y.terms.items():
-            nv = merged.get(tt, Fraction(0)) + tw * cc
-            if nv == 0:
-                merged.pop(tt, None)
-            else:
-                merged[tt] = nv
-
     # identity pass normalizes inputs whose terms are not yet in basis form
     current = _act(d, target, x, tuple(range(1, n + 1)))
-    absorb(current, scale)
+    _axpy(merged, scale, current.terms)
     for pos in _plain_changes(n):
         tau = list(range(1, n + 1))
         tau[pos], tau[pos + 1] = tau[pos + 1], tau[pos]
         current = _act(d, target, current, tuple(tau))
         if odd:
             sgn = -sgn
-        absorb(current, scale * sgn if odd else scale)
-    if target == "lie":
-        return LieElement(n, merged, x.parity_d)
-    if target == "gra":
-        return GraElement(n, x.d, merged)
-    return OElement(n, x.d, merged, x.kind)
+        _axpy(merged, scale * sgn if odd else scale, current.terms)
+    return x.with_terms(merged)
 
 
 def def_degree(x, d=None):
@@ -169,48 +164,43 @@ def def_degree(x, d=None):
     return d * (n - 1) + internal
 
 
-def def_differential(x, d=None):
-    """Differential of the invariant projection of x:
+def _bracket_mu(x, d):
+    """The bracket with mu before the symmetrizer P:
 
-        delta(Px) = P(mu o_1 x + mu o_2 x)
-                    - (-1)^{|x|} sum_i c_i P(x o_i mu)
+        mu o_1 x + mu o_2 x - (-1)^{|x|} sum_i c_i x o_i mu.
 
-    where P is the symmetrizer.  For d even all weights c_i are 1; for
-    d odd expanding slot i into two strands twists the label-ordering
-    sign by the inversions at i, and averaging that twist over P leaves
-    c_i = 0 for n even and (-1)^{i+1}/n for n odd.  On invariant
-    elements (the complex itself) this agrees with symmetrizing the
-    plain bracket formula."""
+    For d even all weights c_i are 1; for d odd expanding slot i into
+    two strands twists the label-ordering sign by the inversions at i,
+    and averaging that twist over P leaves c_i = 0 for n even and
+    (-1)^{i+1}/n for n odd."""
     target = _target_of(x)
-    if d is None:
-        d = x.d if target != "lie" else x.parity_d
     n = x.arity
     mu = bracket_generator(d, target)
-    out = symmetrize(_compose(d, target, mu, 1, x)
-                     + _compose(d, target, mu, 2, x), d)
+    out = _compose(d, target, mu, 1, x) + _compose(d, target, mu, 2, x)
     sign = Fraction((-1) ** (def_degree(x, d) % 2))
     if d % 2 == 1 and n % 2 == 0:
         return out
-    splits = None
     for i in range(1, n + 1):
         w = Fraction(1) if d % 2 == 0 else Fraction((-1) ** (i + 1), n)
-        piece = _compose(d, target, x, i, mu).scaled(sign * w)
-        splits = piece if splits is None else splits + piece
-    return out - symmetrize(splits, d)
+        out = out - _compose(d, target, x, i, mu).scaled(sign * w)
+    return out
+
+
+def def_differential(x, d=None):
+    """Differential of the invariant projection of x: the symmetrizer
+    applied to `_bracket_mu(x, d)`.  On invariant elements (the complex
+    itself) this agrees with symmetrizing the plain bracket formula."""
+    if d is None:
+        d = x.parity_d if _target_of(x) == "lie" else x.d
+    return symmetrize(_bracket_mu(x, d), d)
 
 
 # -- the graph complexes ----------------------------------------------
 
 def _add_class(out, graph, coeff):
     sc = canonicalize(graph, permute_vertices=True)
-    if sc.is_zero() or coeff == 0:
-        return
-    key = sc.canonical
-    nv = out.get(key, Fraction(0)) + sc.sign * coeff
-    if nv == 0:
-        out.pop(key, None)
-    else:
-        out[key] = nv
+    if not sc.is_zero():
+        _add(out, sc.canonical, sc.sign * coeff)
 
 
 def gc_differential(g: OrientedGraph, min_valence=1):
@@ -230,25 +220,8 @@ def gc_differential(g: OrientedGraph, min_valence=1):
 
 @memo
 def _gc_differential(g, min_valence):
-    d, n = g.d, g.n_vertices
-    e = gra_element(g)
-    mu = lie_to_gra(d)
-    raw = gra_compose(mu, 1, e) + gra_compose(mu, 2, e)
-    sign = Fraction((-1) ** (def_degree(e, d) % 2))
-    for v in range(1, n + 1):
-        if d % 2 == 1:
-            # for odd d, expanding slot v into two strands twists the
-            # label-ordering sign by the inversions at v; averaging that
-            # twist over the symmetrizer leaves the scalar weight
-            # (1/n!) sum_sigma (-1)^{inv_v} = 0 (n even), ±1/n (n odd)
-            if n % 2 == 0:
-                continue
-            weight = Fraction((-1) ** (v + 1), n)
-        else:
-            weight = Fraction(1)
-        raw = raw - gra_compose(e, v, mu).scaled(sign * weight)
     out = {}
-    for G, c in raw.terms.items():
+    for G, c in _bracket_mu(gra_element(g), g.d).terms.items():
         _add_class(out, G, c)
     if min_valence > 1:
         out = {G: c for G, c in out.items()
@@ -260,12 +233,7 @@ def gc_differential_combo(combo, min_valence=1):
     """Linear extension of gc_differential to dicts graph -> coeff."""
     out = {}
     for g, c in combo.items():
-        for G, cv in gc_differential(g, min_valence).items():
-            nv = out.get(G, Fraction(0)) + c * cv
-            if nv == 0:
-                out.pop(G, None)
-            else:
-                out[G] = nv
+        _axpy(out, c, _gc_differential(g, min_valence))
     return out
 
 

@@ -15,52 +15,26 @@ from itertools import product
 
 from .graphs import OrientedGraph, canonicalize
 from .lie import LieElement
+from .linalg import Combination, _add
 
 
-@dataclass(frozen=True)
-class GraElement:
+@dataclass(frozen=True, eq=False)
+class GraElement(Combination):
     arity: int
     d: int
     terms: dict  # canonical OrientedGraph -> Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           {g: Fraction(c) for g, c in self.terms.items()
-                            if c != 0})
+        super().__post_init__()
         for g in self.terms:
             if g.n_vertices != self.arity:
                 raise ValueError("term arity mismatch")
 
-    def is_zero(self):
-        return not self.terms
+    def _shape(self):
+        return (self.arity, self.d)
 
-    def scaled(self, c):
-        return GraElement(self.arity, self.d,
-                          {g: v * c for g, v in self.terms.items()})
-
-    def __add__(self, other):
-        if (self.arity, self.d) != (other.arity, other.d):
-            raise ValueError("arity/d mismatch")
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            nv = out.get(g, Fraction(0)) + c
-            if nv == 0:
-                out.pop(g, None)
-            else:
-                out[g] = nv
-        return GraElement(self.arity, self.d, out)
-
-    def __sub__(self, other):
-        return self + other.scaled(Fraction(-1))
-
-    def __eq__(self, other):
-        return (isinstance(other, GraElement)
-                and (self.arity, self.d, self.terms)
-                == (other.arity, other.d, other.terms))
-
-    def __hash__(self):
-        return hash((self.arity, self.d,
-                     tuple(sorted((g.edges, c) for g, c in self.terms.items()))))
+    def with_terms(self, terms):
+        return GraElement(self.arity, self.d, terms)
 
     def to_json(self):
         items = sorted(self.terms.items(), key=lambda kv: kv[0].edges)
@@ -82,14 +56,8 @@ class GraElement:
 
 def _add_graph(terms, graph, coeff):
     sc = canonicalize(graph, permute_vertices=False)
-    if sc.is_zero():
-        return
-    key = sc.canonical
-    nv = terms.get(key, Fraction(0)) + sc.sign * coeff
-    if nv == 0:
-        terms.pop(key, None)
-    else:
-        terms[key] = nv
+    if not sc.is_zero():
+        _add(terms, sc.canonical, sc.sign * coeff)
 
 
 def element(graph, coeff=Fraction(1)):

@@ -22,6 +22,7 @@ from types import MappingProxyType
 from . import memo
 from .gra import GraElement, element as gra_element, s_action
 from .graphs import OrientedGraph
+from .linalg import _add
 
 
 class FPLieAlgebra:
@@ -98,16 +99,6 @@ def two_dim():
 
 
 # -- polynomial helpers ------------------------------------------------
-
-def _add(dst, key, c):
-    if c == 0:
-        return
-    nv = dst.get(key, Fraction(0)) + c
-    if nv == 0:
-        dst.pop(key, None)
-    else:
-        dst[key] = nv
-
 
 def poly_add(p, q):
     out = dict(p)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .linalg import _axpy
+from .linalg import Combination, _add, _axpy
 
 
 # -- bracket expression grammar ---------------------------------------
@@ -130,9 +130,9 @@ def _expand_left(a, b):
         return {a + b: Fraction(1)}
     out = {}
     for w, c in _expand_left(a, b[:-1]).items():
-        _axpy(out, c, {w + b[-1:]: 1})
+        _add(out, w + b[-1:], c)
     for w, c in _expand_left(a + b[-1:], b[:-1]).items():
-        _axpy(out, -c, {w: 1})
+        _add(out, w, -c)
     return out
 
 
@@ -155,42 +155,20 @@ def _normalize_tree(tree):
     return out
 
 
-@dataclass(frozen=True)
-class LieElement:
-    """Exact linear combination of normal-form bracket words of one arity."""
+@dataclass(frozen=True, eq=False)
+class LieElement(Combination):
+    """Exact linear combination of normal-form bracket words of one
+    arity; equality ignores parity_d."""
 
     arity: int
     terms: dict
     parity_d: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           {w: Fraction(c) for w, c in self.terms.items()
-                            if c != 0})
+    def _shape(self):
+        return (self.arity,)
 
-    def is_zero(self):
-        return not self.terms
-
-    def scaled(self, c):
-        return LieElement(self.arity, {w: v * c for w, v in self.terms.items()},
-                          self.parity_d)
-
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        out = dict(self.terms)
-        _axpy(out, 1, other.terms)
-        return LieElement(self.arity, out, self.parity_d)
-
-    def __sub__(self, other):
-        return self + other.scaled(Fraction(-1))
-
-    def __eq__(self, other):
-        return (isinstance(other, LieElement)
-                and self.arity == other.arity and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.arity, tuple(sorted(self.terms.items()))))
+    def with_terms(self, terms):
+        return LieElement(self.arity, terms, self.parity_d)
 
     def assoc_expansion(self):
         out = {}
@@ -322,7 +300,7 @@ def bch_truncated(order, letters=("X", "Y")):
             if w[0] > w[1]:
                 w = (w[1], w[0]) + w[2:]
                 coeff = -coeff
-        _axpy(out[n], coeff, {w: 1})
+        _add(out[n], w, coeff)
     return out
 
 

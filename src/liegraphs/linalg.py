@@ -200,6 +200,54 @@ def _axpy(target, a, source):
             target.pop(j, None)
 
 
+def _add(target, key, c):
+    """target[key] += c, for a sparse dict; a zero entry is dropped."""
+    nv = target.get(key, 0) + c
+    if nv:
+        target[key] = nv
+    else:
+        target.pop(key, None)
+
+
+class Combination:
+    """Exact linear combination: a frozen dataclass (declared with
+    eq=False) whose `terms` field maps each term to a nonzero Fraction.
+
+    A subclass defines `_shape()`, what two summands must share, and
+    `with_terms(terms)`, the element of the same shape with other
+    terms."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms",
+                           {t: Fraction(c) for t, c in self.terms.items()
+                            if c != 0})
+
+    def is_zero(self):
+        return not self.terms
+
+    def scaled(self, c):
+        return self.with_terms({t: v * c for t, v in self.terms.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other._shape() != self._shape():
+            raise ValueError(f"cannot add a {type(other).__name__} to"
+                             f" a {type(self).__name__} of shape"
+                             f" {self._shape()}")
+        out = dict(self.terms)
+        _axpy(out, 1, other.terms)
+        return self.with_terms(out)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other._shape() == self._shape()
+                and other.terms == self.terms)
+
+    def __hash__(self):
+        return hash((self._shape(), frozenset(self.terms.items())))
+
+
 class Echelon:
     """Incremental exact echelon form of a growing set of vectors.
 

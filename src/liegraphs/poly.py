@@ -37,7 +37,7 @@ from .gra import GraElement, element as gra_element
 from .graphs import OrientedGraph, perm_sign
 from .lie import LieElement, _relabel_tree, parse_bracket, pretty_bracket
 from .lie import tree_leaves
-from .linalg import Echelon
+from .linalg import Combination, Echelon, _add
 
 
 # -- free (super) Lie normal forms on repeated letters ----------------
@@ -165,49 +165,18 @@ def _sort_term(words, d, kind):
                            if _parity(words[i], d, kind) == 1])
 
 
-@dataclass(frozen=True)
-class OElement:
+@dataclass(frozen=True, eq=False)
+class OElement(Combination):
     arity: int
     d: int
     terms: dict  # tuple of component words -> Fraction
     kind: str = "lie"
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           {t: Fraction(c) for t, c in self.terms.items()
-                            if c != 0})
+    def _shape(self):
+        return (self.arity, self.d, self.kind)
 
-    def is_zero(self):
-        return not self.terms
-
-    def scaled(self, c):
-        return OElement(self.arity, self.d,
-                        {t: v * c for t, v in self.terms.items()}, self.kind)
-
-    def __add__(self, other):
-        if (self.arity, self.d, self.kind) != (other.arity, other.d,
-                                               other.kind):
-            raise ValueError("arity/d/kind mismatch")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            nv = out.get(t, Fraction(0)) + c
-            if nv == 0:
-                out.pop(t, None)
-            else:
-                out[t] = nv
-        return OElement(self.arity, self.d, out, self.kind)
-
-    def __sub__(self, other):
-        return self + other.scaled(Fraction(-1))
-
-    def __eq__(self, other):
-        return (isinstance(other, OElement)
-                and (self.arity, self.d, self.kind, self.terms)
-                == (other.arity, other.d, other.kind, other.terms))
-
-    def __hash__(self):
-        return hash((self.arity, self.d, self.kind,
-                     tuple(sorted(self.terms.items()))))
+    def with_terms(self, terms):
+        return OElement(self.arity, self.d, terms, self.kind)
 
     def internal_vertices(self):
         """Internal vertex counts appearing among terms (set)."""
@@ -281,13 +250,8 @@ def _component_from_json(comp, kind, p):
 
 def _add_term(terms, words, coeff, d, kind):
     key, sign = _sort_term(list(words), d, kind)
-    if sign == 0 or coeff == 0:
-        return
-    nv = terms.get(key, Fraction(0)) + sign * coeff
-    if nv == 0:
-        terms.pop(key, None)
-    else:
-        terms[key] = nv
+    if sign:
+        _add(terms, key, sign * coeff)
 
 
 def make_term(arity, d, words, coeff=Fraction(1), kind="lie"):

@@ -91,10 +91,13 @@ def test_cohomology_out_of_bounds(capsys):
         assert "Traceback" not in err
 
 
-# sha256 of the `cohomology --format json` stdout of three tables, as
-# computed at commit ee73043, where slice matrices were still written in
-# the successor's generators.  The fcgc and gc tables hold witnesses
-# decided over nonzero incoming images.
+# sha256 of the `cohomology --format json` stdout of five tables.  The
+# first three were computed at commit ee73043, where slice matrices were
+# still written in the successor's generators; the fcgc and gc tables
+# hold witnesses decided over nonzero incoming images.  The last two
+# were computed at commit e776792, before the elements shared one
+# linear-combination type: def-lie d=2 relabels Lie words with the
+# even-d sign, def-olie d=2 takes the even-d Koszul signs.
 TABLE_DIGESTS = [
     (["--complex", "fcgc", "--d", "1", "--max-vertices", "4",
       "--max-edges", "6"],
@@ -105,11 +108,17 @@ TABLE_DIGESTS = [
     (["--complex", "def-olie", "--d", "1", "--arity", "2",
       "--internal", "3"],
      "b741076fd38990ceffb0d0210f001fb2fea60ad5d03f37e0f5d309bb1616a977"),
+    (["--complex", "def-lie", "--d", "2", "--arity", "5"],
+     "8bca948e2064a1845e7829e0458caf6460ad1cded8b170b389b67dc869e885c2"),
+    (["--complex", "def-olie", "--d", "2", "--arity", "2",
+      "--internal", "3"],
+     "a133f3da7360785b3e40f28b4c9472d90dccc402de3a5d9007068c51b833870d"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", TABLE_DIGESTS,
-                         ids=["fcgc-d1", "gc-d1", "def-olie-d1"])
+                         ids=["fcgc-d1", "gc-d1", "def-olie-d1", "def-lie-d2",
+                              "def-olie-d2"])
 def test_cohomology_json_byte_identical(capsys, argv, digest):
     code, out, _ = run(["cohomology"] + argv + ["--format", "json"], capsys)
     assert code == 0

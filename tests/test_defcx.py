@@ -1,8 +1,10 @@
 """Deformation complexes and graph complexes: differentials, slices,
 witness classes."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -13,9 +15,10 @@ from liegraphs.defcx import (SliceBasis, _add_class, bracket_generator,
                              gc_differential, gc_differential_combo, map_F,
                              symmetrize, tetrahedron, theta_def_element,
                              theta_graph, to_gc_classes)
-from liegraphs.gra import element as gra_element
-from liegraphs.graphs import OrientedGraph, enumerate_graphs
-from liegraphs.lie import LieElement, basis_words
+from liegraphs.gra import compose as gra_compose, element as gra_element
+from liegraphs.graphs import OrientedGraph, enumerate_graphs, perm_sign
+from liegraphs.lie import (LieElement, _relabel_tree, basis_words, normalize,
+                           word_to_tree)
 from liegraphs.linalg import SparseMatrix
 from liegraphs.poly import OElement, make_term
 
@@ -123,6 +126,103 @@ def test_gc_matches_symmetrized_oracle():
         for G, c in dx.terms.items():
             _add_class(out, G, c)
         assert out == gc_differential(g, 1)
+
+
+def _split_weights(x, d):
+    """The formula before the shared bracket: the sign (-1)^{|x|} and
+    the weights c_i of the splittings x o_i mu, or None when they
+    vanish (d odd, n even)."""
+    n = x.arity
+    sign = Fraction((-1) ** (def_degree(x, d) % 2))
+    if d % 2 == 1 and n % 2 == 0:
+        return None
+    return [sign * (Fraction(1) if d % 2 == 0
+                    else Fraction((-1) ** (i + 1), n))
+            for i in range(1, n + 1)]
+
+
+def _oracle_def_differential(x, d):
+    """delta(Px) = P(mu o_1 x + mu o_2 x) - P(sum_i c_i x o_i mu), with
+    the two parts symmetrized apart."""
+    target = defcx._target_of(x)
+    mu = bracket_generator(d, target)
+    out = symmetrize(defcx._compose(d, target, mu, 1, x)
+                     + defcx._compose(d, target, mu, 2, x), d)
+    weights = _split_weights(x, d)
+    if weights is None:
+        return out
+    splits = None
+    for i, w in enumerate(weights, 1):
+        piece = defcx._compose(d, target, x, i, mu).scaled(w)
+        splits = piece if splits is None else splits + piece
+    return out - symmetrize(splits, d)
+
+
+def _oracle_gc_differential(g, min_valence):
+    """Attachments minus weighted splittings on a labelled
+    representative, reduced to classes."""
+    d = g.d
+    e = gra_element(g)
+    mu = bracket_generator(d, "gra")
+    raw = gra_compose(mu, 1, e) + gra_compose(mu, 2, e)
+    for v, w in enumerate(_split_weights(e, d) or (), 1):
+        raw = raw - gra_compose(e, v, mu).scaled(w)
+    out = {}
+    for G, c in raw.terms.items():
+        _add_class(out, G, c)
+    return {G: c for G, c in out.items()
+            if min(G.valences()) >= min_valence}
+
+
+def test_bracket_mu_matches_split_formula():
+    """One symmetrizer over the whole bracket with mu gives the
+    differential that symmetrizes its two parts apart, on the def
+    bases, on theta and on the graph generators."""
+    elements = [(theta_def_element(), 1)]
+    for d in (1, 2):
+        for n in range(1, 4):
+            for k in range(4):
+                gens, _ = defcx._slice_basis("def-olie", d, (n, k))
+                elements += [(x, d) for x in gens]
+        for n in range(2, 6):
+            gens, _ = defcx._slice_basis("def-lie", d, (n,))
+            elements += [(x, d) for x in gens]
+    assert len(elements) == 32
+    for x, d in elements:
+        assert def_differential(x, d) == _oracle_def_differential(x, d)
+    graphs = 0
+    for d in (1, 2):
+        for mv in (1, 3):
+            for v in range(1, 6):
+                for e in range(1, 8):
+                    for g in enumerate_graphs(v, e, d, min_valence=mv):
+                        graphs += 1
+                        assert gc_differential(g, mv) \
+                            == _oracle_gc_differential(g, mv)
+    assert graphs > 100
+
+
+def test_word_action_matches_uncached_normalize():
+    """The cached relabelling of Lie words agrees with normalizing the
+    relabelled tree, for every basis word of arity <= 5 and every
+    permutation; for d even the action is twisted by the sign."""
+    defcx._word_action.cache_clear()
+    for d in (1, 2):
+        for n in range(2, 6):
+            for w in basis_words(n):
+                x = LieElement(n, {w: Fraction(1)}, d)
+                for sigma in permutations(range(1, n + 1)):
+                    tree = _relabel_tree(word_to_tree(w),
+                                         dict(enumerate(sigma, 1)))
+                    want = normalize(tree, d)
+                    if d % 2 == 0:
+                        want = want.scaled(perm_sign(list(sigma)))
+                    got = defcx._act(d, "lie", x, sigma)
+                    assert got == want and got.parity_d == d
+    info = defcx._word_action.cache_info()
+    assert info.currsize == info.misses == sum(
+        len(basis_words(n)) * math.factorial(n) for n in range(2, 6))
+    assert info.hits == info.misses
 
 
 def test_gc_attachment_and_splitting_shape():

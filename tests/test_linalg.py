@@ -6,8 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liegraphs.gra import GraElement
+from liegraphs.graphs import OrientedGraph
+from liegraphs.lie import LieElement
 from liegraphs.linalg import (Echelon, SparseMatrix, in_image, kernel_basis,
                               rank, solve)
+from liegraphs.poly import OElement, make_term
 
 
 def dense_rank(dense):
@@ -201,3 +205,58 @@ def test_echelon_matches_dense_oracle(n_rows, n_cols, seed):
                 span.coords({i: Fraction(1)})
         else:
             span.coords({i: Fraction(1)})
+
+
+# For each element class: a constructor from a terms dict, two distinct
+# terms, and an element of the same class with another shape.
+COMBINATIONS = {
+    "lie": (lambda terms: LieElement(3, terms, 2), ((1, 2, 3), (1, 3, 2)),
+            LieElement(2, {(1, 2): 1})),
+    "gra": (lambda terms: GraElement(3, 1, terms),
+            (OrientedGraph(1, 3, ((1, 2), (2, 3))),
+             OrientedGraph(1, 3, ((1, 3), (2, 3)))),
+            GraElement(3, 2, {OrientedGraph(2, 3, ((1, 2), (2, 3))): 1})),
+    "olie": (lambda terms: OElement(3, 1, terms),
+             (((1, 2), (1, 3)), ((1, 2, 3),)),
+             OElement(3, 1, {((1, 2, 3),): 1}, "ass")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMBINATIONS))
+def test_combination_arithmetic(name):
+    make, (s, t), other_shape = COMBINATIONS[name]
+    a = make({s: 2, t: 0})
+    assert a.terms == {s: 2}
+    assert all(type(c) is Fraction for c in a.terms.values())
+    b = make({t: Fraction(1, 3), s: -1})
+    assert all(type(c) is Fraction for c in b.terms.values())
+    assert a + b - b == a
+    assert (a - a).is_zero() and (a - a).terms == {}
+    assert a.scaled(0).is_zero() and not a.is_zero()
+    # the same element built in two insertion orders
+    st_, ts = make({s: 1, t: Fraction(1, 3)}), make({t: Fraction(1, 3), s: 1})
+    assert list(st_.terms) != list(ts.terms)
+    assert st_ == ts and hash(st_) == hash(ts)
+    assert a + b == st_ and hash(a + b) == hash(ts)
+    others = [other_shape] + [mk({u: 1}) for key, (mk, (u, _), _)
+                              in COMBINATIONS.items() if key != name]
+    for other in others:
+        assert a != other
+        with pytest.raises(ValueError):
+            a + other
+        with pytest.raises(ValueError):
+            a - other
+
+
+def test_mixed_element_sums_raise():
+    """Adding elements of different classes is an error, not a sum that
+    holds terms of another operad."""
+    lie = LieElement(2, {(1, 2): 1})
+    corolla = make_term(2, 1, [(1, 2)])
+    edge = GraElement(2, 1, {OrientedGraph(1, 2, ((1, 2),)): 1})
+    for x, y in ((lie, corolla), (lie, edge), (corolla, lie), (edge, lie),
+                 (corolla, edge), (edge, corolla)):
+        with pytest.raises(ValueError):
+            x + y
+    with pytest.raises(ValueError):
+        GraElement(2, 1, {OrientedGraph(1, 3, ((1, 2),)): 1})
