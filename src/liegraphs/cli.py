@@ -247,8 +247,7 @@ def _check_commutator():
                 lhs = gutt.poly_add(
                     gutt.star(alg, gutt.monomial([i]), gutt.monomial([j])),
                     gutt.poly_scale(gutt.star(alg, gutt.monomial([j]),
-                                              gutt.monomial([i])),
-                                    Fraction(-1)))
+                                              gutt.monomial([i])), -1))
                 want = {((k,), 1): c for k, c in alg.bracket(i, j).items()}
                 if lhs != want:
                     return False, f"pair {(i, j)}"

@@ -33,7 +33,7 @@ from .gra import lie_to_gra, s_action as gra_s_action
 from .graphs import OrientedGraph, canonicalize, enumerate_graphs, perm_sign
 from .lie import LieElement, _relabel_tree, basis_words, graft, normalize
 from .lie import word_to_tree
-from .linalg import SparseMatrix, _add, _axpy
+from .linalg import SparseMatrix, _add, _axpy, _exact
 from .poly import OElement, make_term, o_compose
 
 
@@ -52,7 +52,7 @@ def _target_of(x):
 def bracket_generator(d, target):
     """The image mu of the binary bracket in the target operad."""
     if target == "lie":
-        return LieElement(2, {(1, 2): Fraction(1)}, d)
+        return LieElement(2, {(1, 2): 1}, d)
     if target == "gra":
         return lie_to_gra(d)
     if target == "olie":
@@ -86,7 +86,7 @@ def _compose(d, target, a, i, b):
     # operadic suspension sign for even d
     out = graft(a, i, b)
     if d % 2 == 0 and (i - 1) * (b.arity - 1) % 2 == 1:
-        out = out.scaled(Fraction(-1))
+        out = out.scaled(-1)
     return out
 
 
@@ -98,7 +98,7 @@ def _act(d, target, x, sigma):
         return poly.s_action(x, sigma)
     out = _lie_relabel(x, sigma)
     if d % 2 == 0:
-        out = out.scaled(Fraction(perm_sign(list(sigma))))
+        out = out.scaled(perm_sign(list(sigma)))
     return out
 
 
@@ -124,26 +124,25 @@ def symmetrize(x, d=None):
     sign-twisted for d odd.
 
     Walks S_n by adjacent transpositions so every step is a cheap
-    neighbor swap instead of an arbitrary relabeling."""
+    neighbor swap instead of an arbitrary relabeling.  The signed sum is
+    accumulated unscaled and divided by n! once."""
     target = _target_of(x)
     if d is None:
         d = x.d if target != "lie" else x.parity_d
     n = x.arity
-    merged = {}
-    scale = Fraction(1, math.factorial(n))
     odd = d % 2 == 1
     sgn = 1
     # identity pass normalizes inputs whose terms are not yet in basis form
     current = _act(d, target, x, tuple(range(1, n + 1)))
-    _axpy(merged, scale, current.terms)
+    merged = dict(current.terms)
     for pos in _plain_changes(n):
         tau = list(range(1, n + 1))
         tau[pos], tau[pos + 1] = tau[pos + 1], tau[pos]
         current = _act(d, target, current, tuple(tau))
         if odd:
             sgn = -sgn
-        _axpy(merged, scale * sgn if odd else scale, current.terms)
-    return x.with_terms(merged)
+        _axpy(merged, sgn, current.terms)
+    return x.with_terms(merged).scaled(Fraction(1, math.factorial(n)))
 
 
 def def_degree(x, d=None):
@@ -177,11 +176,11 @@ def _bracket_mu(x, d):
     n = x.arity
     mu = bracket_generator(d, target)
     out = _compose(d, target, mu, 1, x) + _compose(d, target, mu, 2, x)
-    sign = Fraction((-1) ** (def_degree(x, d) % 2))
+    sign = (-1) ** (def_degree(x, d) % 2)
     if d % 2 == 1 and n % 2 == 0:
         return out
     for i in range(1, n + 1):
-        w = Fraction(1) if d % 2 == 0 else Fraction((-1) ** (i + 1), n)
+        w = 1 if d % 2 == 0 else Fraction((-1) ** (i + 1), n)
         out = out - _compose(d, target, x, i, mu).scaled(sign * w)
     return out
 
@@ -226,7 +225,8 @@ def _gc_differential(g, min_valence):
     if min_valence > 1:
         out = {G: c for G, c in out.items()
                if min(G.valences()) >= min_valence}
-    return MappingProxyType(out)
+    # sums of the 1/n-weighted terms of odd d can be integral
+    return MappingProxyType({G: _exact(c) for G, c in out.items()})
 
 
 def gc_differential_combo(combo, min_valence=1):
@@ -319,16 +319,16 @@ def _slice_basis(complex_id, d, key):
     if complex_id in ("fcgc", "gc"):
         mv = 3 if complex_id == "gc" else 1
         gens = enumerate_graphs(*key, d, min_valence=mv, connected=True)
-        vectors = ((g, {g: Fraction(1)}) for g in gens)
+        vectors = ((g, {g: 1}) for g in gens)
     elif complex_id == "def-olie":
         n, k = key
         vectors = ((x, x.terms) for x in (
-            symmetrize(OElement(n, d, {t: Fraction(1)}, "lie"), d)
+            symmetrize(OElement(n, d, {t: 1}, "lie"), d)
             for t in _o_slice_terms(n, k, d)))
     else:
         n, = key
         vectors = ((x, x.terms) for x in (
-            symmetrize(LieElement(n, {w: Fraction(1)}, d), d)
+            symmetrize(LieElement(n, {w: 1}, d), d)
             for w in basis_words(n)))
     gens, span = [], linalg.Echelon()
     for x, vec in vectors:
@@ -469,6 +469,6 @@ def five_wheel_cocycle():
     corr = OrientedGraph(2, 6, ((1, 2), (2, 3), (3, 4), (5, 4), (5, 1),
                                 (4, 1), (2, 5), (5, 6), (6, 2), (6, 3)))
     out = {}
-    _add_class(out, wheel, Fraction(1))
+    _add_class(out, wheel, 1)
     _add_class(out, corr, Fraction(5, 2))
     return out

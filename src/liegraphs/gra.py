@@ -10,19 +10,18 @@ edge order for d even).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .graphs import OrientedGraph, canonicalize
 from .lie import LieElement
-from .linalg import Combination, _add
+from .linalg import Combination, _add, _exact
 
 
 @dataclass(frozen=True, eq=False)
 class GraElement(Combination):
     arity: int
     d: int
-    terms: dict  # canonical OrientedGraph -> Fraction
+    terms: dict  # canonical OrientedGraph -> exact coefficient
 
     def __post_init__(self):
         super().__post_init__()
@@ -47,7 +46,7 @@ class GraElement(Combination):
         terms = {}
         for t in rec["terms"]:
             g = OrientedGraph.from_json(t["graph"])
-            terms[g] = terms.get(g, Fraction(0)) + Fraction(t["coeff"])
+            terms[g] = terms.get(g, 0) + _exact(t["coeff"])
         out = cls(rec["arity"], rec["d"], {})
         for g, c in terms.items():
             out = out + element(g, c)
@@ -60,10 +59,10 @@ def _add_graph(terms, graph, coeff):
         _add(terms, sc.canonical, sc.sign * coeff)
 
 
-def element(graph, coeff=Fraction(1)):
+def element(graph, coeff=1):
     """GraElement with a single (canonicalized) graph term."""
     terms = {}
-    _add_graph(terms, graph, Fraction(coeff))
+    _add_graph(terms, graph, _exact(coeff))
     return GraElement(graph.n_vertices, graph.d, terms)
 
 

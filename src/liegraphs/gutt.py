@@ -22,7 +22,7 @@ from types import MappingProxyType
 from . import memo
 from .gra import GraElement, element as gra_element, s_action
 from .graphs import OrientedGraph
-from .linalg import _add
+from .linalg import _add, _exact
 
 
 class FPLieAlgebra:
@@ -38,8 +38,8 @@ class FPLieAlgebra:
         for (i, j), coeffs in brackets.items():
             if not (1 <= i < j <= dim):
                 raise ValueError("bracket keys must satisfy 1 <= i < j <= dim")
-            clean = {int(k): Fraction(c) for k, c in coeffs.items()
-                     if Fraction(c) != 0}
+            clean = {int(k): _exact(c) for k, c in coeffs.items()
+                     if _exact(c) != 0}
             for k in clean:
                 if not 1 <= k <= dim:
                     raise ValueError("bracket target out of range")
@@ -63,7 +63,7 @@ class FPLieAlgebra:
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                         for m, cm in self.bracket(a, b).items():
                             for l, cl in self.bracket(m, c).items():
-                                acc[l] = acc.get(l, Fraction(0)) + cm * cl
+                                acc[l] = acc.get(l, 0) + cm * cl
                     if any(v != 0 for v in acc.values()):
                         raise ValueError(
                             f"Jacobi identity fails on generators {(i, j, k)}")
@@ -90,12 +90,12 @@ def abelian(n):
 
 def heisenberg():
     """[x, y] = z on generators x=1, y=2, z=3."""
-    return FPLieAlgebra(3, {(1, 2): {3: Fraction(1)}})
+    return FPLieAlgebra(3, {(1, 2): {3: 1}})
 
 
 def two_dim():
     """The nonabelian 2-dimensional algebra [x, y] = y."""
-    return FPLieAlgebra(2, {(1, 2): {2: Fraction(1)}})
+    return FPLieAlgebra(2, {(1, 2): {2: 1}})
 
 
 # -- polynomial helpers ------------------------------------------------
@@ -120,17 +120,17 @@ def sym_mul(p, q):
     return out
 
 
-def monomial(indices, h=0, coeff=Fraction(1)):
-    return {(tuple(sorted(indices)), h): Fraction(coeff)}
+def monomial(indices, h=0, coeff=1):
+    return {(tuple(sorted(indices)), h): _exact(coeff)}
 
 
-def straighten(alg, word, h=0, coeff=Fraction(1)):
+def straighten(alg, word, h=0, coeff=1):
     """PBW normal form of a generator word in the deformed enveloping
     algebra; independent of rewrite order by the diamond property."""
-    coeff = Fraction(coeff)
+    coeff = _exact(coeff)
     if coeff == 0:
         return {}
-    return {(m, hh + h): c * coeff
+    return {(m, hh + h): _exact(c * coeff)
             for (m, hh), c in _straighten(alg, tuple(word)).items()}
 
 
@@ -140,10 +140,16 @@ def straighten(alg, word, h=0, coeff=Fraction(1)):
 # return read-only mappings, since the memo hands the same one to every
 # caller.
 
+def _exact_poly(p):
+    """p with every coefficient in exact form (see linalg._exact): sums
+    of fractions can be integral."""
+    return {key: _exact(c) for key, c in p.items()}
+
+
 @memo
 def _straighten(alg, word):
     base = {}
-    stack = [(word, 0, Fraction(1))]
+    stack = [(word, 0, 1)]
     while stack:
         w, hh, c = stack.pop()
         for p in range(len(w) - 1):
@@ -156,7 +162,7 @@ def _straighten(alg, word):
                 break
         else:
             _add(base, (w, hh), c)
-    return MappingProxyType(base)
+    return MappingProxyType(_exact_poly(base))
 
 
 def u_mul(alg, u, v):
@@ -179,7 +185,7 @@ def _sigma_basis(alg, m):
     for w in perms:
         for key, cv in straighten(alg, w, 0, scale * rep).items():
             _add(base, key, cv)
-    return MappingProxyType(base)
+    return MappingProxyType(_exact_poly(base))
 
 
 def sigma(alg, p):
@@ -194,7 +200,7 @@ def sigma(alg, p):
 @memo
 def _sigma_inv_basis(alg, m):
     base = {}
-    rem = {(m, 0): Fraction(1)}
+    rem = {(m, 0): 1}
     while rem:
         top = max(len(w) for w, _ in rem)
         for (w, h), c in [it for it in rem.items()
@@ -202,7 +208,7 @@ def _sigma_inv_basis(alg, m):
             _add(base, (w, h), c)
             for (ww, hh), cv in _sigma_basis(alg, w).items():
                 _add(rem, (ww, hh + h), -c * cv)
-    return MappingProxyType(base)
+    return MappingProxyType(_exact_poly(base))
 
 
 def sigma_inv(alg, u):
@@ -226,13 +232,13 @@ def star(alg, p, q):
             h = h1 + h2
             for (mm, hh), cv in _star_basis(alg, m1, m2).items():
                 _add(out, (mm, hh + h), c * cv)
-    return out
+    return _exact_poly(out)
 
 
 @memo
 def _star_basis(alg, m1, m2):
-    return MappingProxyType(sigma_inv(alg, u_mul(alg, _sigma_basis(alg, m1),
-                                                 _sigma_basis(alg, m2))))
+    return MappingProxyType(_exact_poly(sigma_inv(
+        alg, u_mul(alg, _sigma_basis(alg, m1), _sigma_basis(alg, m2)))))
 
 
 # -- the arity-2 graph shadow -----------------------------------------
@@ -253,11 +259,11 @@ def skew_symmetrize_series(s: GraElement) -> GraElement:
     """Antisymmetrize the two slots (the d = 1 sign rule makes this the
     sign-twisted average); even parallel-edge counts cancel."""
     swapped = s_action(s, (2, 1))
-    return (s + swapped.scaled(Fraction(-1))).scaled(Fraction(1, 2))
+    return (s - swapped).scaled(Fraction(1, 2))
 
 
 def series_coefficient(s: GraElement, k: int):
     """Coefficient of the k-fold parallel edge 1 -> 2 in an arity-2
     series."""
     g = OrientedGraph(s.d, 2, tuple((1, 2) for _ in range(k)))
-    return s.terms.get(g, Fraction(0))
+    return Fraction(s.terms.get(g, 0))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .linalg import Combination, _add, _axpy
+from .linalg import Combination, _add, _axpy, _exact
 
 
 # -- bracket expression grammar ---------------------------------------
@@ -105,19 +105,19 @@ def word_to_tree(word):
 def assoc_expand(tree):
     """Expand a bracket tree in the free associative algebra, [a, b] = ab - ba.
 
-    Returns a dict mapping label tuples to Fractions.  This is an
+    Returns a dict mapping label tuples to coefficients.  This is an
     independent oracle for Lie identities: the expansion is faithful.
     """
     if not isinstance(tree, tuple):
-        return {(tree,): Fraction(1)}
+        return {(tree,): 1}
     left = assoc_expand(tree[0])
     right = assoc_expand(tree[1])
     out = {}
     for wa, ca in left.items():
         for wb, cb in right.items():
             c = ca * cb
-            out[wa + wb] = out.get(wa + wb, Fraction(0)) + c
-            out[wb + wa] = out.get(wb + wa, Fraction(0)) - c
+            out[wa + wb] = out.get(wa + wb, 0) + c
+            out[wb + wa] = out.get(wb + wa, 0) - c
     return {w: c for w, c in out.items() if c != 0}
 
 
@@ -127,7 +127,7 @@ def _expand_left(a, b):
     """[a, b] for left-normed words with first(a) < first(b); the result
     is a combination of left-normed words starting with first(a)."""
     if len(b) == 1:
-        return {a + b: Fraction(1)}
+        return {a + b: 1}
     out = {}
     for w, c in _expand_left(a, b[:-1]).items():
         _add(out, w + b[-1:], c)
@@ -145,7 +145,7 @@ def _bracket_words(a, b):
 
 def _normalize_tree(tree):
     if not isinstance(tree, tuple):
-        return {(tree,): Fraction(1)}
+        return {(tree,): 1}
     left = _normalize_tree(tree[0])
     right = _normalize_tree(tree[1])
     out = {}
@@ -184,7 +184,7 @@ def normalize(exprs, d=1):
     exactly once; otherwise a ValueError is raised.
     """
     if not isinstance(exprs, list):
-        exprs = [(Fraction(1), exprs)]
+        exprs = [(1, exprs)]
     leafset = None
     out = {}
     for coeff, tree in exprs:
@@ -195,7 +195,7 @@ def normalize(exprs, d=1):
             leafset = frozenset(leaves)
         elif frozenset(leaves) != leafset:
             raise ValueError("inconsistent leaf sets")
-        _axpy(out, Fraction(coeff), _normalize_tree(tree))
+        _axpy(out, _exact(coeff), _normalize_tree(tree))
     arity = len(leafset) if leafset is not None else 0
     return LieElement(arity, out, d)
 
@@ -259,12 +259,12 @@ def _series_mul(a, b, order):
             if len(wa) + len(wb) > order:
                 continue
             w = wa + wb
-            out[w] = out.get(w, Fraction(0)) + ca * cb
+            out[w] = out.get(w, 0) + ca * cb
     return {w: c for w, c in out.items() if c != 0}
 
 
 def _exp_series(letter, order):
-    out = {(): Fraction(1)}
+    out = {(): 1}
     for k in range(1, order + 1):
         out[(letter,) * k] = Fraction(1, math.factorial(k))
     return out
@@ -285,7 +285,7 @@ def bch_truncated(order, letters=("X", "Y")):
     prod = _series_mul(_exp_series(x, order), _exp_series(y, order), order)
     u = {w: c for w, c in prod.items() if w}
     log = {}
-    power = {(): Fraction(1)}
+    power = {(): 1}
     for k in range(1, order + 1):
         power = _series_mul(power, u, order)
         _axpy(log, Fraction((-1) ** (k + 1), k), power)
@@ -293,7 +293,7 @@ def bch_truncated(order, letters=("X", "Y")):
     for w, c in log.items():
         n = len(w)
         # Dynkin projection: w -> [[..[w1,w2],..],wn] / n
-        coeff = c / n
+        coeff = _exact(Fraction(c, n))
         if n >= 2:
             if w[0] == w[1]:
                 continue

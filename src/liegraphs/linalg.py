@@ -1,8 +1,12 @@
 """Sparse exact linear algebra over the rationals.
 
-Coefficients are `fractions.Fraction` throughout: always reduced, positive
-denominator, no floating point anywhere.  Matrices are immutable once built;
-elimination works on throwaway dict-of-dicts copies.
+Coefficients are exact rationals in one representation: an `int` when
+the value is integral, otherwise a reduced `fractions.Fraction` with
+denominator > 1 (see `_exact`); never a float.  Integral values, almost
+all of them, then take Python's fast integer arithmetic.  Every division
+goes through `Fraction`, so no quotient of two ints becomes a float.
+Matrices are immutable once built; elimination works on throwaway
+dict-of-dicts copies.
 """
 
 from __future__ import annotations
@@ -10,8 +14,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _exact(c):
+    """c as an exact coefficient: an int when it is integral, otherwise
+    a Fraction with denominator > 1."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class SparseMatrix:
-    """Immutable sparse matrix with rows of sorted (column, Fraction) pairs."""
+    """Immutable sparse matrix with rows of sorted (column, value) pairs."""
 
     __slots__ = ("n_rows", "n_cols", "rows")
 
@@ -22,7 +35,7 @@ class SparseMatrix:
             raise ValueError("row count mismatch")
         clean = []
         for r in rows:
-            entries = tuple(sorted((int(c), Fraction(v)) for c, v in r if v != 0))
+            entries = tuple(sorted((int(c), _exact(v)) for c, v in r if v != 0))
             cols = [c for c, _ in entries]
             if cols and (cols[-1] >= n_cols or cols[0] < 0):
                 raise ValueError("column index out of range")
@@ -52,19 +65,19 @@ class SparseMatrix:
         return cls(n_rows, n_cols, rows)
 
     def to_dense(self):
-        out = [[Fraction(0)] * self.n_cols for _ in range(self.n_rows)]
+        out = [[0] * self.n_cols for _ in range(self.n_rows)]
         for i, row in enumerate(self.rows):
             for j, v in row:
                 out[i][j] = v
         return out
 
     def mul_vector(self, vec):
-        """Multiply by a vector given as dict col -> Fraction; returns dict."""
+        """Multiply by a vector given as dict col -> value; returns dict."""
         out = {}
         for i, row in enumerate(self.rows):
-            s = sum((v * vec.get(j, 0) for j, v in row), Fraction(0))
+            s = sum(v * vec.get(j, 0) for j, v in row)
             if s != 0:
-                out[i] = s
+                out[i] = _exact(s)
         return out
 
     def transpose(self):
@@ -112,7 +125,7 @@ def _eliminate(matrix):
 
     Returns (pivots, reduced_rows) where pivots is a list of (row_key,
     pivot_col) and reduced_rows maps an internal row key to a dict
-    col -> Fraction.
+    col -> value.
     """
     work = {}
     col_rows = {}
@@ -144,9 +157,9 @@ def _eliminate(matrix):
         targets = [i for i in col_rows.get(pj, ()) if i in work]
         for i in targets:
             row = work[i]
-            factor = row[pj] / pv
+            factor = _exact(Fraction(row[pj], pv))
             for j, v in prow.items():
-                nv = row.get(j, Fraction(0)) - factor * v
+                nv = row.get(j, 0) - factor * v
                 if nv == 0:
                     if j in row:
                         del row[j]
@@ -168,7 +181,7 @@ def rank(matrix):
 
 
 def kernel_basis(matrix):
-    """Exact basis of the right kernel, as a list of dicts col -> Fraction.
+    """Exact basis of the right kernel, as a list of dicts col -> value.
 
     Size is n_cols - rank; every vector v satisfies M.v = 0 exactly.
     """
@@ -179,13 +192,12 @@ def kernel_basis(matrix):
     # triangular with respect to that order.
     basis = []
     for f in free_cols:
-        vec = {f: Fraction(1)}
+        vec = {f: 1}
         for pi, pj in reversed(pivots):
             row = rows[pi]
-            s = sum((v * vec.get(j, 0) for j, v in row.items() if j != pj),
-                    Fraction(0))
+            s = sum(v * vec.get(j, 0) for j, v in row.items() if j != pj)
             if s != 0:
-                vec[pj] = -s / row[pj]
+                vec[pj] = _exact(Fraction(-s, row[pj]))
         basis.append({j: v for j, v in vec.items() if v != 0})
     return basis
 
@@ -211,7 +223,8 @@ def _add(target, key, c):
 
 class Combination:
     """Exact linear combination: a frozen dataclass (declared with
-    eq=False) whose `terms` field maps each term to a nonzero Fraction.
+    eq=False) whose `terms` field maps each term to a nonzero exact
+    coefficient (an int, or a Fraction with denominator > 1).
 
     A subclass defines `_shape()`, what two summands must share, and
     `with_terms(terms)`, the element of the same shape with other
@@ -219,7 +232,7 @@ class Combination:
 
     def __post_init__(self):
         object.__setattr__(self, "terms",
-                           {t: Fraction(c) for t, c in self.terms.items()
+                           {t: _exact(c) for t, c in self.terms.items()
                             if c != 0})
 
     def is_zero(self):
@@ -251,7 +264,7 @@ class Combination:
 class Echelon:
     """Incremental exact echelon form of a growing set of vectors.
 
-    Vectors are dicts key -> Fraction over sortable keys.  Every
+    Vectors are dicts key -> value over sortable keys.  Every
     independent vector added is stored as a row reduced against the
     pivots of the rows before it (pivot entry 1), together with the
     combination of the independent vectors that the row equals.  An
@@ -270,7 +283,7 @@ class Echelon:
     def _reduce(self, vec):
         """(rest, combination) with vec = rest + the combination of the
         independent vectors, and rest zero at every pivot."""
-        rest = {i: Fraction(v) for i, v in vec.items() if v != 0}
+        rest = {i: _exact(v) for i, v in vec.items() if v != 0}
         combo = {}
         for pivot, row, row_combo in self._rows:
             f = rest.get(pivot)
@@ -286,20 +299,20 @@ class Echelon:
         if not rest:
             return False
         pivot = min(rest)
-        scale = 1 / rest[pivot]
-        combo = {k: -c * scale for k, c in combo.items()}
+        scale = _exact(Fraction(1, rest[pivot]))
+        combo = {k: _exact(-c * scale) for k, c in combo.items()}
         combo[len(self._rows)] = scale
-        self._rows.append((pivot, {j: v * scale for j, v in rest.items()},
-                           combo))
+        self._rows.append((pivot, {j: _exact(v * scale)
+                                   for j, v in rest.items()}, combo))
         return True
 
     def coords(self, vec):
         """The coordinates of vec over the independent vectors, as a
-        dict k -> Fraction; ValueError when vec is outside their span."""
+        dict k -> value; ValueError when vec is outside their span."""
         rest, combo = self._reduce(vec)
         if rest:
             raise ValueError("vector outside the span")
-        return combo
+        return {k: _exact(c) for k, c in combo.items()}
 
 
 def _column_echelon(matrix, b):
@@ -316,9 +329,9 @@ def _column_echelon(matrix, b):
 
 
 def solve(matrix, b):
-    """One exact solution x (dict col -> Fraction) of M.x = b, or None.
+    """One exact solution x (dict col -> value) of M.x = b, or None.
 
-    b is a dict row -> Fraction.
+    b is a dict row -> value.
     """
     span, independent = _column_echelon(matrix, b)
     try:
@@ -329,5 +342,5 @@ def solve(matrix, b):
 
 
 def in_image(matrix, b):
-    """Decide exactly whether b (dict row -> Fraction) is in the column span."""
+    """Decide exactly whether b (dict row -> value) is in the column span."""
     return not _column_echelon(matrix, b)[0].add(b)

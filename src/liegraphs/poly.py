@@ -28,7 +28,6 @@ white vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from types import MappingProxyType
 
@@ -37,7 +36,7 @@ from .gra import GraElement, element as gra_element
 from .graphs import OrientedGraph, perm_sign
 from .lie import LieElement, _relabel_tree, parse_bracket, pretty_bracket
 from .lie import tree_leaves
-from .linalg import Combination, Echelon, _add
+from .linalg import Combination, Echelon, _add, _exact
 
 
 # -- free (super) Lie normal forms on repeated letters ----------------
@@ -64,16 +63,16 @@ def lyndon_tree(w):
 def _super_expand(tree, p):
     """Associative expansion with generator parity p (0 or 1)."""
     if not isinstance(tree, tuple):
-        return {(tree,): Fraction(1)}
+        return {(tree,): 1}
     left = _super_expand(tree[0], p)
     right = _super_expand(tree[1], p)
     out = {}
     for wa, ca in left.items():
         for wb, cb in right.items():
             c = ca * cb
-            out[wa + wb] = out.get(wa + wb, Fraction(0)) + c
+            out[wa + wb] = out.get(wa + wb, 0) + c
             sign = (-1) ** (len(wa) * len(wb) * p)
-            out[wb + wa] = out.get(wb + wa, Fraction(0)) - sign * c
+            out[wb + wa] = out.get(wb + wa, 0) - sign * c
     return {w: c for w, c in out.items() if c != 0}
 
 
@@ -118,9 +117,9 @@ def _basis_system(multiset, p):
 def component_normal_form(tree, p):
     """Express a bracket tree over white labels in the basis.
 
-    Returns a read-only mapping basis word -> Fraction (empty when the
-    tree is zero, e.g. [x, x] for even generators); the memo hands the
-    same mapping to every caller.  Normal forms commute with
+    Returns a read-only mapping basis word -> exact coefficient (empty
+    when the tree is zero, e.g. [x, x] for even generators); the memo
+    hands the same mapping to every caller.  Normal forms commute with
     order-preserving relabelings, so a tree over other labels is
     normalized through its label-rank pattern over 1..k (memoised like
     every tree) and translated back.
@@ -169,7 +168,7 @@ def _sort_term(words, d, kind):
 class OElement(Combination):
     arity: int
     d: int
-    terms: dict  # tuple of component words -> Fraction
+    terms: dict  # tuple of component words -> exact coefficient
     kind: str = "lie"
 
     def _shape(self):
@@ -204,7 +203,7 @@ class OElement(Combination):
         p = (d - 1) % 2 if kind == "lie" else 0
         out = cls(rec["arity"], d, {}, kind)
         for t in rec["terms"]:
-            coeff = Fraction(t["coeff"])
+            coeff = _exact(t["coeff"])
             combos = []
             for comp in t["components"]:
                 combos.append(_component_from_json(comp, kind, p))
@@ -237,7 +236,7 @@ def _component_from_json(comp, kind, p):
     attach = comp["attach"]
     if kind == "ass":
         order = [int(s) for s in comp["word"].split()]
-        return {tuple(attach[k - 1] for k in order): Fraction(1)}
+        return {tuple(attach[k - 1] for k in order): 1}
     slot_tree = parse_bracket(comp["word"])
 
     def fill(t):
@@ -254,7 +253,7 @@ def _add_term(terms, words, coeff, d, kind):
         _add(terms, key, sign * coeff)
 
 
-def make_term(arity, d, words, coeff=Fraction(1), kind="lie"):
+def make_term(arity, d, words, coeff=1, kind="lie"):
     """OElement with one term given by raw component words; for the Lie
     kind each word must already be a basis word."""
     for w in words:
@@ -262,12 +261,12 @@ def make_term(arity, d, words, coeff=Fraction(1), kind="lie"):
             if not 1 <= x <= arity:
                 raise ValueError("white label out of range")
     terms = {}
-    _add_term(terms, words, Fraction(coeff), d, kind)
+    _add_term(terms, words, _exact(coeff), d, kind)
     return OElement(arity, d, terms, kind)
 
 
 def unit(d, kind="lie"):
-    return OElement(1, d, {(): Fraction(1)}, kind)
+    return OElement(1, d, {(): 1}, kind)
 
 
 # -- composition ------------------------------------------------------
@@ -359,9 +358,14 @@ def o_compose(a, i, b):
                 marker_after[tagged] = after[m]
         marker_list = [m for _, m in all_markers]
         marker_comp = {m: t_idx for t_idx, m in all_markers}
+        pa = [_parity(w, d, kind) for w in ta]
         for tb, cb in b.terms.items():
             b_words = [tuple(map_b(x) for x in w) for w in tb]
+            b_trees = [lyndon_tree(w) if kind == "lie" else w
+                       for w in b_words]
             q = len(b_words)
+            pb = [_parity(w, d, kind) for w in b_words]
+            parities = pa + pb
             for assignment in _injective_assignments(q, marker_list):
                 covered = {m: u for u, m in enumerate(assignment)
                            if m is not None}
@@ -370,8 +374,6 @@ def o_compose(a, i, b):
                 # Koszul sign: reorder [a-components, b-components] so that
                 # each consumed b-component sits right after its target
                 # a-component, unconsumed ones at the end
-                pa = [_parity(w, d, kind) for w in ta]
-                pb = [_parity(w, d, kind) for w in b_words]
                 final = []
                 for t_idx in range(len(ta)):
                     final.append(t_idx)
@@ -379,7 +381,6 @@ def o_compose(a, i, b):
                         if marker_comp[m] == t_idx and m in covered:
                             final.append(len(ta) + covered[m])
                 final.extend(len(ta) + u for u in unconsumed)
-                parities = pa + pb
                 sign = perm_sign([x for x in final if parities[x]])
                 # graft crossing sign: an odd grafted component passes
                 # the leaves right of its marker (even d only)
@@ -387,21 +388,17 @@ def o_compose(a, i, b):
                     for m, u in covered.items():
                         if pb[u] and marker_after[m] % 2 == 1:
                             sign = -sign
+                grafted = {m: b_trees[u] for m, u in covered.items()}
                 for g in product(b_whites, repeat=len(free_markers)):
-                    mapping = {}
-                    for m, u in covered.items():
-                        wtree = (lyndon_tree(b_words[u]) if kind == "lie"
-                                 else tuple(b_words[u]))
-                        mapping[m] = wtree
-                    for m, white in zip(free_markers, g):
-                        mapping[m] = white
+                    mapping = dict(grafted)
+                    mapping.update(zip(free_markers, g))
                     # normalize each substituted component
                     combos = []
                     ok = True
                     for t_idx, tree in enumerate(trees):
                         st = _substitute(tree, mapping)
                         if kind == "ass":
-                            combos.append({_flatten_ass(st): Fraction(1)})
+                            combos.append({_flatten_ass(st): 1})
                             continue
                         nf = component_normal_form(st, p)
                         if not nf:
@@ -458,7 +455,7 @@ def _component_action(word, sigma, p):
 @memo
 def _term_action(term, sigma, d, kind):
     """Image of one term with coefficient 1 under sigma, as (term,
-    coeff) items; integral coefficients are stored as int."""
+    coeff) items."""
     if kind == "ass":
         combos = [{tuple(sigma[l - 1] for l in w): 1} for w in term]
     else:
@@ -466,8 +463,7 @@ def _term_action(term, sigma, d, kind):
         combos = [dict(_component_action(w, sigma, p)) for w in term]
     out = {}
     _expand_product(out, combos, [], 1, d, kind)
-    return tuple((t, int(c) if c.denominator == 1 else c)
-                 for t, c in out.items())
+    return tuple((t, _exact(c)) for t, c in out.items())
 
 
 def s_action(x: OElement, sigma):
@@ -496,7 +492,7 @@ def map_i(x: LieElement, d=None):
     if d is None:
         d = x.parity_d
     n = x.arity
-    corolla = OElement(2, d, {((1, 2),): Fraction(1)}, "lie")
+    corolla = OElement(2, d, {((1, 2),): 1}, "lie")
     chain = [None, unit(d), corolla]
     while len(chain) <= n:
         chain.append(o_compose(corolla, 1, chain[-1]))

@@ -125,6 +125,22 @@ def test_cohomology_json_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the `verify gutt --out` report, computed at commit 4100624,
+# when every coefficient was a Fraction.  The skew-series witness prints
+# the reprs of its coefficients, so the report pins that
+# `gutt.series_coefficient` still returns Fractions.
+GUTT_REPORT_DIGEST = \
+    "a9011737cf0c9b7d84341b43fc175a015639c9c8f9de9ec208c833e81bb53d3b"
+
+
+def test_verify_gutt_report_byte_identical(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code, _, _ = run(["verify", "gutt", "--out", str(report)], capsys)
+    assert code == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() \
+        == GUTT_REPORT_DIGEST
+
+
 def test_witness_exactness_over_incoming_images():
     """Every table row with an incoming image: the witness is decided in
     the predecessor's rows, and is missing exactly when the cohomology

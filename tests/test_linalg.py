@@ -222,14 +222,24 @@ COMBINATIONS = {
 }
 
 
+def is_exact(c):
+    """The one coefficient representation: an int when the value is
+    integral, otherwise a Fraction with denominator > 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 @pytest.mark.parametrize("name", sorted(COMBINATIONS))
 def test_combination_arithmetic(name):
     make, (s, t), other_shape = COMBINATIONS[name]
-    a = make({s: 2, t: 0})
+    a = make({s: Fraction(2), t: 0})
     assert a.terms == {s: 2}
-    assert all(type(c) is Fraction for c in a.terms.values())
+    assert all(is_exact(c) for c in a.terms.values())
+    assert type(a.terms[s]) is int
     b = make({t: Fraction(1, 3), s: -1})
-    assert all(type(c) is Fraction for c in b.terms.values())
+    assert all(is_exact(c) for c in b.terms.values())
+    assert type(b.terms[t]) is Fraction
+    assert all(is_exact(c) for x in (a + b, a - b, b.scaled(3), b.scaled(Fraction(3, 2)))
+               for c in x.terms.values())
     assert a + b - b == a
     assert (a - a).is_zero() and (a - a).terms == {}
     assert a.scaled(0).is_zero() and not a.is_zero()
