@@ -44,10 +44,6 @@ class OrientedGraph:
                 raise ValueError("vertex label out of range")
         object.__setattr__(self, "edges", edges)
 
-    @property
-    def d_even(self):
-        return self.d % 2 == 0
-
     def n_edges(self):
         return len(self.edges)
 

@@ -171,10 +171,7 @@ class LieElement(Combination):
         return LieElement(self.arity, terms, self.parity_d)
 
     def assoc_expansion(self):
-        out = {}
-        for w, c in self.terms.items():
-            _axpy(out, c, assoc_expand(word_to_tree(w)))
-        return out
+        return left_normed_assoc_expansion(self.terms)
 
 
 def normalize(exprs, d=1):
@@ -218,13 +215,6 @@ def _relabel_tree(tree, mapping):
     return mapping[tree]
 
 
-def _substitute_leaf(tree, label, replacement):
-    if isinstance(tree, tuple):
-        return (_substitute_leaf(tree[0], label, replacement),
-                _substitute_leaf(tree[1], label, replacement))
-    return replacement if tree == label else tree
-
-
 def graft(outer, slot, inner):
     """Operadic partial composition: substitute `inner` into slot `slot`.
 
@@ -235,16 +225,17 @@ def graft(outer, slot, inner):
     if not 1 <= slot <= outer.arity:
         raise ValueError(f"slot {slot} out of range 1..{outer.arity}")
     k = inner.arity
-    sentinel = object()
-    outer_map = {j: (j if j < slot else sentinel if j == slot else j + k - 1)
+    outer_map = {j: (j if j < slot else j + k - 1)
                  for j in range(1, outer.arity + 1)}
     inner_map = {j: j + slot - 1 for j in range(1, k + 1)}
+    inner_trees = [(ci, _relabel_tree(word_to_tree(wi), inner_map))
+                   for wi, ci in inner.terms.items()]
     combos = []
     for wo, co in outer.terms.items():
-        to = _relabel_tree(word_to_tree(wo), outer_map)
-        for wi, ci in inner.terms.items():
-            ti = _relabel_tree(word_to_tree(wi), inner_map)
-            combos.append((co * ci, _substitute_leaf(to, sentinel, ti)))
+        to = word_to_tree(wo)
+        for ci, ti in inner_trees:
+            outer_map[slot] = ti
+            combos.append((co * ci, _relabel_tree(to, outer_map)))
     if not combos:
         return LieElement(outer.arity + k - 1, {}, outer.parity_d)
     return normalize(combos, outer.parity_d)

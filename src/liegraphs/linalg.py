@@ -16,10 +16,14 @@ from fractions import Fraction
 
 def _exact(c):
     """c as an exact coefficient: an int when it is integral, otherwise
-    a Fraction with denominator > 1."""
+    a Fraction with denominator > 1.  A float is refused: its binary
+    expansion is rarely the value that was meant."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"inexact coefficient {c!r}")
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

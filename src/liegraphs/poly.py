@@ -22,7 +22,9 @@ Composition follows the erase-and-reattach procedure: the outputs of the
 right operand's components attach injectively to the slot occurrences
 formerly pointing at the erased white vertex (grafting trees) or to the
 global output; uncovered occurrences then sum over the right operand's
-white vertices.
+white vertices.  The occurrences are negative marker leaves -1, -2, ...
+of the left operand's bracket trees, so every substitution is one
+`lie._relabel_tree` with a total leaf map.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from . import memo
 from .gra import GraElement, element as gra_element
 from .graphs import OrientedGraph, perm_sign
 from .lie import LieElement, _relabel_tree, parse_bracket, pretty_bracket
-from .lie import tree_leaves
+from .lie import tree_leaves, word_to_tree
 from .linalg import Combination, Echelon, _add, _exact
 
 
@@ -177,10 +179,6 @@ class OElement(Combination):
     def with_terms(self, terms):
         return OElement(self.arity, self.d, terms, self.kind)
 
-    def internal_vertices(self):
-        """Internal vertex counts appearing among terms (set)."""
-        return {sum(len(w) - 1 for w in t) for t in self.terms}
-
     def degree(self):
         degs = {sum((len(w) - 1) * (1 - self.d) for w in t)
                 for t in self.terms}
@@ -201,15 +199,15 @@ class OElement(Combination):
         kind = rec.get("kind", "lie")
         d = rec["d"]
         p = (d - 1) % 2 if kind == "lie" else 0
-        out = cls(rec["arity"], d, {}, kind)
+        arity = rec["arity"]
+        out = cls(arity, d, {}, kind)
         for t in rec["terms"]:
             coeff = _exact(t["coeff"])
-            combos = []
-            for comp in t["components"]:
-                combos.append(_component_from_json(comp, kind, p))
+            combos = [_component_from_json(comp, kind, p, arity)
+                      for comp in t["components"]]
             terms = {}
             _expand_product(terms, combos, [], coeff, d, kind)
-            out = out + cls(rec["arity"], d, terms, kind)
+            out = out + cls(arity, d, terms, kind)
         return out
 
 
@@ -231,20 +229,27 @@ def _component_to_json(word, kind):
             "attach": list(word)}
 
 
-def _component_from_json(comp, kind, p):
-    """Inverse of _component_to_json; returns a dict basis word -> coeff."""
+def _component_from_json(comp, kind, p, arity):
+    """Inverse of _component_to_json; returns a dict basis word -> coeff.
+
+    The word must use each slot 1..m exactly once, for m >= 1 attached
+    whites, and every white must lie in 1..arity; otherwise ValueError."""
     attach = comp["attach"]
     if kind == "ass":
-        order = [int(s) for s in comp["word"].split()]
-        return {tuple(attach[k - 1] for k in order): 1}
-    slot_tree = parse_bracket(comp["word"])
-
-    def fill(t):
-        if isinstance(t, tuple):
-            return tuple(fill(x) for x in t)
-        return attach[t - 1]
-
-    return component_normal_form(fill(slot_tree), p)
+        slots = [int(s) for s in comp["word"].split()]
+    else:
+        slot_tree = parse_bracket(comp["word"])
+        slots = tree_leaves(slot_tree)
+    if not attach or sorted(slots) != list(range(1, len(attach) + 1)):
+        raise ValueError(f"component {comp['word']!r} must use each slot"
+                         f" 1..{len(attach)} exactly once")
+    if not all(1 <= x <= arity for x in attach):
+        raise ValueError(f"component {comp['word']!r} attaches to a white"
+                         f" outside 1..{arity}: {attach}")
+    if kind == "ass":
+        return {tuple(attach[k - 1] for k in slots): 1}
+    return component_normal_form(
+        _relabel_tree(slot_tree, dict(enumerate(attach, 1))), p)
 
 
 def _add_term(terms, words, coeff, d, kind):
@@ -257,6 +262,8 @@ def make_term(arity, d, words, coeff=1, kind="lie"):
     """OElement with one term given by raw component words; for the Lie
     kind each word must already be a basis word."""
     for w in words:
+        if not w:
+            raise ValueError("empty component")
         for x in w:
             if not 1 <= x <= arity:
                 raise ValueError("white label out of range")
@@ -271,43 +278,29 @@ def unit(d, kind="lie"):
 
 # -- composition ------------------------------------------------------
 
-def _is_marker(t):
-    return isinstance(t, tuple) and len(t) > 0 and t[0] == "mk"
+def _tree_with_markers(word, i, shift, kind, after):
+    """Bracket tree of a component word, left-nested for the ass kind,
+    with whites above i shifted by `shift` and each occurrence of white
+    i replaced by the next negative marker -1, -2, ... (numbered across
+    the calls sharing `after`).  Appends to `after` each marker's count
+    of leaves to its right in reading order: the Koszul crossings a
+    grafted component makes for even d."""
+    leaves = []
+    for pos, x in enumerate(word):
+        if x == i:
+            after.append(len(word) - 1 - pos)
+            x = -len(after)
+        elif x > i:
+            x += shift
+        leaves.append(x)
+    leaves = iter(leaves)
 
-
-def _tree_with_markers(word, i, kind):
-    """Bracket tree of a component word (the flat word itself for the
-    ass kind) with occurrences of white i replaced by markers.
-
-    Returns (tree, markers, after) where after[marker] counts the leaves
-    strictly to the right of the marked occurrence in reading order —
-    the Koszul crossings a grafted component makes for even d."""
-    tree = lyndon_tree(word) if kind == "lie" else tuple(word)
-    markers = []
-    after = {}
-    counter = [0]
-
-    def walk(t):
+    def fill(t):
         if isinstance(t, tuple):
-            return tuple(walk(x) for x in t)
-        pos = counter[0]
-        counter[0] += 1
-        if t == i:
-            m = ("mk", pos)
-            markers.append(m)
-            after[m] = len(word) - 1 - pos
-            return m
-        return t
+            return (fill(t[0]), fill(t[1]))
+        return next(leaves)
 
-    return walk(tree), markers, after
-
-
-def _substitute(tree, mapping):
-    if _is_marker(tree):
-        return mapping[tree]
-    if isinstance(tree, tuple):
-        return tuple(_substitute(x, mapping) for x in tree)
-    return tree
+    return fill(lyndon_tree(word) if kind == "lie" else word_to_tree(word))
 
 
 def _injective_assignments(n_items, slots):
@@ -317,13 +310,20 @@ def _injective_assignments(n_items, slots):
             yield []
             return
         for choice in [None] + [s for s in slots if s not in used]:
-            for rest in rec(u + 1, used | ({choice} if choice else set())):
+            for rest in rec(u + 1, used | ({choice} if choice is not None
+                                           else set())):
                 yield [choice] + rest
     yield from rec(0, frozenset())
 
 
 def o_compose(a, i, b):
-    """Operadic partial composition a o_i b."""
+    """Operadic partial composition a o_i b.
+
+    Each a-component becomes a bracket tree whose occurrences of white
+    i are negative markers; every substitution relabels those trees
+    with one total leaf map: the identity on a's whites, b's trees on
+    the markers its components graft onto, and b's whites on the
+    markers left free."""
     if not 1 <= i <= a.arity:
         raise ValueError(f"index {i} out of range 1..{a.arity}")
     if (a.d, a.kind) != (b.d, b.kind):
@@ -332,103 +332,64 @@ def o_compose(a, i, b):
     p = (d - 1) % 2 if kind == "lie" else 0
     n2 = b.arity
     new_arity = a.arity + n2 - 1
-
-    def map_a(x):
-        return x if x < i else x + n2 - 1
-
-    def map_b(x):
-        return x + i - 1
-
-    b_whites = [map_b(j) for j in range(1, n2 + 1)]
+    b_whites = range(i, i + n2)
+    base = {x: x for x in range(1, new_arity + 1) if x not in b_whites}
     out_terms = {}
     for ta, ca in a.terms.items():
-        # relabeled trees with markers at occurrences of white i
-        trees = []
-        all_markers = []  # (comp index, marker), in reading order
-        marker_after = {}
-        for t_idx, w in enumerate(ta):
-            relabeled = tuple(map_a(x) if x != i else i for x in w)
-            tree, markers, after = _tree_with_markers(relabeled, i, kind)
-            # tag markers with component index to keep them distinct
-            tree = _retag(tree, t_idx)
-            trees.append(tree)
-            for m in markers:
-                tagged = ("mk", t_idx, m[1])
-                all_markers.append((t_idx, tagged))
-                marker_after[tagged] = after[m]
-        marker_list = [m for _, m in all_markers]
-        marker_comp = {m: t_idx for t_idx, m in all_markers}
+        trees, after, comp_markers = [], [], []
+        for w in ta:
+            first = len(after)
+            trees.append(_tree_with_markers(w, i, n2 - 1, kind, after))
+            comp_markers.append(range(-first - 1, -len(after) - 1, -1))
+        markers = range(-1, -len(after) - 1, -1)
         pa = [_parity(w, d, kind) for w in ta]
         for tb, cb in b.terms.items():
-            b_words = [tuple(map_b(x) for x in w) for w in tb]
-            b_trees = [lyndon_tree(w) if kind == "lie" else w
+            b_words = [tuple(x + i - 1 for x in w) for w in tb]
+            b_trees = [lyndon_tree(w) if kind == "lie" else word_to_tree(w)
                        for w in b_words]
             q = len(b_words)
             pb = [_parity(w, d, kind) for w in b_words]
             parities = pa + pb
-            for assignment in _injective_assignments(q, marker_list):
+            for assignment in _injective_assignments(q, markers):
                 covered = {m: u for u, m in enumerate(assignment)
                            if m is not None}
-                free_markers = [m for m in marker_list if m not in covered]
+                free_markers = [m for m in markers if m not in covered]
                 unconsumed = [u for u in range(q) if assignment[u] is None]
                 # Koszul sign: reorder [a-components, b-components] so that
                 # each consumed b-component sits right after its target
                 # a-component, unconsumed ones at the end
                 final = []
-                for t_idx in range(len(ta)):
+                for t_idx, own in enumerate(comp_markers):
                     final.append(t_idx)
-                    for m in marker_list:
-                        if marker_comp[m] == t_idx and m in covered:
-                            final.append(len(ta) + covered[m])
+                    final.extend(len(ta) + covered[m] for m in own
+                                 if m in covered)
                 final.extend(len(ta) + u for u in unconsumed)
                 sign = perm_sign([x for x in final if parities[x]])
                 # graft crossing sign: an odd grafted component passes
                 # the leaves right of its marker (even d only)
                 if kind == "lie" and d % 2 == 0:
                     for m, u in covered.items():
-                        if pb[u] and marker_after[m] % 2 == 1:
+                        if pb[u] and after[-m - 1] % 2 == 1:
                             sign = -sign
-                grafted = {m: b_trees[u] for m, u in covered.items()}
+                mapping = base | {m: b_trees[u] for m, u in covered.items()}
+                tail = [b_words[u] for u in unconsumed]
                 for g in product(b_whites, repeat=len(free_markers)):
-                    mapping = dict(grafted)
                     mapping.update(zip(free_markers, g))
                     # normalize each substituted component
                     combos = []
-                    ok = True
-                    for t_idx, tree in enumerate(trees):
-                        st = _substitute(tree, mapping)
+                    for tree in trees:
+                        st = _relabel_tree(tree, mapping)
                         if kind == "ass":
-                            combos.append({_flatten_ass(st): 1})
+                            combos.append({tree_leaves(st): 1})
                             continue
                         nf = component_normal_form(st, p)
                         if not nf:
-                            ok = False
                             break
                         combos.append(nf)
-                    if not ok:
-                        continue
-                    tail = [b_words[u] for u in unconsumed]
-                    _expand_product(out_terms, combos, tail,
-                                    ca * cb * sign, d, kind)
+                    else:
+                        _expand_product(out_terms, combos, tail,
+                                        ca * cb * sign, d, kind)
     return OElement(new_arity, d, out_terms, kind)
-
-
-def _retag(tree, t_idx):
-    if _is_marker(tree):
-        return ("mk", t_idx, tree[1])
-    if isinstance(tree, tuple):
-        return tuple(_retag(x, t_idx) for x in tree)
-    return tree
-
-
-def _flatten_ass(tree):
-    out = []
-    for x in tree:
-        if isinstance(x, tuple):
-            out.extend(_flatten_ass(x))
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 def _expand_product(out_terms, combos, tail, coeff, d, kind):

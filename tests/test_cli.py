@@ -240,3 +240,73 @@ def test_compose_rejects_unknown_major(capsys, tmp_path):
     code, _, err = run(["compose", f, "--op", "gra", "--i", "1"], capsys)
     assert code == 1
     assert "format_version" in err
+
+
+def _corolla_json(**component):
+    """The d=1 corolla's JSON with its one component replaced."""
+    rec = poly.make_term(2, 1, [(1, 2)]).to_json()
+    rec["terms"][0]["components"] = [component]
+    return rec
+
+
+BAD_OPERANDS = {
+    "slot-0": _corolla_json(word="[0, 1]", attach=[1, 2]),
+    "ass-slot-0": dict(_corolla_json(word="0 1", attach=[1, 2]),
+                       kind="ass"),
+    "white-out-of-range": _corolla_json(word="[1, 2]", attach=[1, 7]),
+    "unused-slot": _corolla_json(word="[1, 2]", attach=[1, 2, 2]),
+    "repeated-slot": _corolla_json(word="[1, 1]", attach=[1, 2]),
+    "ass-empty-component": dict(_corolla_json(word="", attach=[]),
+                                kind="ass"),
+    "float-coeff": dict(poly.make_term(2, 1, [(1, 2)]).to_json(),
+                        terms=[{"coeff": 0.1, "components": [
+                            {"word": "[1, 2]", "attach": [1, 2]}]}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_OPERANDS))
+def test_compose_rejects_bad_operand(capsys, tmp_path, name):
+    a = BAD_OPERANDS[name]
+    f = _write(tmp_path, "bad.json",
+               {"format_version": FORMAT_VERSION, "a": a,
+                "b": poly.make_term(2, 1, [(1, 2)], kind=a["kind"])
+                .to_json()})
+    code, out, err = run(["compose", f, "--op", "olie", "--i", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+# sha256 of the `compose` stdout for an olie d=2 input whose white 2
+# occurs twice in some terms, and for an ass input, both at --i 2;
+# computed at commit 4a76473, before markers became negative leaves.
+COMPOSE_DIGESTS = {
+    "olie-d2":
+        "7b6318ff890d468bf9937f1f42fc8206823aadc8d69d4aa5108f4db900cca977",
+    "ass":
+        "4297764eb877b73ee0b6113ca9eb1fdd9e9a5b917eaa1996c29608dd1b2045b7",
+}
+
+
+def _compose_operands(kind):
+    if kind == "olie-d2":
+        a = (poly.make_term(3, 2, [(1, 2), (2, 3)])
+             + poly.make_term(3, 2, [(2, 2), (1, 3)], 3)
+             + poly.make_term(3, 2, [(1, 2, 2)], -2))
+        b = poly.make_term(2, 2, [(1, 2)]) \
+            + poly.make_term(2, 2, [(1, 1, 2)], 5)
+    else:
+        a = (poly.make_term(3, 1, [(2, 1, 2), (3, 2)], kind="ass")
+             - poly.make_term(3, 1, [(1, 3)], kind="ass"))
+        b = (poly.make_term(2, 1, [(2, 1)], kind="ass")
+             + poly.make_term(2, 1, [(1, 1, 2), (2,)], 2, kind="ass"))
+    return a, b
+
+
+@pytest.mark.parametrize("kind", sorted(COMPOSE_DIGESTS))
+def test_compose_output_byte_identical(capsys, tmp_path, kind):
+    a, b = _compose_operands(kind)
+    f = _write(tmp_path, "in.json", {"format_version": FORMAT_VERSION,
+                                     "a": a.to_json(), "b": b.to_json()})
+    code, out, _ = run(["compose", f, "--op", "olie", "--i", "2"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPOSE_DIGESTS[kind]

@@ -224,3 +224,19 @@ def test_integer_matrices_against_dense_oracle(n_rows, n_cols, seed):
     other = {i: rng.randint(-3, 3) for i in range(n_rows)}
     inside = dense_rank([row + [other[i]] for i, row in enumerate(dense)]) == r
     assert in_image(mat, other) == inside == (solve(mat, other) is not None)
+
+
+def test_float_coefficients_refused():
+    """A float's binary expansion is not the value meant (0.1 would be
+    3602879701896397/2^55), so every constructor refuses it."""
+    g = OrientedGraph(1, 2, ((1, 2),))
+    makers = [lambda c: LieElement(2, {(1, 2): c}),
+              lambda c: poly.make_term(2, 1, [(1, 2)], c),
+              lambda c: gra.element(g, c),
+              lambda c: SparseMatrix(1, 1, [[(0, c)]])]
+    for make in makers:
+        with pytest.raises(TypeError):
+            make(0.1)
+        with pytest.raises(TypeError):
+            make(1.0)
+        make(Fraction(1, 10))  # an exact value passes

@@ -13,9 +13,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liegraphs.lie import (BracketParseError, LieElement, assoc_expand,
-                           basis_words, bch_truncated, dim_lie, graft,
-                           left_normed_assoc_expansion, normalize,
+from liegraphs.lie import (BracketParseError, LieElement, _relabel_tree,
+                           assoc_expand, basis_words, bch_truncated, dim_lie,
+                           graft, left_normed_assoc_expansion, normalize,
                            parse_bracket, pretty_bracket, word_to_tree)
 from liegraphs.linalg import SparseMatrix, rank
 
@@ -167,6 +167,41 @@ def random_element(rng, m):
     terms = {w: Fraction(rng.randint(-3, 3)) for w in rng.sample(
         words, min(len(words), rng.randint(1, 3)))}
     return LieElement(m, terms)
+
+
+def _sentinel_graft(outer, slot, inner):
+    """The formula graft replaced: the outer slot becomes a sentinel
+    leaf, which a walk of its own swaps for each inner tree."""
+    k = inner.arity
+    sentinel = object()
+
+    def substitute(t, replacement):
+        if isinstance(t, tuple):
+            return (substitute(t[0], replacement),
+                    substitute(t[1], replacement))
+        return replacement if t is sentinel else t
+
+    outer_map = {j: (j if j < slot else sentinel if j == slot else j + k - 1)
+                 for j in range(1, outer.arity + 1)}
+    inner_map = {j: j + slot - 1 for j in range(1, k + 1)}
+    combos = []
+    for wo, co in outer.terms.items():
+        to = _relabel_tree(word_to_tree(wo), outer_map)
+        for wi, ci in inner.terms.items():
+            ti = _relabel_tree(word_to_tree(wi), inner_map)
+            combos.append((co * ci, substitute(to, ti)))
+    if not combos:
+        return LieElement(outer.arity + k - 1, {})
+    return normalize(combos)
+
+
+def test_graft_matches_sentinel_oracle():
+    rng = random.Random(31)
+    for _ in range(60):
+        m, k = rng.randint(1, 4), rng.randint(1, 3)
+        a, b = random_element(rng, m), random_element(rng, k)
+        slot = rng.randint(1, m)
+        assert graft(a, slot, b) == _sentinel_graft(a, slot, b)
 
 
 def test_graft_operadic_associativity():

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from liegraphs import poly
 from liegraphs.defcx import _o_slice_terms
 from liegraphs.gra import compose as gra_compose, gra_image, lie_to_gra
+from liegraphs.graphs import perm_sign
 from liegraphs.lie import _relabel_tree, normalize
 from liegraphs.poly import (OElement, ass_corolla, ass_remark_check,
                             basis_for_multiset, component_normal_form,
@@ -119,6 +120,15 @@ def test_unit():
 def test_index_range():
     with pytest.raises(ValueError):
         o_compose(corolla(1), 3, corolla(1))
+
+
+def test_make_term_rejects_bad_words():
+    """A white outside 1..arity, or a component with no slot (it has no
+    leaf to hold a bracket tree), is refused."""
+    for words in ([(1, 3)], [(1, 2), ()]):
+        for kind in ("lie", "ass"):
+            with pytest.raises(ValueError):
+                make_term(2, 1, words, kind=kind)
 
 
 def test_odd_component_anticommute():
@@ -327,6 +337,131 @@ def test_ass_operad_axioms_random():
         j = rng.randint(i, i + 1)
         assert (o_compose(o_compose(a, i, b), j, c)
                 == o_compose(a, i, o_compose(b, j - i + 1, c)))
+
+
+def _marker_o_compose(a, i, b):
+    """The marker-based composition that o_compose replaced: markers are
+    ("mk", component, position) tuples that a tree walk of their own
+    substitutes, and ass components are flat tuples flattened again
+    after grafting."""
+    d, kind = a.d, a.kind
+    p = (d - 1) % 2 if kind == "lie" else 0
+    n2 = b.arity
+
+    def is_marker(t):
+        return isinstance(t, tuple) and len(t) > 0 and t[0] == "mk"
+
+    def substitute(t, mapping):
+        if is_marker(t):
+            return mapping[t]
+        if isinstance(t, tuple):
+            return tuple(substitute(x, mapping) for x in t)
+        return t
+
+    def flatten(t):
+        out = []
+        for x in t:
+            out.extend(flatten(x) if isinstance(x, tuple) else [x])
+        return tuple(out)
+
+    b_whites = [j + i - 1 for j in range(1, n2 + 1)]
+    out_terms = {}
+    for ta, ca in a.terms.items():
+        trees, marker_list, marker_comp, marker_after = [], [], {}, {}
+        for t_idx, w in enumerate(ta):
+            w = tuple(x if x <= i else x + n2 - 1 for x in w)
+            pos = iter(range(len(w)))
+
+            def walk(t):
+                if isinstance(t, tuple):
+                    return tuple(walk(x) for x in t)
+                k = next(pos)
+                if t != i:
+                    return t
+                m = ("mk", t_idx, k)
+                marker_list.append(m)
+                marker_comp[m] = t_idx
+                marker_after[m] = len(w) - 1 - k
+                return m
+
+            trees.append(walk(lyndon_tree(w) if kind == "lie" else w))
+        pa = [poly._parity(w, d, kind) for w in ta]
+        for tb, cb in b.terms.items():
+            b_words = [tuple(x + i - 1 for x in w) for w in tb]
+            b_trees = [lyndon_tree(w) if kind == "lie" else w
+                       for w in b_words]
+            q = len(b_words)
+            pb = [poly._parity(w, d, kind) for w in b_words]
+            for assignment in poly._injective_assignments(q, marker_list):
+                covered = {m: u for u, m in enumerate(assignment)
+                           if m is not None}
+                free = [m for m in marker_list if m not in covered]
+                unconsumed = [u for u in range(q) if assignment[u] is None]
+                final = []
+                for t_idx in range(len(ta)):
+                    final.append(t_idx)
+                    final.extend(len(ta) + covered[m] for m in marker_list
+                                 if marker_comp[m] == t_idx
+                                 and m in covered)
+                final.extend(len(ta) + u for u in unconsumed)
+                sign = perm_sign([x for x in final if (pa + pb)[x]])
+                if kind == "lie" and d % 2 == 0:
+                    for m, u in covered.items():
+                        if pb[u] and marker_after[m] % 2 == 1:
+                            sign = -sign
+                for g in product(b_whites, repeat=len(free)):
+                    mapping = {m: b_trees[u] for m, u in covered.items()}
+                    mapping.update(zip(free, g))
+                    combos = []
+                    for tree in trees:
+                        st = substitute(tree, mapping)
+                        if kind == "ass":
+                            combos.append({flatten(st): 1})
+                        else:
+                            combos.append(component_normal_form(st, p))
+                    if all(combos):
+                        poly._expand_product(
+                            out_terms, combos,
+                            [b_words[u] for u in unconsumed],
+                            ca * cb * sign, d, kind)
+    return OElement(a.arity + n2 - 1, d, out_terms, kind)
+
+
+def _random_with_repeats(rng, d, arity, kind):
+    """Up to three terms of one or two components each; the letters of
+    a component are drawn with repetition, so a white often occurs
+    several times in one term."""
+    out = OElement(arity, d, {}, kind)
+    for _ in range(rng.randint(1, 3)):
+        words = []
+        for _ in range(rng.randint(1, 2)):
+            letters = tuple(sorted(rng.randint(1, arity)
+                                   for _ in range(rng.randint(2, 3))))
+            if kind == "ass":
+                words.append(tuple(rng.sample(letters, len(letters))))
+                continue
+            basis = basis_for_multiset(letters, (d - 1) % 2)
+            if basis:
+                words.append(rng.choice(basis))
+        if words:
+            out = out + make_term(arity, d, words, rng.randint(-3, 3),
+                                  kind=kind)
+    return out
+
+
+def test_o_compose_matches_marker_oracle():
+    rng = random.Random(10)
+    repeated = multi = 0
+    for _ in range(150):
+        kind = rng.choice(["lie", "lie", "ass"])
+        d = rng.choice([1, 2]) if kind == "lie" else 1
+        a = _random_with_repeats(rng, d, rng.randint(1, 3), kind)
+        b = _random_with_repeats(rng, d, rng.randint(1, 3), kind)
+        i = rng.randint(1, a.arity)
+        repeated += any(sum(w.count(i) for w in t) > 1 for t in a.terms)
+        multi += any(len(t) > 1 for t in a.terms)
+        assert o_compose(a, i, b) == _marker_o_compose(a, i, b)
+    assert repeated >= 30 and multi >= 30
 
 
 def test_ass_remark_residue():
