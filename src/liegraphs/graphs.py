@@ -22,7 +22,7 @@ complex, under which the vertex ordering is part of the orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, groupby
 
 ZERO = 0
 
@@ -36,11 +36,16 @@ class OrientedGraph:
     edges: tuple
 
     def __post_init__(self):
-        edges = tuple((int(t), int(h)) for t, h in self.edges)
+        n = self.n_vertices
+        if n < 0:
+            raise ValueError("negative vertex count")
+        edges = tuple(map(tuple, self.edges))
         for t, h in edges:
+            if type(t) is not int or type(h) is not int:
+                raise TypeError(f"vertex label not an int in {(t, h)!r}")
             if t == h:
                 raise ValueError("tadpole edge")
-            if not (1 <= t <= self.n_vertices and 1 <= h <= self.n_vertices):
+            if not (0 < t <= n and 0 < h <= n):
                 raise ValueError("vertex label out of range")
         object.__setattr__(self, "edges", edges)
 
@@ -73,16 +78,6 @@ class SignedCanonical:
         return self.sign == 0
 
 
-def _sort_sign(seq):
-    """Stable sort with permutation parity; parity is None on ties."""
-    indexed = sorted(range(len(seq)), key=lambda i: seq[i])
-    items = [seq[i] for i in indexed]
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            return items, None
-    return items, perm_sign(indexed)
-
-
 def perm_sign(perm):
     """Sign of a permutation given as a sequence of its values."""
     inv = 0
@@ -93,60 +88,178 @@ def perm_sign(perm):
     return (-1) ** inv
 
 
-def _normal_form(d, n, edges, sigma):
-    """Relabel by sigma (map old -> new) and normalize orientation data.
+def _normal_form(d, edges):
+    """Sort a labelled edge list into (low, high) pairs.
 
-    Returns (edge_tuple, sign) or (edge_tuple, None) for a zero graph.
+    Returns (edge_tuple, sign), with sign 0 for a zero graph: at even d
+    the sign is the parity of the sort and parallel edges are zero; at
+    odd d it is -1 to the number of edges that run high -> low.
     """
-    relabeled = [(sigma[t], sigma[h]) for t, h in edges]
-    if d % 2 == 0:
-        norm = [(min(t, h), max(t, h)) for t, h in relabeled]
-        items, par = _sort_sign(norm)
-        if par is None:  # parallel edges: odd automorphism
-            return tuple(items), None
-        return tuple(items), par
-    flips = sum(1 for t, h in relabeled if t > h)
-    norm = sorted((min(t, h), max(t, h)) for t, h in relabeled)
-    return tuple(norm), (-1) ** flips
+    norm = [(t, h) if t < h else (h, t) for t, h in edges]
+    form = tuple(sorted(norm))
+    if d % 2:
+        return form, -1 if len([1 for t, h in edges if t > h]) % 2 else 1
+    if len(set(form)) < len(form):
+        return form, ZERO
+    return form, perm_sign(norm)
 
 
-def _vertex_classes(g):
-    """Partition vertices by a relabeling-invariant key, coarsest first."""
-    val = g.valences()
-    adj = {v: [] for v in range(1, g.n_vertices + 1)}
-    for t, h in g.edges:
-        adj[t].append(val[h - 1])
-        adj[h].append(val[t - 1])
-    key = {v: (val[v - 1], tuple(sorted(adj[v]))) for v in adj}
-    classes = {}
-    for v in sorted(adj):
-        classes.setdefault(key[v], []).append(v)
-    return [classes[k] for k in sorted(classes)]
+def _canonical_form(d, n, edges):
+    """Orbit-minimal edge tuple of an unlabelled graph, and its sign.
+
+    The relabelings in play send the k-th coarse vertex class (vertices
+    keyed by valence and the valences of their neighbours; classes in
+    key order, members by label) onto the k-th block of labels, and the
+    form is the least normal form among them.  At odd d a relabeling's
+    vertex sign is the sign of the base order, every class in member
+    order, times the signs of the orderings within the blocks.
+
+    Position p gets label p + 1, and the relabelings are walked depth
+    first as a branch-and-bound.  Read a form as a flat sequence: for
+    each label its higher neighbours in order, then the terminator
+    n + 1.  The key of a partial relabeling is that sequence as far as
+    its labels fix it, then a lower bound for the next entry.  Keys at
+    one depth compare as all their completions do.  So where three or
+    more vertices of a class are left, only the children of least key
+    are walked, and a child whose key exceeds the best leaf's at its
+    depth is cut; a last pair is walked in both orders.
+
+    Two leaves with one form differ by an automorphism.  Kept, it cuts
+    the children that it maps onto a walked sibling, and the later
+    leaf's subtree is left back to the node where the two paths split
+    (McKay, "Practical graph isomorphism", 1981).  The automorphisms
+    found this way generate the whole group, so the graph is zero
+    exactly when one of them reverses the orientation.
+    """
+    nbrs = [[] for _ in range(n + 1)]
+    for t, h in edges:
+        nbrs[t].append(h)
+        nbrs[h].append(t)
+    val = [len(a) for a in nbrs]
+    keys = [(val[v], sorted(map(val.__getitem__, a)))
+            for v, a in enumerate(nbrs)]
+    base = sorted(range(1, n + 1), key=keys.__getitem__)
+    vsign = perm_sign(base) if d % 2 else 1
+    top = n + 1
+    lab = [top] * (n + 1)  # top marks a vertex not labelled yet
+    # a class of one vertex fixes its label; the search has a node at
+    # every other position but the last of each class
+    nodes, p = [], 0
+    for _, cls in groupby(base, keys.__getitem__):
+        cls = list(cls)
+        if len(cls) == 1:
+            lab[cls[0]] = p + 1
+        nodes += [(r, cls) for r in range(p, p + len(cls) - 1)]
+        p += len(cls)
+    if not nodes or d % 2 == 0 and len(
+            {(t, h) if t < h else (h, t) for t, h in edges}) < len(edges):
+        # one relabeling, or parallel edges at even d: zero
+        for p, v in enumerate(base):
+            lab[v] = p + 1
+        form, sign = _normal_form(d, [(lab[t], lab[h]) for t, h in edges])
+        return form, sign * vsign
+    nodes.append((n, None))
+    order = base[:]  # order[p]: the vertex labelled p + 1
+    path = [None] * n  # keys along the current path, by depth
+    best = []  # form, sign, order and path of the least leaf so far
+    gens = []  # automorphisms found, as lists old -> old
+    zero = False
+
+    def key(q):
+        """The form's sequence as far as labels 1..q fix it, then a
+        lower bound for the next entry."""
+        out = []
+        for a in range(q):
+            later = sorted([x for x in map(lab.__getitem__, nbrs[order[a]])
+                            if x > a + 1])
+            if later and later[-1] > q:
+                out += [x for x in later if x <= q]
+                out.append(q + 1)
+                return out
+            out += later
+            out.append(top)
+        out.append(q + 2)
+        return out
+
+    def leaf(parity):
+        """Compare the complete relabeling with the best; return the
+        depth to resume at."""
+        nonlocal best, zero
+        form, sign = _normal_form(d, [(lab[t], lab[h]) for t, h in edges])
+        if parity and d % 2:
+            sign = -sign
+        if not best or form < best[0]:
+            best = [form, sign, order[:], path[:]]
+            return n
+        if form > best[0]:
+            return n
+        g = [0] * (n + 1)
+        for x, y in zip(best[2], order):
+            g[x] = y
+        gens.append(g)
+        zero = zero or sign != best[1]
+        return next(r for r in range(n) if order[r] != best[2][r])
+
+    def place(p, v, w):
+        """Give v label p + 1 and w, if any, label p + 2."""
+        order[p] = v
+        lab[v] = p + 1
+        if w:
+            order[p + 1] = w
+            lab[w] = p + 2
+
+    def search(j, parity):
+        """Walk the j-th node on the path; return the depth to resume at.
+        parity counts the inversions of the block orderings so far."""
+        p, cls = nodes[j]
+        q = nodes[j + 1][0]
+        cands = [v for v in cls if lab[v] > p]
+        # the i-th candidate leaves i smaller ones of its class behind it:
+        # i inversions of the block ordering
+        kids = [(i, v, None) for i, v in enumerate(cands)]
+        if len(cands) > 2 and q < n:  # keep the children of least key
+            for k, (i, v, _) in enumerate(kids):
+                place(p, v, None)
+                kids[k] = i, v, key(q)
+                lab[v] = top
+            low = min(kid[2] for kid in kids)
+            kids = [kid for kid in kids if kid[2] == low]
+        walked = []
+        for i, v, k in kids:
+            if k:
+                path[q] = k
+                if best and k > best[3][q]:
+                    return p
+            if gens and walked and v in _orbit(walked, gens, order[:p]):
+                continue
+            # of a last pair, the other vertex takes the next label
+            w = cands[1 - i] if len(cands) == 2 else None
+            place(p, v, w)
+            back = (search(j + 1, parity ^ i & 1) if q < n
+                    else leaf(parity ^ i & 1))
+            lab[v] = top
+            if w:
+                lab[w] = top
+            walked.append(v)
+            if back < p:
+                return back
+        return p
+
+    search(0, 0)
+    return best[0], ZERO if zero else best[1] * vsign
 
 
-def _class_permutations(g):
-    """All relabelings respecting the invariant partition, as dicts."""
-    classes = _vertex_classes(g)
-    blocks = []
-    pos = 1
-    for cls in classes:
-        blocks.append(list(range(pos, pos + len(cls))))
-        pos += len(cls)
-    for choice in _product_perms(blocks):
-        sigma = {}
-        for cls, perm in zip(classes, choice):
-            for old, new in zip(cls, perm):
-                sigma[old] = new
-        yield sigma
-
-
-def _product_perms(blocks):
-    if not blocks:
-        yield ()
-        return
-    for head in permutations(blocks[0]):
-        for tail in _product_perms(blocks[1:]):
-            yield (head,) + tail
+def _orbit(points, gens, fixed):
+    """Orbit of points under the automorphisms fixing `fixed` pointwise."""
+    fix = [g for g in gens if all(g[x] == x for x in fixed)]
+    orbit, todo = set(points), list(points)
+    while todo:
+        x = todo.pop()
+        for g in fix:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                todo.append(g[x])
+    return orbit
 
 
 def canonicalize(g, permute_vertices=True):
@@ -155,28 +268,11 @@ def canonicalize(g, permute_vertices=True):
     The input equals sign * canonical as elements of the orientation
     quotient.  With permute_vertices=False the labeling is kept fixed.
     """
-    n = g.n_vertices
     if permute_vertices:
-        sigmas = _class_permutations(g)
+        form, sign = _canonical_form(g.d, g.n_vertices, g.edges)
     else:
-        sigmas = [{v: v for v in range(1, n + 1)}]
-    odd = g.d % 2 == 1
-    best = None
-    best_signs = set()
-    for sigma in sigmas:
-        form, s = _normal_form(g.d, n, g.edges, sigma)
-        if s is None:
-            return SignedCanonical(OrientedGraph(g.d, n, form), ZERO)
-        if odd and permute_vertices:
-            s *= perm_sign([sigma[v] for v in range(1, n + 1)])
-        if best is None or form < best:
-            best = form
-            best_signs = {s}
-        elif form == best:
-            best_signs.add(s)
-    if len(best_signs) == 2:
-        return SignedCanonical(OrientedGraph(g.d, n, best), ZERO)
-    return SignedCanonical(OrientedGraph(g.d, n, best), best_signs.pop())
+        form, sign = _normal_form(g.d, g.edges)
+    return SignedCanonical(OrientedGraph(g.d, g.n_vertices, form), sign)
 
 
 def _components(n, edges):
@@ -211,8 +307,8 @@ def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
     """
     if n_vertices > 8 or n_edges > 14:
         raise ValueError("out of desk-scale bounds (v <= 8, e <= 14)")
-    if n_edges < 0:
-        raise ValueError("negative edge count")
+    if n_vertices < 0 or n_edges < 0:
+        raise ValueError("negative vertex or edge count")
     n = n_vertices
     pairs = list(combinations(range(1, n + 1), 2))
     need = max(min_valence, 1 if n > 1 else 0)

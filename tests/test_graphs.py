@@ -1,7 +1,10 @@
 """Canonical forms with signs, connectivity, and slice enumeration."""
 
+import hashlib
+import json
 import random
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 import pytest
 
@@ -14,6 +17,15 @@ def test_no_tadpoles():
         OrientedGraph(1, 2, ((1, 1),))
     with pytest.raises(ValueError):
         OrientedGraph(1, 2, ((1, 3),))
+
+
+def test_labels_are_ints_and_vertex_count_is_not_negative():
+    for edge in ((1.7, 2), (1, 2.0), ("1", 2), (True, 2)):
+        with pytest.raises(TypeError):
+            OrientedGraph(1, 2, (edge,))
+    with pytest.raises(ValueError):
+        OrientedGraph(1, -1, ())
+    assert OrientedGraph(1, 2, ([2, 1],)).edges == ((2, 1),)
 
 
 def test_double_edge_even_is_zero():
@@ -238,6 +250,10 @@ def test_enumerate_closed_under_canonicalize():
 def test_enumerate_bounds():
     with pytest.raises(ValueError):
         enumerate_graphs(9, 1, 1)
+    with pytest.raises(ValueError):
+        enumerate_graphs(-1, 0, 1)
+    with pytest.raises(ValueError):
+        enumerate_graphs(2, -1, 1)
 
 
 def test_w5_support_graphs_connected():
@@ -249,3 +265,119 @@ def test_w5_support_graphs_connected():
 def test_json_roundtrip():
     g = OrientedGraph(1, 3, ((1, 2), (3, 1)))
     assert OrientedGraph.from_json(g.to_json()) == g
+
+
+# -- the exhaustive canonical form, kept as the oracle of the pruned search
+
+def _reference_canonicalize(g, permute_vertices=True):
+    """(canonical edges, sign) by the exhaustive search that
+    `canonicalize` replaced: one full normal form for every relabeling
+    that respects the coarse vertex classes."""
+    n, odd = g.n_vertices, g.d % 2 == 1
+
+    def normal_form(sigma):
+        relabeled = [(sigma[t], sigma[h]) for t, h in g.edges]
+        norm = [(min(t, h), max(t, h)) for t, h in relabeled]
+        form = tuple(sorted(norm))
+        if odd:
+            return form, (-1) ** sum(1 for t, h in relabeled if t > h)
+        if len(set(form)) < len(form):
+            return form, None
+        return form, perm_sign(norm)
+
+    val = g.valences()
+    adj = {v: [] for v in range(1, n + 1)}
+    for t, h in g.edges:
+        adj[t].append(val[h - 1])
+        adj[h].append(val[t - 1])
+    classes = {}
+    for v in sorted(adj):
+        classes.setdefault((val[v - 1], tuple(sorted(adj[v]))), []).append(v)
+    classes = [classes[k] for k in sorted(classes)]
+    blocks, pos = [], 1
+    for cls in classes:
+        block = range(pos, pos + len(cls))
+        blocks.append([dict(zip(cls, perm)) for perm in permutations(block)])
+        pos += len(cls)
+    sigmas = [{v: v for v in range(1, n + 1)}]
+    if permute_vertices:
+        sigmas = ({k: v for part in parts for k, v in part.items()}
+                  for parts in product(*blocks))
+    best, signs = None, set()
+    for sigma in sigmas:
+        form, s = normal_form(sigma)
+        if s is None:
+            return form, 0
+        if odd and permute_vertices:
+            s *= perm_sign([sigma[v] for v in range(1, n + 1)])
+        if best is None or form < best:
+            best, signs = form, {s}
+        elif form == best:
+            signs.add(s)
+    return best, signs.pop() if len(signs) == 1 else 0
+
+
+def _agrees_with_reference(g):
+    for permute in (True, False):
+        sc = canonicalize(g, permute_vertices=permute)
+        assert (sc.canonical.edges, sc.sign) == \
+            _reference_canonicalize(g, permute), (g, permute)
+
+
+def _shuffled(g, rng):
+    """g relabelled at random, with edges flipped and reordered."""
+    perm = list(range(1, g.n_vertices + 1))
+    rng.shuffle(perm)
+    edges = [(perm[t - 1], perm[h - 1]) for t, h in g.edges]
+    edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+    rng.shuffle(edges)
+    return OrientedGraph(g.d, g.n_vertices, tuple(edges))
+
+
+def test_canonicalize_matches_exhaustive_search_on_slice_generators():
+    """Every generator of the gc and fcgc slices up to (6, 10), as
+    listed and under seeded random relabelings, flips and reorders."""
+    rng = random.Random(29)
+    for d in (1, 2):
+        for min_valence in (3, 1):
+            for v in range(1, 7):
+                for e in range(1, 11):
+                    for g in enumerate_graphs(v, e, d, min_valence):
+                        _agrees_with_reference(g)
+                        _agrees_with_reference(_shuffled(g, rng))
+
+
+def test_canonicalize_matches_exhaustive_search_on_large_classes():
+    """Graphs whose coarse classes are large: the edgeless graphs, K4,
+    K_{3,3} and the cube, at both parities and relabelled."""
+    cube = ((1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (7, 8), (8, 5),
+            (1, 5), (2, 6), (3, 7), (4, 8))
+    shapes = [(n, ()) for n in range(8)] + [
+        (4, k4_edges()),
+        (6, tuple((i, j) for i in (1, 2, 3) for j in (4, 5, 6))),
+        (8, cube)]
+    rng = random.Random(31)
+    for n, edges in shapes:
+        for d in (1, 2):
+            g = OrientedGraph(d, n, edges)
+            _agrees_with_reference(g)
+            _agrees_with_reference(_shuffled(g, rng))
+
+
+# sha256 of json.dumps([g.to_json() for g in out], sort_keys=True) for
+# out = enumerate_graphs(v, e, d, min_valence=3), computed at commit
+# 956874b with the exhaustive canonical form
+ENUMERATION_DIGESTS = {
+    (6, 10, 1): "7589d20d5124d13bb613c0a2ceb810e416bb9b21d6e424d5b60fe2c638645212",
+    (6, 10, 2): "a20db84d7ac5e28e3d73e9da68ddd5429b8692656f57cc863cee1f0ec45b0e2f",
+    (7, 12, 1): "75e5a89af5702f86443e1efc424e121af659c6a9bc6501fbe8c2f39cd7399b71",
+    (7, 12, 2): "7ac85258972378423a79c53c7cf7cc7822c780854792b5671c3bd751f04b73bf",
+}
+
+
+@pytest.mark.parametrize("v,e,d", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_digest_pinned(v, e, d):
+    out = enumerate_graphs(v, e, d, min_valence=3)
+    blob = json.dumps([g.to_json() for g in out], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        ENUMERATION_DIGESTS[(v, e, d)]
