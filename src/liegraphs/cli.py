@@ -461,7 +461,7 @@ def cmd_compose(args):
             out = gra.compose(a, args.i, b)
         else:
             out = poly.o_compose(a, args.i, b)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     result = {"format_version": FORMAT_VERSION, "op": args.op, "i": args.i,

@@ -4,7 +4,8 @@ morphism from the shifted Lie operad.
 
 Vertices of a Gra element are labelled slots, so canonical forms fix the
 labeling and only normalize orientation data (edge directions for d odd,
-edge order for d even).
+edge order for d even): every term is normalized from its raw edge list
+by `graphs._normal_form`, and only nonzero ones become graphs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .graphs import OrientedGraph, canonicalize
+from .graphs import OrientedGraph, _normal_form
 from .lie import LieElement
 from .linalg import Combination, _add, _exact
 
@@ -53,16 +54,17 @@ class GraElement(Combination):
         return out
 
 
-def _add_graph(terms, graph, coeff):
-    sc = canonicalize(graph, permute_vertices=False)
-    if not sc.is_zero():
-        _add(terms, sc.canonical, sc.sign * coeff)
+def _add_graph(terms, d, n, edges, coeff):
+    """Add coeff times the graph with these raw labelled edges."""
+    form, sign = _normal_form(d, edges)
+    if sign:
+        _add(terms, OrientedGraph(d, n, form), sign * coeff)
 
 
 def element(graph, coeff=1):
     """GraElement with a single (canonicalized) graph term."""
     terms = {}
-    _add_graph(terms, graph, _exact(coeff))
+    _add_graph(terms, graph.d, graph.n_vertices, graph.edges, _exact(coeff))
     return GraElement(graph.n_vertices, graph.d, terms)
 
 
@@ -77,11 +79,13 @@ def compose(g1, i, g2):
     g2's vertices occupy i..i+arity(g2)-1; for d even g1's edges keep
     their order and g2's are appended after them.
     """
+    if type(i) is not int:
+        raise TypeError(f"index {i!r} is not an int")
     if not 1 <= i <= g1.arity:
         raise ValueError(f"index {i} out of range 1..{g1.arity}")
     if g1.d != g2.d:
         raise ValueError("parity mismatch")
-    v2 = g2.arity
+    d, v2 = g1.d, g2.arity
     new_arity = g1.arity + v2 - 1
 
     def relabel1(v):
@@ -89,25 +93,21 @@ def compose(g1, i, g2):
 
     terms = {}
     for G1, c1 in g1.terms.items():
-        incident = [k for k, (t, h) in enumerate(G1.edges)
-                    if t == i or h == i]
+        # g1's edges relabelled, the end at i left as None
+        outer = [(None if t == i else relabel1(t),
+                  None if h == i else relabel1(h)) for t, h in G1.edges]
+        incident = [k for k, (t, h) in enumerate(outer)
+                    if t is None or h is None]
         for G2, c2 in g2.terms.items():
             coeff = c1 * c2
             inner = [(t + i - 1, h + i - 1) for t, h in G2.edges]
             for targets in product(range(i, i + v2), repeat=len(incident)):
-                edges = []
-                it = iter(targets)
-                for k, (t, h) in enumerate(G1.edges):
-                    if k in incident:
-                        x = next(it)
-                        edges.append((x, relabel1(h)) if t == i
-                                     else (relabel1(t), x))
-                    else:
-                        edges.append((relabel1(t), relabel1(h)))
-                edges.extend(inner)
-                g = OrientedGraph(g1.d, new_arity, tuple(edges))
-                _add_graph(terms, g, coeff)
-    return GraElement(new_arity, g1.d, terms)
+                edges = outer + inner
+                for k, x in zip(incident, targets):
+                    t, h = edges[k]
+                    edges[k] = (x, h) if t is None else (t, x)
+                _add_graph(terms, d, new_arity, edges, coeff)
+    return GraElement(new_arity, d, terms)
 
 
 def s_action(g, sigma):
@@ -118,8 +118,8 @@ def s_action(g, sigma):
     mapping = {v: sigma[v - 1] for v in range(1, g.arity + 1)}
     terms = {}
     for G, c in g.terms.items():
-        edges = tuple((mapping[t], mapping[h]) for t, h in G.edges)
-        _add_graph(terms, OrientedGraph(G.d, G.n_vertices, edges), c)
+        edges = [(mapping[t], mapping[h]) for t, h in G.edges]
+        _add_graph(terms, G.d, G.n_vertices, edges, c)
     return GraElement(g.arity, g.d, terms)
 
 

@@ -47,6 +47,7 @@ def is_lyndon(w):
     return len(w) >= 1 and all(w < w[k:] for k in range(1, len(w)))
 
 
+@memo
 def lyndon_tree(w):
     """Standard left bracketing of a Lyndon word (or of u.u)."""
     if len(w) == 1:
@@ -149,16 +150,22 @@ def _parity(word, d, kind):
     return (len(word) - 1) * (1 - d) % 2
 
 
+def _word_key(w):
+    return len(w), w
+
+
 def _sort_term(words, d, kind):
     """Canonically sort component words; Koszul sign from odd components.
 
     Returns (sorted tuple, sign) with sign 0 when an odd component
-    repeats.
+    repeats.  Components are all even at odd d and for the ass kind.
     """
-    keyed = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
-    out = tuple(words[i] for i in keyed)
+    if len(words) < 2:
+        return tuple(words), 1
     if kind == "ass" or d % 2 == 1:
-        return out, 1
+        return tuple(sorted(words, key=_word_key)), 1
+    keyed = sorted(range(len(words)), key=lambda i: _word_key(words[i]))
+    out = tuple(words[i] for i in keyed)
     for a, b in zip(out, out[1:]):
         if a == b and _parity(a, d, kind) == 1:
             return out, 0
@@ -172,6 +179,13 @@ class OElement(Combination):
     d: int
     terms: dict  # tuple of component words -> exact coefficient
     kind: str = "lie"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind not in ("lie", "ass"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if self.arity < 0:
+            raise ValueError(f"negative arity {self.arity}")
 
     def _shape(self):
         return (self.arity, self.d, self.kind)
@@ -253,20 +267,32 @@ def _component_from_json(comp, kind, p, arity):
 
 
 def _add_term(terms, words, coeff, d, kind):
-    key, sign = _sort_term(list(words), d, kind)
+    key, sign = _sort_term(words, d, kind)
     if sign:
         _add(terms, key, sign * coeff)
 
 
+def _is_basis_word(w, p):
+    """Whether w is in basis_for_multiset(sorted w, p): a Lyndon word,
+    or for p = 1 a square u.u with u Lyndon of odd length."""
+    if is_lyndon(w):
+        return True
+    half = len(w) // 2
+    return p == 1 and half % 2 == 1 and w[:half] == w[half:] \
+        and is_lyndon(w[:half])
+
+
 def make_term(arity, d, words, coeff=1, kind="lie"):
     """OElement with one term given by raw component words; for the Lie
-    kind each word must already be a basis word."""
+    kind each word must already be a basis word (else ValueError)."""
     for w in words:
         if not w:
             raise ValueError("empty component")
         for x in w:
             if not 1 <= x <= arity:
                 raise ValueError("white label out of range")
+        if kind == "lie" and not _is_basis_word(w, (d - 1) % 2):
+            raise ValueError(f"component {w} is not a basis word at d={d}")
     terms = {}
     _add_term(terms, words, _exact(coeff), d, kind)
     return OElement(arity, d, terms, kind)
@@ -304,16 +330,20 @@ def _tree_with_markers(word, i, shift, kind, after):
 
 
 def _injective_assignments(n_items, slots):
-    """All maps {0..n_items-1} -> slots + [None], injective on slots."""
-    def rec(u, used):
-        if u == n_items:
-            yield []
-            return
-        for choice in [None] + [s for s in slots if s not in used]:
-            for rest in rec(u + 1, used | ({choice} if choice is not None
-                                           else set())):
-                yield [choice] + rest
-    yield from rec(0, frozenset())
+    """All maps {0..n_items-1} -> slots + [None], injective on slots, as
+    tuples of choices."""
+    for choice in product([None, *slots], repeat=n_items):
+        used = [s for s in choice if s is not None]
+        if len(set(used)) == len(used):
+            yield choice
+
+
+def _substituted(tree, mapping, kind, p):
+    """Normal form of a component tree relabelled by mapping."""
+    st = _relabel_tree(tree, mapping)
+    if kind == "ass":
+        return {tree_leaves(st): 1}
+    return component_normal_form(st, p)
 
 
 def o_compose(a, i, b):
@@ -323,7 +353,10 @@ def o_compose(a, i, b):
     i are negative markers; every substitution relabels those trees
     with one total leaf map: the identity on a's whites, b's trees on
     the markers its components graft onto, and b's whites on the
-    markers left free."""
+    markers left free.  Components with no free marker are normalized
+    once per assignment; only the others vary with the free whites."""
+    if type(i) is not int:
+        raise TypeError(f"index {i!r} is not an int")
     if not 1 <= i <= a.arity:
         raise ValueError(f"index {i} out of range 1..{a.arity}")
     if (a.d, a.kind) != (b.d, b.kind):
@@ -353,54 +386,67 @@ def o_compose(a, i, b):
             for assignment in _injective_assignments(q, markers):
                 covered = {m: u for u, m in enumerate(assignment)
                            if m is not None}
-                free_markers = [m for m in markers if m not in covered]
-                unconsumed = [u for u in range(q) if assignment[u] is None]
-                # Koszul sign: reorder [a-components, b-components] so that
-                # each consumed b-component sits right after its target
-                # a-component, unconsumed ones at the end
-                final = []
-                for t_idx, own in enumerate(comp_markers):
-                    final.append(t_idx)
-                    final.extend(len(ta) + covered[m] for m in own
-                                 if m in covered)
-                final.extend(len(ta) + u for u in unconsumed)
-                sign = perm_sign([x for x in final if parities[x]])
-                # graft crossing sign: an odd grafted component passes
-                # the leaves right of its marker (even d only)
-                if kind == "lie" and d % 2 == 0:
-                    for m, u in covered.items():
-                        if pb[u] and after[-m - 1] % 2 == 1:
-                            sign = -sign
                 mapping = base | {m: b_trees[u] for m, u in covered.items()}
-                tail = [b_words[u] for u in unconsumed]
-                for g in product(b_whites, repeat=len(free_markers)):
-                    mapping.update(zip(free_markers, g))
-                    # normalize each substituted component
-                    combos = []
-                    for tree in trees:
-                        st = _relabel_tree(tree, mapping)
-                        if kind == "ass":
-                            combos.append({tree_leaves(st): 1})
-                            continue
-                        nf = component_normal_form(st, p)
-                        if not nf:
-                            break
-                        combos.append(nf)
-                    else:
-                        _expand_product(out_terms, combos, tail,
-                                        ca * cb * sign, d, kind)
+                # components without a free marker are fixed by the
+                # assignment; a zero one kills it
+                combos, loose = [], []
+                for k, (tree, own) in enumerate(zip(trees, comp_markers)):
+                    if any(m not in covered for m in own):
+                        combos.append(None)
+                        loose.append((k, tree))
+                        continue
+                    nf = _substituted(tree, mapping, kind, p)
+                    if not nf:
+                        break
+                    combos.append(nf)
+                else:
+                    free_markers = [m for m in markers if m not in covered]
+                    unconsumed = [u for u in range(q)
+                                  if assignment[u] is None]
+                    sign = 1
+                    if any(parities):
+                        # Koszul sign: reorder [a-components,
+                        # b-components] so that each consumed b-component
+                        # sits right after its target a-component,
+                        # unconsumed ones at the end
+                        final = []
+                        for t_idx, own in enumerate(comp_markers):
+                            final.append(t_idx)
+                            final.extend(len(ta) + covered[m] for m in own
+                                         if m in covered)
+                        final.extend(len(ta) + u for u in unconsumed)
+                        sign = perm_sign([x for x in final if parities[x]])
+                        # graft crossing sign: an odd grafted component
+                        # passes the leaves right of its marker
+                        for m, u in covered.items():
+                            if pb[u] and after[-m - 1] % 2 == 1:
+                                sign = -sign
+                    coeff = ca * cb * sign
+                    tail = [b_words[u] for u in unconsumed]
+                    for g in product(b_whites, repeat=len(free_markers)):
+                        mapping.update(zip(free_markers, g))
+                        for k, tree in loose:
+                            nf = _substituted(tree, mapping, kind, p)
+                            if not nf:
+                                break
+                            combos[k] = nf
+                        else:
+                            _expand_product(out_terms, combos, tail, coeff,
+                                            d, kind)
     return OElement(new_arity, d, out_terms, kind)
 
 
 def _expand_product(out_terms, combos, tail, coeff, d, kind):
     """Multilinear expansion of a product of component combinations."""
-    def rec(idx, words, c):
-        if idx == len(combos):
-            _add_term(out_terms, words + tail, c, d, kind)
-            return
-        for w, cv in combos[idx].items():
-            rec(idx + 1, words + [w], c * cv)
-    rec(0, [], coeff)
+    if len(combos) == 1:
+        for w, c in combos[0].items():
+            _add_term(out_terms, [w, *tail], coeff * c, d, kind)
+        return
+    for choice in product(*(nf.items() for nf in combos)):
+        c = coeff
+        for _, cv in choice:
+            c *= cv
+        _add_term(out_terms, [w for w, _ in choice] + tail, c, d, kind)
 
 
 # -- symmetric action and morphisms -----------------------------------

@@ -276,6 +276,15 @@ def test_compose_rejects_bad_operand(capsys, tmp_path, name):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_compose_rejects_unknown_kind(capsys, tmp_path):
+    a = dict(poly.make_term(2, 1, [(1, 2)]).to_json(), kind="foo")
+    f = _write(tmp_path, "bad.json",
+               {"format_version": FORMAT_VERSION, "a": a, "b": a})
+    code, out, err = run(["compose", f, "--op", "olie", "--i", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "kind" in err
+
+
 # sha256 of the `compose` stdout for an olie d=2 input whose white 2
 # occurs twice in some terms, and for an ass input, both at --i 2;
 # computed at commit 4a76473, before markers became negative leaves.

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from liegraphs.gra import (GraElement, compose, element, gra_image,
                            lie_to_gra, s_action, unit)
-from liegraphs.graphs import OrientedGraph
+from liegraphs.graphs import OrientedGraph, canonicalize
 from liegraphs.lie import normalize
 
 
@@ -45,6 +45,58 @@ def test_compose_index_range():
     e = lie_to_gra(d)
     with pytest.raises(ValueError):
         compose(e, 3, e)
+    for i in (True, 1.0, "1", None):
+        with pytest.raises(TypeError, match="index"):
+            compose(e, i, e)
+
+
+def _raw_gra(rng, d, arity):
+    """Up to three terms with raw edge lists: edges drawn with
+    repetition, in random order and direction, so parallel edges occur
+    at even d and reversed ones at odd d."""
+    pairs = list(combinations(range(1, arity + 1), 2))
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        edges = [rng.choice(pairs) for _ in range(rng.randint(0, 3))] \
+            if pairs else []
+        edges = tuple(e if rng.random() < 0.5 else e[::-1] for e in edges)
+        g = graph(d, arity, *edges)
+        terms[g] = terms.get(g, 0) + rng.randint(-2, 2)
+    return GraElement(arity, d, terms)
+
+
+def test_compose_matches_canonicalize_oracle():
+    """The composition path that builds an OrientedGraph for every
+    target and canonicalizes it with the labels fixed, restated here."""
+    rng = random.Random(29)
+    zero_cases = 0
+    for _ in range(150):
+        d = rng.choice([1, 2])
+        a = _raw_gra(rng, d, rng.randint(1, 3))
+        b = _raw_gra(rng, d, rng.randint(1, 3))
+        i = rng.randint(1, a.arity)
+        v2, n = b.arity, a.arity + b.arity - 1
+        shift = {v: v if v < i else v + v2 - 1 for v in range(1, a.arity + 1)}
+        want, zero = {}, False
+        for G1, c1 in a.terms.items():
+            for G2, c2 in b.terms.items():
+                ends = sum(v == i for e in G1.edges for v in e)
+                for targets in product(range(i, i + v2), repeat=ends):
+                    it = iter(targets)
+                    edges = [tuple(next(it) if v == i else shift[v]
+                                   for v in e) for e in G1.edges]
+                    edges += [(t + i - 1, h + i - 1) for t, h in G2.edges]
+                    sc = canonicalize(OrientedGraph(d, n, tuple(edges)),
+                                      permute_vertices=False)
+                    zero |= sc.is_zero()
+                    if not sc.is_zero():
+                        want[sc.canonical] = want.get(sc.canonical, 0) \
+                            + sc.sign * c1 * c2
+        got = compose(a, i, b)
+        assert got == GraElement(n, d, want)
+        assert got.to_json() == GraElement(n, d, want).to_json()
+        zero_cases += zero and d == 2
+    assert zero_cases >= 20
 
 
 def test_sequential_associativity_edges():

@@ -8,7 +8,7 @@ from liegraphs import MEMO_MAXSIZE, defcx, gutt, poly
 from liegraphs.graphs import OrientedGraph
 
 MEMOISED = (defcx._plain_changes, defcx._gc_differential, defcx._word_action,
-            poly._basis_system, poly.component_normal_form,
+            poly.lyndon_tree, poly._basis_system, poly.component_normal_form,
             poly._component_action, poly._term_action,
             gutt._straighten, gutt._sigma_basis, gutt._sigma_inv_basis,
             gutt._star_basis)

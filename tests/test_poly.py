@@ -120,6 +120,9 @@ def test_unit():
 def test_index_range():
     with pytest.raises(ValueError):
         o_compose(corolla(1), 3, corolla(1))
+    for i in (True, 1.0, "1", None):
+        with pytest.raises(TypeError, match="index"):
+            o_compose(corolla(1), i, corolla(1))
 
 
 def test_make_term_rejects_bad_words():
@@ -129,6 +132,39 @@ def test_make_term_rejects_bad_words():
         for kind in ("lie", "ass"):
             with pytest.raises(ValueError):
                 make_term(2, 1, words, kind=kind)
+
+
+def test_make_term_requires_basis_words():
+    """(2, 1) is -[1, 2], not a basis word; [x, x] = 0 at odd d, and the
+    square u.u is a basis word only for u Lyndon of odd length at even
+    d.  The ass kind takes any word."""
+    for d, w in ((2, (2, 1)), (1, (2, 1)), (1, (1, 1)), (1, (3, 3)),
+                 (1, (1, 2, 1)), (2, (1, 2, 1, 2)), (2, (2, 1, 2, 1))):
+        with pytest.raises(ValueError, match="basis word"):
+            make_term(4, d, [w])
+        assert not make_term(4, 1, [w], kind="ass").is_zero()
+    assert make_term(2, 2, [(1, 2)]).scaled(-1) \
+        == OElement(2, 2, {((1, 2),): -1})
+    assert not make_term(3, 2, [(3, 3)]).is_zero()
+    assert not make_term(3, 2, [(1, 2, 3, 1, 2, 3)]).is_zero()
+    # the cheap test agrees with the basis on every word of length <= 6
+    # over three letters, at both parities
+    bases = {}
+    for n in range(1, 7):
+        for w in product((1, 2, 3), repeat=n):
+            for p in (0, 1):
+                key = (tuple(sorted(w)), p)
+                if key not in bases:
+                    bases[key] = set(basis_for_multiset(*key))
+                assert poly._is_basis_word(w, p) == (w in bases[key]), (w, p)
+
+
+def test_oelement_rejects_bad_kind_and_arity():
+    with pytest.raises(ValueError, match="kind"):
+        OElement(2, 1, {((1, 2),): 1}, "foo")
+    with pytest.raises(ValueError, match="arity"):
+        OElement(-1, 1, {})
+    assert OElement(0, 1, {}).is_zero()
 
 
 def test_odd_component_anticommute():
@@ -165,6 +201,64 @@ def test_s_action_rejects_non_permutations():
     assert poly.s_action(x, [2, 1]) == poly.s_action(x, (2, 1))
 
 
+def _oracle_sort_term(words, d, kind):
+    """Sort component words by (length, word); the sign is that of the
+    sorting permutation on the odd components, 0 if one repeats."""
+    keyed = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
+    out = tuple(words[i] for i in keyed)
+    if kind == "ass" or d % 2 == 1:
+        return out, 1
+    for a, b in zip(out, out[1:]):
+        if a == b and poly._parity(a, d, kind) == 1:
+            return out, 0
+    return out, perm_sign([i for i in keyed
+                           if poly._parity(words[i], d, kind) == 1])
+
+
+def _oracle_expand_product(out_terms, combos, tail, coeff, d, kind):
+    """Recursive multilinear expansion of a product of component
+    combinations, each product term sorted by `_oracle_sort_term`."""
+    def rec(idx, words, c):
+        if idx == len(combos):
+            key, sign = _oracle_sort_term(words + tail, d, kind)
+            if sign:
+                out_terms[key] = out_terms.get(key, 0) + sign * c
+            return
+        for w, cv in combos[idx].items():
+            rec(idx + 1, words + [w], c * cv)
+    rec(0, [], coeff)
+
+
+def _oracle_assignments(n_items, slots):
+    """All maps {0..n_items-1} -> slots + [None], injective on slots,
+    built recursively."""
+    def rec(u, used):
+        if u == n_items:
+            yield []
+            return
+        for choice in [None] + [s for s in slots if s not in used]:
+            for rest in rec(u + 1, used | ({choice} if choice is not None
+                                           else set())):
+                yield [choice] + rest
+    yield from rec(0, frozenset())
+
+
+def test_sort_term_matches_oracle():
+    """Every tuple of up to four words from a pool with odd and even
+    components at both parities; (1, 2) and (1, 2, 3, 4) repeated are
+    odd at d = 2 and give sign 0."""
+    pool = [(1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 3), (1, 3, 2),
+            (1, 2, 3, 4), (3, 3)]
+    zeros = 0
+    for d, kind in ((1, "lie"), (2, "lie"), (1, "ass"), (2, "ass")):
+        for n in range(5):
+            for words in product(pool, repeat=n):
+                want = _oracle_sort_term(list(words), d, kind)
+                assert poly._sort_term(list(words), d, kind) == want
+                zeros += want[1] == 0
+    assert zeros >= 100
+
+
 def _reference_s_action(x, sigma):
     """The uncached action: relabel each component's Lyndon tree,
     renormalize it and expand the product of the components."""
@@ -179,7 +273,7 @@ def _reference_s_action(x, sigma):
             else:
                 combos.append(component_normal_form(
                     _relabel_tree(lyndon_tree(w), mapping), p))
-        poly._expand_product(out_terms, combos, [], c, x.d, x.kind)
+        _oracle_expand_product(out_terms, combos, [], c, x.d, x.kind)
     return OElement(x.arity, x.d, out_terms, x.kind)
 
 
@@ -343,7 +437,8 @@ def _marker_o_compose(a, i, b):
     """The marker-based composition that o_compose replaced: markers are
     ("mk", component, position) tuples that a tree walk of their own
     substitutes, and ass components are flat tuples flattened again
-    after grafting."""
+    after grafting.  Assignments and products expand through the
+    recursive oracle helpers above, not the library's."""
     d, kind = a.d, a.kind
     p = (d - 1) % 2 if kind == "lie" else 0
     n2 = b.arity
@@ -392,7 +487,7 @@ def _marker_o_compose(a, i, b):
                        for w in b_words]
             q = len(b_words)
             pb = [poly._parity(w, d, kind) for w in b_words]
-            for assignment in poly._injective_assignments(q, marker_list):
+            for assignment in _oracle_assignments(q, marker_list):
                 covered = {m: u for u, m in enumerate(assignment)
                            if m is not None}
                 free = [m for m in marker_list if m not in covered]
@@ -420,7 +515,7 @@ def _marker_o_compose(a, i, b):
                         else:
                             combos.append(component_normal_form(st, p))
                     if all(combos):
-                        poly._expand_product(
+                        _oracle_expand_product(
                             out_terms, combos,
                             [b_words[u] for u in unconsumed],
                             ca * cb * sign, d, kind)
