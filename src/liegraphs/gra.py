@@ -48,10 +48,14 @@ class GraElement(Combination):
         for t in rec["terms"]:
             g = OrientedGraph.from_json(t["graph"])
             terms[g] = terms.get(g, 0) + _exact(t["coeff"])
-        out = cls(rec["arity"], rec["d"], {})
+        arity, d = rec["arity"], rec["d"]
+        out = {}
         for g, c in terms.items():
-            out = out + element(g, c)
-        return out
+            if (g.n_vertices, g.d) != (arity, d):
+                raise ValueError(f"graph of shape {(g.n_vertices, g.d)} in"
+                                 f" an element of shape {(arity, d)}")
+            _add_graph(out, d, arity, g.edges, c)
+        return cls(arity, d, out)
 
 
 def _add_graph(terms, d, n, edges, coeff):

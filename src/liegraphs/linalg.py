@@ -5,8 +5,9 @@ the value is integral, otherwise a reduced `fractions.Fraction` with
 denominator > 1 (see `_exact`); never a float.  Integral values, almost
 all of them, then take Python's fast integer arithmetic.  Every division
 goes through `Fraction`, so no quotient of two ints becomes a float.
-Matrices are immutable once built; elimination works on throwaway
-dict-of-dicts copies.
+Matrices are immutable once built.  The one elimination is `Echelon`,
+an incremental echelon form: `rank`, `kernel_basis`, `solve` and
+`in_image` are each one pass of it over a matrix's rows or columns.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ class SparseMatrix:
             raise ValueError("row count mismatch")
         clean = []
         for r in rows:
-            entries = tuple(sorted((int(c), _exact(v)) for c, v in r if v != 0))
+            for c, _ in r:
+                if type(c) is not int:
+                    raise TypeError(f"column index {c!r} is not an int")
+            entries = tuple(sorted((c, _exact(v)) for c, v in r if v != 0))
             cols = [c for c, _ in entries]
             if cols and (cols[-1] >= n_cols or cols[0] < 0):
                 raise ValueError("column index out of range")
@@ -65,6 +69,10 @@ class SparseMatrix:
         rows = [[] for _ in range(n_rows)]
         for j, col in enumerate(columns):
             for i, v in col.items():
+                if type(i) is not int:
+                    raise TypeError(f"row index {i!r} is not an int")
+                if not 0 <= i < n_rows:
+                    raise ValueError("row index out of range")
                 rows[i].append((j, v))
         return cls(n_rows, n_cols, rows)
 
@@ -102,108 +110,6 @@ class SparseMatrix:
     def __repr__(self):
         nnz = sum(len(r) for r in self.rows)
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={nnz})"
-
-    # -- serialization -------------------------------------------------
-
-    def dumps(self):
-        """Line-oriented dump: header "rows cols", then "r c p/q" triples."""
-        lines = [f"{self.n_rows} {self.n_cols}"]
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                lines.append(f"{i} {j} {v.numerator}/{v.denominator}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text):
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        n_rows, n_cols = (int(t) for t in lines[0].split())
-        rows = [[] for _ in range(n_rows)]
-        for ln in lines[1:]:
-            r, c, val = ln.split()
-            rows[int(r)].append((int(c), Fraction(val)))
-        return cls(n_rows, n_cols, rows)
-
-
-def _eliminate(matrix):
-    """Sparse Gaussian elimination with a Markowitz-style pivot choice.
-
-    Returns (pivots, reduced_rows) where pivots is a list of (row_key,
-    pivot_col) and reduced_rows maps an internal row key to a dict
-    col -> value.
-    """
-    work = {}
-    col_rows = {}
-    for i, row in enumerate(matrix.rows):
-        if row:
-            work[i] = dict(row)
-            for j, _ in row:
-                col_rows.setdefault(j, set()).add(i)
-    pivots = []
-    done = {}
-    while True:
-        best = None
-        for i, row in work.items():
-            rc = len(row)
-            for j in row:
-                cost = (rc - 1) * (len(col_rows[j]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-            if best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        prow = work.pop(pi)
-        for j in prow:
-            col_rows[j].discard(pi)
-        pivots.append((pi, pj))
-        pv = prow[pj]
-        targets = [i for i in col_rows.get(pj, ()) if i in work]
-        for i in targets:
-            row = work[i]
-            factor = _exact(Fraction(row[pj], pv))
-            for j, v in prow.items():
-                nv = row.get(j, 0) - factor * v
-                if nv == 0:
-                    if j in row:
-                        del row[j]
-                        col_rows[j].discard(i)
-                else:
-                    if j not in row:
-                        col_rows.setdefault(j, set()).add(i)
-                    row[j] = nv
-            if not row:
-                del work[i]
-        done[pi] = prow  # keep pivot row for back-substitution
-    return pivots, done
-
-
-def rank(matrix):
-    """Exact rank over the rationals."""
-    pivots, _ = _eliminate(matrix)
-    return len(pivots)
-
-
-def kernel_basis(matrix):
-    """Exact basis of the right kernel, as a list of dicts col -> value.
-
-    Size is n_cols - rank; every vector v satisfies M.v = 0 exactly.
-    """
-    pivots, rows = _eliminate(matrix)
-    pivot_cols = {pj: pi for pi, pj in pivots}
-    free_cols = [j for j in range(matrix.n_cols) if j not in pivot_cols]
-    # Back-substitute in reverse pivot order: the eliminated system is
-    # triangular with respect to that order.
-    basis = []
-    for f in free_cols:
-        vec = {f: 1}
-        for pi, pj in reversed(pivots):
-            row = rows[pi]
-            s = sum(v * vec.get(j, 0) for j, v in row.items() if j != pj)
-            if s != 0:
-                vec[pj] = _exact(Fraction(-s, row[pj]))
-        basis.append({j: v for j, v in vec.items() if v != 0})
-    return basis
 
 
 def _axpy(target, a, source):
@@ -296,19 +202,25 @@ class Echelon:
                 _axpy(combo, f, row_combo)
         return rest, combo
 
-    def add(self, vec):
-        """Add vec; True when it is independent of the vectors added
-        before (it then becomes independent vector number rank - 1)."""
-        rest, combo = self._reduce(vec)
-        if not rest:
-            return False
-        pivot = min(rest)
+    def _keep(self, rest, combo):
+        """Store a nonzero remainder (rest, combo) from _reduce as the
+        row of independent vector number rank.  Any pivot gives the same
+        answers; the largest key fills in far less than the smallest on
+        the slice matrices of the graph complexes."""
+        pivot = max(rest)
         scale = _exact(Fraction(1, rest[pivot]))
         combo = {k: _exact(-c * scale) for k, c in combo.items()}
         combo[len(self._rows)] = scale
         self._rows.append((pivot, {j: _exact(v * scale)
                                    for j, v in rest.items()}, combo))
-        return True
+
+    def add(self, vec):
+        """Add vec; True when it is independent of the vectors added
+        before (it then becomes independent vector number rank - 1)."""
+        rest, combo = self._reduce(vec)
+        if rest:
+            self._keep(rest, combo)
+        return bool(rest)
 
     def coords(self, vec):
         """The coordinates of vec over the independent vectors, as a
@@ -319,17 +231,53 @@ class Echelon:
         return {k: _exact(c) for k, c in combo.items()}
 
 
-def _column_echelon(matrix, b):
-    """Echelon of the columns of matrix, and the indices of the
-    independent columns; b is checked against the row range."""
+def _column_echelon(matrix, b=()):
+    """One pass over the columns of matrix, in order, each reduced once
+    against the independent columns before it.  Returns the Echelon of
+    the columns, the indices of the independent ones, and the kernel
+    basis: for each dependent column j, e_j minus its coordinates over
+    the independent columns.  The keys of b are checked against the
+    row range."""
     for i in b:
+        if type(i) is not int:
+            raise TypeError(f"vector index {i!r} is not an int")
         if not 0 <= i < matrix.n_rows:
             raise ValueError("vector index out of range")
-    span, independent = Echelon(), []
+    span, independent, kernel = Echelon(), [], []
     for j, col in enumerate(matrix.transpose().rows):
-        if span.add(dict(col)):
+        rest, combo = span._reduce(dict(col))
+        if rest:
+            span._keep(rest, combo)
             independent.append(j)
-    return span, independent
+        else:
+            vec = {independent[k]: _exact(-c)
+                   for k, c in sorted(combo.items())}
+            vec[j] = 1
+            kernel.append(vec)
+    return span, independent, kernel
+
+
+def rank(matrix):
+    """Exact rank over the rationals: one Echelon pass over the rows,
+    or over the columns when they are fewer."""
+    vectors = (matrix.rows if matrix.n_rows <= matrix.n_cols
+               else matrix.transpose().rows)
+    span = Echelon()
+    for vec in vectors:
+        span.add(dict(vec))
+    return span.rank
+
+
+def kernel_basis(matrix):
+    """Exact basis of the right kernel, as a list of dicts col -> value.
+
+    One vector per column j that depends on the columns before it, in
+    column order: e_j minus j's coordinates over the independent
+    columns.  So a vector has no entry at any other dependent column,
+    and its other keys lie below j.  Every vector v satisfies M.v = 0
+    exactly.
+    """
+    return _column_echelon(matrix)[2]
 
 
 def solve(matrix, b):
@@ -337,7 +285,7 @@ def solve(matrix, b):
 
     b is a dict row -> value.
     """
-    span, independent = _column_echelon(matrix, b)
+    span, independent, _ = _column_echelon(matrix, b)
     try:
         x = span.coords(b)
     except ValueError:

@@ -214,15 +214,14 @@ class OElement(Combination):
         d = rec["d"]
         p = (d - 1) % 2 if kind == "lie" else 0
         arity = rec["arity"]
-        out = cls(arity, d, {}, kind)
+        cls(arity, d, {}, kind)  # refuse a bad kind or arity first
+        terms = {}
         for t in rec["terms"]:
             coeff = _exact(t["coeff"])
             combos = [_component_from_json(comp, kind, p, arity)
                       for comp in t["components"]]
-            terms = {}
             _expand_product(terms, combos, [], coeff, d, kind)
-            out = out + cls(arity, d, terms, kind)
-        return out
+        return cls(arity, d, terms, kind)
 
 
 def _component_to_json(word, kind):

@@ -267,3 +267,11 @@ def test_json_roundtrip():
     for _ in range(10):
         g = random_gra(rng, rng.choice([1, 2]), 3)
         assert GraElement.from_json(g.to_json()) == g
+
+
+def test_json_refuses_graph_of_other_shape():
+    g = element(OrientedGraph(1, 3, ((1, 2), (2, 3))))
+    for key, value in (("d", 2), ("arity", 4)):
+        rec = dict(g.to_json(), **{key: value})
+        with pytest.raises(ValueError):
+            GraElement.from_json(rec)

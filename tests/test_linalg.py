@@ -54,7 +54,9 @@ def test_rank_matches_dense_oracle():
     rng = random.Random(11)
     for _ in range(60):
         dense = random_dense(rng, rng.randint(1, 7), rng.randint(1, 7))
-        assert rank(SparseMatrix.from_dense(dense)) == dense_rank(dense)
+        mat = SparseMatrix.from_dense(dense)
+        assert rank(mat) == dense_rank(dense)
+        assert rank(mat.transpose()) == dense_rank(dense)
 
 
 def test_kernel_identity_empty():
@@ -77,6 +79,25 @@ def test_rank_nullity_and_kernel_exact():
         for vec in basis:
             assert mat.mul_vector(vec) == {}
             assert vec  # nonzero
+
+
+def test_kernel_basis_is_reduced_in_column_order():
+    """One kernel vector per column that depends on the columns before
+    it, in column order: entry 1 at its own column, no entry at any
+    other dependent column, and every other key below its own column."""
+    rng = random.Random(29)
+    for _ in range(40):
+        dense = random_dense(rng, rng.randint(1, 6), rng.randint(1, 7))
+        mat = SparseMatrix.from_dense(dense)
+        cols = [list(col) for col in zip(*dense)]
+        dependent = [j for j in range(len(cols))
+                     if dense_rank(cols[:j + 1]) == dense_rank(cols[:j])]
+        basis = kernel_basis(mat)
+        assert len(basis) == len(dependent)
+        for j, vec in zip(dependent, basis):
+            assert vec[j] == 1
+            assert all(k < j and k not in dependent for k in vec if k != j)
+            assert mat.mul_vector(vec) == {}
 
 
 def test_rank_permutation_invariant():
@@ -121,13 +142,26 @@ def test_from_columns_matches_transpose():
                               [Fraction(0), Fraction(1, 2)],
                               [Fraction(-2), Fraction(0)]]
     assert mat.transpose().transpose() == mat
+    for i in (-1, 3):  # -1 would index the last row
+        with pytest.raises(ValueError):
+            SparseMatrix.from_columns([{i: 1}], n_rows=3)
 
 
-def test_dump_roundtrip():
-    rng = random.Random(7)
-    dense = random_dense(rng, 5, 4)
-    mat = SparseMatrix.from_dense(dense)
-    assert SparseMatrix.loads(mat.dumps()) == mat
+@pytest.mark.parametrize("index", [1.9, "2", True])
+def test_matrix_refuses_non_int_index(index):
+    with pytest.raises(TypeError):
+        SparseMatrix(1, 3, [[(index, 1)]])
+    with pytest.raises(TypeError):
+        SparseMatrix.from_columns([{index: 1}], n_rows=3)
+
+
+@pytest.mark.parametrize("key", [1.5, "1", True])
+def test_solve_and_in_image_refuse_non_int_key(key):
+    mat = SparseMatrix.from_dense([[1, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        solve(mat, {key: 1})
+    with pytest.raises(TypeError):
+        in_image(mat, {key: 1})
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers())

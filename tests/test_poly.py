@@ -628,3 +628,12 @@ def test_json_roundtrip():
         assert OElement.from_json(x.to_json()) == x
     y = ass_remark_check()
     assert OElement.from_json(y.to_json()) == y
+
+
+def test_json_refuses_bad_kind_or_arity_before_terms():
+    rec = make_term(2, 1, [(1, 2)]).to_json()
+    rec["terms"] = [{"coeff": "1"}]  # no components: unreadable
+    for key, value, message in (("kind", "com", "unknown kind"),
+                                ("arity", -1, "negative arity")):
+        with pytest.raises(ValueError, match=message):
+            OElement.from_json(dict(rec, **{key: value}))
