@@ -197,7 +197,7 @@ def def_differential(x, d=None):
 # -- the graph complexes ----------------------------------------------
 
 def _add_class(out, graph, coeff):
-    sc = canonicalize(graph, permute_vertices=True)
+    sc = canonicalize(graph)
     if not sc.is_zero():
         _add(out, sc.canonical, sc.sign * coeff)
 
@@ -249,7 +249,7 @@ def to_gc_classes(y: GraElement):
     nonzero class with the coefficient of its canonical labelling."""
     out = {}
     for g, c in y.terms.items():
-        sc = canonicalize(g, permute_vertices=True)
+        sc = canonicalize(g)
         if sc.is_zero():
             continue
         if sc.canonical not in out:

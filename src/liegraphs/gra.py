@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .graphs import OrientedGraph, _normal_form
-from .lie import LieElement
+from .lie import LieElement, image
 from .linalg import Combination, _add, _exact
 
 
@@ -134,25 +134,5 @@ def lie_to_gra(d):
 
 
 def gra_image(x: LieElement, d):
-    """Image of a Lie element under the induced operad map.
-
-    The left-normed word (l1, ..., lm) maps to the image of the
-    left-normed bracket chain with standard labels, relabelled by the
-    word's label order.  Stored words follow the d = 1 sign rule; for
-    even d the suspension twists the symmetric action by sgn, so the
-    relabeling contributes the sign of the word's label permutation.
-    """
-    from .graphs import perm_sign
-    m = x.arity
-    chain = [None, unit(d), lie_to_gra(d)]
-    while len(chain) <= m:
-        chain.append(compose(lie_to_gra(d), 1, chain[-1]))
-    out = GraElement(m, d, {})
-    for word, c in x.terms.items():
-        sigma = [0] * m
-        for pos, label in enumerate(word):
-            sigma[pos] = label
-        if d % 2 == 0:
-            c = c * perm_sign(sigma)
-        out = out + s_action(chain[m], sigma).scaled(c)
-    return out
+    """Image of a Lie element under the induced map (see lie.image)."""
+    return image(x, d, unit(d), lie_to_gra(d), compose, s_action)

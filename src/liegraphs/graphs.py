@@ -11,12 +11,12 @@ Orientation conventions (vertices are 1..n, no tadpoles):
   an edge multiplies by -1.  The list order of edges carries no sign and
   is stored sorted.
 
-`canonicalize` works at two levels.  With permute_vertices=False the
-vertex labels are fixed (the Gra_d situation) and only the orientation
-data is normalized.  With permute_vertices=True vertices are unlabelled
-(the graph-complex situation) and relabeling by sigma additionally
-contributes sgn(sigma) when d is odd — the sign twist of the deformation
-complex, under which the vertex ordering is part of the orientation.
+Normal forms work at two levels.  `_normal_form` keeps the vertex
+labels fixed (the Gra_d situation) and only normalizes the orientation
+data.  `canonicalize` treats vertices as unlabelled (the graph-complex
+situation): relabeling by sigma additionally contributes sgn(sigma) when
+d is odd — the sign twist of the deformation complex, under which the
+vertex ordering is part of the orientation.
 """
 
 from __future__ import annotations
@@ -262,16 +262,13 @@ def _orbit(points, gens, fixed):
     return orbit
 
 
-def canonicalize(g, permute_vertices=True):
+def canonicalize(g):
     """Canonical representative with sign; sign 0 means the graph is zero.
 
     The input equals sign * canonical as elements of the orientation
-    quotient.  With permute_vertices=False the labeling is kept fixed.
+    quotient, with the vertices unlabelled.
     """
-    if permute_vertices:
-        form, sign = _canonical_form(g.d, g.n_vertices, g.edges)
-    else:
-        form, sign = _normal_form(g.d, g.edges)
+    form, sign = _canonical_form(g.d, g.n_vertices, g.edges)
     return SignedCanonical(OrientedGraph(g.d, g.n_vertices, form), sign)
 
 

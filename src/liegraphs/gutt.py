@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from types import MappingProxyType
 
@@ -38,8 +39,8 @@ class FPLieAlgebra:
         for (i, j), coeffs in brackets.items():
             if not (1 <= i < j <= dim):
                 raise ValueError("bracket keys must satisfy 1 <= i < j <= dim")
-            clean = {int(k): _exact(c) for k, c in coeffs.items()
-                     if _exact(c) != 0}
+            exact = {int(k): _exact(c) for k, c in coeffs.items()}
+            clean = {k: c for k, c in exact.items() if c != 0}
             for k in clean:
                 if not 1 <= k <= dim:
                     raise ValueError("bracket target out of range")
@@ -79,8 +80,7 @@ class FPLieAlgebra:
     def from_json(cls, rec):
         brackets = {}
         for b in rec["brackets"]:
-            brackets[(b["i"], b["j"])] = {int(k): Fraction(v)
-                                          for k, v in b["coeffs"].items()}
+            brackets[(b["i"], b["j"])] = b["coeffs"]
         return cls(rec["dim"], brackets)
 
 
@@ -113,11 +113,7 @@ def poly_scale(p, c):
 
 def sym_mul(p, q):
     """Commutative product in the symmetric algebra."""
-    out = {}
-    for (m1, h1), c1 in p.items():
-        for (m2, h2), c2 in q.items():
-            _add(out, (tuple(sorted(m1 + m2)), h1 + h2), c1 * c2)
-    return out
+    return _bilinear(p, q, lambda m1, m2: {(tuple(sorted(m1 + m2)), 0): 1})
 
 
 def monomial(indices, h=0, coeff=1):
@@ -127,23 +123,41 @@ def monomial(indices, h=0, coeff=1):
 def straighten(alg, word, h=0, coeff=1):
     """PBW normal form of a generator word in the deformed enveloping
     algebra; independent of rewrite order by the diamond property."""
-    coeff = _exact(coeff)
-    if coeff == 0:
-        return {}
-    return {(m, hh + h): _exact(c * coeff)
-            for (m, hh), c in _straighten(alg, tuple(word)).items()}
+    return _linear({(tuple(word), h): _exact(coeff)},
+                   partial(_straighten, alg))
 
 
 # The memoised maps below are keyed by the algebra object and hold the
 # (h = 0, coefficient 1) case: straightening, sigma and sigma_inv commute
-# with h-shifts and scaling, and the star product is bilinear.  They
-# return read-only mappings, since the memo hands the same one to every
-# caller.
+# with h-shifts and scaling, and the star product is bilinear, so each
+# public map is their extension by _linear or _bilinear.  They return
+# read-only mappings, since the memo hands the same one to every caller.
 
 def _exact_poly(p):
     """p with every coefficient in exact form (see linalg._exact): sums
     of fractions can be integral."""
     return {key: _exact(c) for key, c in p.items()}
+
+
+def _linear(p, image):
+    """Sum over the terms ((m, h), c) of p of c times the polynomial
+    image(m) shifted by h: the linear extension of image."""
+    out = {}
+    for (m, h), c in p.items():
+        for (mm, hh), cv in image(m).items():
+            _add(out, (mm, hh + h), c * cv)
+    return _exact_poly(out)
+
+
+def _bilinear(p, q, image):
+    """The bilinear extension of image(m1, m2), as in _linear."""
+    out = {}
+    for (m1, h1), c1 in p.items():
+        for (m2, h2), c2 in q.items():
+            c, h = c1 * c2, h1 + h2
+            for (mm, hh), cv in image(m1, m2).items():
+                _add(out, (mm, hh + h), c * cv)
+    return _exact_poly(out)
 
 
 @memo
@@ -167,12 +181,7 @@ def _straighten(alg, word):
 
 def u_mul(alg, u, v):
     """Product of two PBW normal forms: concatenate and re-straighten."""
-    out = {}
-    for (m1, h1), c1 in u.items():
-        for (m2, h2), c2 in v.items():
-            for key, c in straighten(alg, m1 + m2, h1 + h2, c1 * c2).items():
-                _add(out, key, c)
-    return out
+    return _bilinear(u, v, lambda m1, m2: straighten(alg, m1 + m2))
 
 
 @memo
@@ -190,11 +199,7 @@ def _sigma_basis(alg, m):
 
 def sigma(alg, p):
     """Symmetrization map into the deformed enveloping algebra."""
-    out = {}
-    for (m, h), c in p.items():
-        for (mm, hh), cv in _sigma_basis(alg, m).items():
-            _add(out, (mm, hh + h), c * cv)
-    return out
+    return _linear(p, partial(_sigma_basis, alg))
 
 
 @memo
@@ -215,30 +220,19 @@ def sigma_inv(alg, u):
     """Invert sigma degree by degree: straightening only produces
     strictly shorter correction monomials, so the system is triangular
     in word length."""
-    out = {}
-    for (m, h), c in u.items():
-        for (mm, hh), cv in _sigma_inv_basis(alg, m).items():
-            _add(out, (mm, hh + h), c * cv)
-    return out
+    return _linear(u, partial(_sigma_inv_basis, alg))
 
 
 def star(alg, p, q):
     """Gutt star product on the symmetric algebra: bilinear extension of
     sigma_inv(sigma(m1) . sigma(m2)), cached per monomial pair."""
-    out = {}
-    for (m1, h1), c1 in p.items():
-        for (m2, h2), c2 in q.items():
-            c = c1 * c2
-            h = h1 + h2
-            for (mm, hh), cv in _star_basis(alg, m1, m2).items():
-                _add(out, (mm, hh + h), c * cv)
-    return _exact_poly(out)
+    return _bilinear(p, q, partial(_star_basis, alg))
 
 
 @memo
 def _star_basis(alg, m1, m2):
-    return MappingProxyType(_exact_poly(sigma_inv(
-        alg, u_mul(alg, _sigma_basis(alg, m1), _sigma_basis(alg, m2)))))
+    return MappingProxyType(sigma_inv(
+        alg, u_mul(alg, _sigma_basis(alg, m1), _sigma_basis(alg, m2))))
 
 
 # -- the arity-2 graph shadow -----------------------------------------

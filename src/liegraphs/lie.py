@@ -1,5 +1,5 @@
-"""Normal forms in the multilinear free Lie operad, grafting, and a
-truncated Baker-Campbell-Hausdorff expansion.
+"""Normal forms in the multilinear free Lie operad, grafting, operad
+images, and a truncated Baker-Campbell-Hausdorff expansion.
 
 Bracket words are binary trees: a leaf is a slot label (int, or str for
 the two-letter BCH series), an internal node is a 2-tuple (left, right).
@@ -16,10 +16,11 @@ polydifferential layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 
+from .graphs import perm_sign
 from .linalg import Combination, _add, _axpy, _exact
 
 
@@ -102,21 +103,24 @@ def word_to_tree(word):
     return tree
 
 
-def assoc_expand(tree):
-    """Expand a bracket tree in the free associative algebra, [a, b] = ab - ba.
+def assoc_expand(tree, p=0):
+    """Expand a bracket tree in the free associative algebra on
+    generators of parity p: [a, b] = ab - (-1)^(p|a||b|) ba.
 
-    Returns a dict mapping label tuples to coefficients.  This is an
-    independent oracle for Lie identities: the expansion is faithful.
+    Returns a dict mapping label tuples to coefficients.  At p = 0 the
+    expansion is faithful: an independent oracle for Lie identities.
     """
     if not isinstance(tree, tuple):
         return {(tree,): 1}
-    left = assoc_expand(tree[0])
-    right = assoc_expand(tree[1])
+    left = assoc_expand(tree[0], p)
+    right = assoc_expand(tree[1], p)
     out = {}
     for wa, ca in left.items():
         for wb, cb in right.items():
             c = ca * cb
             out[wa + wb] = out.get(wa + wb, 0) + c
+            if p and len(wa) * len(wb) % 2:
+                c = -c
             out[wb + wa] = out.get(wb + wa, 0) - c
     return {w: c for w, c in out.items() if c != 0}
 
@@ -239,6 +243,27 @@ def graft(outer, slot, inner):
     if not combos:
         return LieElement(outer.arity + k - 1, {}, outer.parity_d)
     return normalize(combos, outer.parity_d)
+
+
+def image(x, d, unit, mu, compose, act):
+    """Image of a Lie element under the operad morphism sending the
+    bracket to mu, in the target with this unit, partial composition
+    compose(a, i, b) and symmetric action act(a, sigma).
+
+    The word (l1, ..., lm) maps to the chain mu o_1 (mu o_1 ...)
+    relabelled by the word.  Stored words follow the d = 1 sign rule;
+    for even d the suspension twists the action by sgn, so the
+    relabeling contributes the sign of the word."""
+    m = x.arity
+    chain = [None, unit, mu]
+    while len(chain) <= m:
+        chain.append(compose(mu, 1, chain[-1]))
+    terms = {}
+    for word, c in x.terms.items():
+        if d % 2 == 0:
+            c = c * perm_sign(word)
+        _axpy(terms, c, act(chain[m], word).terms)
+    return replace(unit, arity=m, terms=terms)
 
 
 # -- truncated BCH ----------------------------------------------------

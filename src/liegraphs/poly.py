@@ -35,9 +35,9 @@ from types import MappingProxyType
 
 from . import memo
 from .gra import GraElement, element as gra_element
-from .graphs import OrientedGraph, perm_sign
-from .lie import LieElement, _relabel_tree, parse_bracket, pretty_bracket
-from .lie import tree_leaves, word_to_tree
+from .graphs import OrientedGraph, _components, perm_sign
+from .lie import LieElement, _relabel_tree, assoc_expand, image
+from .lie import parse_bracket, pretty_bracket, tree_leaves, word_to_tree
 from .linalg import Combination, Echelon, _add, _exact
 
 
@@ -61,22 +61,6 @@ def lyndon_tree(w):
         if is_lyndon(w[k:]):
             return (lyndon_tree(w[:k]), lyndon_tree(w[k:]))
     raise ValueError(f"not a (super-)Lyndon basis word: {w}")
-
-
-def _super_expand(tree, p):
-    """Associative expansion with generator parity p (0 or 1)."""
-    if not isinstance(tree, tuple):
-        return {(tree,): 1}
-    left = _super_expand(tree[0], p)
-    right = _super_expand(tree[1], p)
-    out = {}
-    for wa, ca in left.items():
-        for wb, cb in right.items():
-            c = ca * cb
-            out[wa + wb] = out.get(wa + wb, 0) + c
-            sign = (-1) ** (len(wa) * len(wb) * p)
-            out[wb + wa] = out.get(wb + wa, 0) - sign * c
-    return {w: c for w, c in out.items() if c != 0}
 
 
 def basis_for_multiset(multiset, p):
@@ -110,7 +94,7 @@ def _basis_system(multiset, p):
     words = tuple(basis_for_multiset(multiset, p))
     span = Echelon()
     for w in words:
-        if not span.add(_super_expand(lyndon_tree(w), p)):
+        if not span.add(assoc_expand(lyndon_tree(w), p)):
             raise ArithmeticError(f"basis word {w} has a dependent"
                                   " expansion")
     return words, span
@@ -133,7 +117,7 @@ def component_normal_form(tree, p):
         pout = component_normal_form(_relabel_tree(tree, rank), p)
         return MappingProxyType({tuple(distinct[l - 1] for l in w): c
                                  for w, c in pout.items()})
-    expansion = _super_expand(tree, p)
+    expansion = assoc_expand(tree, p)
     if not expansion:
         return MappingProxyType({})
     multiset = tuple(sorted(next(iter(expansion))))
@@ -486,28 +470,13 @@ def s_action(x: OElement, sigma):
 
 
 def map_i(x: LieElement, d=None):
-    """Image of a Lie element under the induced operad morphism.
-
-    The left-normed word (l1, ..., lm) maps to the composition chain
-    corolla o_1 (corolla o_1 ...) relabelled by the word; for m >= 3
-    this is a multi-term element (components may attach directly to the
-    output).  Stored words follow the d = 1 sign rule; for even d the
-    suspension twists the symmetric action by the sign of the word's
-    label permutation (as for the graph operad image).
-    """
+    """Image of a Lie element under the induced morphism (see lie.image);
+    from arity 3 on a word maps to several terms, since components may
+    attach directly to the output."""
     if d is None:
         d = x.parity_d
-    n = x.arity
     corolla = OElement(2, d, {((1, 2),): 1}, "lie")
-    chain = [None, unit(d), corolla]
-    while len(chain) <= n:
-        chain.append(o_compose(corolla, 1, chain[-1]))
-    out = OElement(n, d, {}, "lie")
-    for word, c in x.terms.items():
-        if d % 2 == 0:
-            c = c * perm_sign(list(word))
-        out = out + s_action(chain[n], word).scaled(c)
-    return out
+    return image(x, d, unit(d), corolla, o_compose, s_action)
 
 
 def ass_corolla(n):
@@ -517,25 +486,10 @@ def ass_corolla(n):
 
 def is_connected_term(arity, words):
     """Connectivity of a term when the output vertex is erased: the
-    bipartite graph of components and their attached whites, together
-    with all whites, must be connected."""
-    if not words:
-        return arity == 1
-    nodes = set(range(1, arity + 1)) | {("c", k) for k in range(len(words))}
-    adj = {v: set() for v in nodes}
-    for k, w in enumerate(words):
-        for x in w:
-            adj[("c", k)].add(x)
-            adj[x].add(("c", k))
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(nodes)
+    whites, joined through each component's attached whites, must form
+    one connected piece."""
+    return _components(arity, [(w[0], x) for w in words
+                               for x in w[1:]]) == 1
 
 
 def is_connected_element(x: OElement):

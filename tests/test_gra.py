@@ -8,7 +8,7 @@ import pytest
 
 from liegraphs.gra import (GraElement, compose, element, gra_image,
                            lie_to_gra, s_action, unit)
-from liegraphs.graphs import OrientedGraph, canonicalize
+from liegraphs.graphs import OrientedGraph, _normal_form
 from liegraphs.lie import normalize
 
 
@@ -66,8 +66,9 @@ def _raw_gra(rng, d, arity):
 
 
 def test_compose_matches_canonicalize_oracle():
-    """The composition path that builds an OrientedGraph for every
-    target and canonicalizes it with the labels fixed, restated here."""
+    """The composition path that reattaches every edge one target at a
+    time and normalizes the result with the labels fixed, restated
+    here."""
     rng = random.Random(29)
     zero_cases = 0
     for _ in range(150):
@@ -86,12 +87,11 @@ def test_compose_matches_canonicalize_oracle():
                     edges = [tuple(next(it) if v == i else shift[v]
                                    for v in e) for e in G1.edges]
                     edges += [(t + i - 1, h + i - 1) for t, h in G2.edges]
-                    sc = canonicalize(OrientedGraph(d, n, tuple(edges)),
-                                      permute_vertices=False)
-                    zero |= sc.is_zero()
-                    if not sc.is_zero():
-                        want[sc.canonical] = want.get(sc.canonical, 0) \
-                            + sc.sign * c1 * c2
+                    form, sign = _normal_form(d, edges)
+                    zero |= sign == 0
+                    if sign:
+                        g = OrientedGraph(d, n, form)
+                        want[g] = want.get(g, 0) + sign * c1 * c2
         got = compose(a, i, b)
         assert got == GraElement(n, d, want)
         assert got.to_json() == GraElement(n, d, want).to_json()

@@ -8,8 +8,9 @@ from itertools import (combinations, combinations_with_replacement,
 
 import pytest
 
-from liegraphs.graphs import (OrientedGraph, SignedCanonical, canonicalize,
-                              enumerate_graphs, is_connected, perm_sign)
+from liegraphs.graphs import (OrientedGraph, SignedCanonical, _normal_form,
+                              canonicalize, enumerate_graphs, is_connected,
+                              perm_sign)
 
 
 def test_no_tadpoles():
@@ -28,10 +29,16 @@ def test_labels_are_ints_and_vertex_count_is_not_negative():
     assert OrientedGraph(1, 2, ([2, 1],)).edges == ((2, 1),)
 
 
+def fixed_labels(g):
+    """The labelled (Gra_d) normal form of g, with its sign."""
+    form, sign = _normal_form(g.d, g.edges)
+    return SignedCanonical(OrientedGraph(g.d, g.n_vertices, form), sign)
+
+
 def test_double_edge_even_is_zero():
     g = OrientedGraph(2, 2, ((1, 2), (1, 2)))
     assert canonicalize(g).is_zero()
-    assert canonicalize(g, permute_vertices=False).is_zero()
+    assert fixed_labels(g).is_zero()
 
 
 def test_theta_odd_survives():
@@ -45,20 +52,20 @@ def test_double_edge_odd_gc_level_is_zero():
     # vertex swap has sgn -1 and flips both edges: odd automorphism
     g = OrientedGraph(1, 2, ((1, 2), (1, 2)))
     assert canonicalize(g).is_zero()
-    assert not canonicalize(g, permute_vertices=False).is_zero()
+    assert not fixed_labels(g).is_zero()
 
 
 def test_edge_flip_sign_odd():
-    a = canonicalize(OrientedGraph(1, 2, ((1, 2),)), permute_vertices=False)
-    b = canonicalize(OrientedGraph(1, 2, ((2, 1),)), permute_vertices=False)
+    a = fixed_labels(OrientedGraph(1, 2, ((1, 2),)))
+    b = fixed_labels(OrientedGraph(1, 2, ((2, 1),)))
     assert a.canonical == b.canonical
     assert a.sign == 1 and b.sign == -1
 
 
 def test_edge_order_sign_even():
     e1, e2 = (1, 2), (2, 3)
-    a = canonicalize(OrientedGraph(2, 3, (e1, e2)), permute_vertices=False)
-    b = canonicalize(OrientedGraph(2, 3, (e2, e1)), permute_vertices=False)
+    a = fixed_labels(OrientedGraph(2, 3, (e1, e2)))
+    b = fixed_labels(OrientedGraph(2, 3, (e2, e1)))
     assert a.canonical == b.canonical
     assert a.sign == -b.sign
 
@@ -77,8 +84,7 @@ def test_tetrahedron_relabeling_sign_even():
         rng.shuffle(perm)
         sigma = {i + 1: perm[i] for i in range(4)}
         edges = tuple((sigma[t], sigma[h]) for t, h in k4_edges())
-        sc = canonicalize(OrientedGraph(2, 4, edges),
-                          permute_vertices=False)
+        sc = fixed_labels(OrientedGraph(2, 4, edges))
         # oracle: parity of the permutation sorting the relabeled edges
         norm = [(min(t, h), max(t, h)) for t, h in edges]
         order = sorted(range(6), key=lambda i: norm[i])
@@ -217,7 +223,7 @@ def _all_subsets_enumeration(n_vertices, n_edges, d, min_valence,
             continue
         if connected and not is_connected(g):
             continue
-        sc = canonicalize(g, permute_vertices=True)
+        sc = canonicalize(g)
         if sc.is_zero():
             continue
         seen.setdefault(sc.canonical.edges, sc.canonical)
@@ -272,7 +278,8 @@ def test_json_roundtrip():
 def _reference_canonicalize(g, permute_vertices=True):
     """(canonical edges, sign) by the exhaustive search that
     `canonicalize` replaced: one full normal form for every relabeling
-    that respects the coarse vertex classes."""
+    that respects the coarse vertex classes, or with permute_vertices
+    false the labelled normal form alone."""
     n, odd = g.n_vertices, g.d % 2 == 1
 
     def normal_form(sigma):
@@ -318,8 +325,7 @@ def _reference_canonicalize(g, permute_vertices=True):
 
 
 def _agrees_with_reference(g):
-    for permute in (True, False):
-        sc = canonicalize(g, permute_vertices=permute)
+    for permute, sc in ((True, canonicalize(g)), (False, fixed_labels(g))):
         assert (sc.canonical.edges, sc.sign) == \
             _reference_canonicalize(g, permute), (g, permute)
 

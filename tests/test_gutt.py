@@ -170,3 +170,11 @@ def test_algebra_json_roundtrip():
     for alg in (heisenberg(), two_dim(), abelian(2)):
         back = FPLieAlgebra.from_json(alg.to_json())
         assert back.dim == alg.dim and back.brackets == alg.brackets
+
+
+def test_algebra_json_refuses_float_coefficients():
+    rec = {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": 0.1}}]}
+    with pytest.raises(TypeError):
+        FPLieAlgebra.from_json(rec)
+    rec["brackets"][0]["coeffs"]["2"] = "1/10"
+    assert FPLieAlgebra.from_json(rec).bracket(1, 2) == {2: Fraction(1, 10)}

@@ -13,11 +13,15 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liegraphs import defcx
+from liegraphs.gra import GraElement, gra_image
 from liegraphs.lie import (BracketParseError, LieElement, _relabel_tree,
                            assoc_expand, basis_words, bch_truncated, dim_lie,
-                           graft, left_normed_assoc_expansion, normalize,
-                           parse_bracket, pretty_bracket, word_to_tree)
+                           graft, image, left_normed_assoc_expansion,
+                           normalize, parse_bracket, pretty_bracket,
+                           word_to_tree)
 from liegraphs.linalg import SparseMatrix, rank
+from liegraphs.poly import OElement, map_i
 
 
 def all_bracketings(labels):
@@ -68,6 +72,9 @@ def test_parse_errors_carry_location():
 def test_antisymmetry():
     assert normalize((2, 1)) == normalize((1, 2)).scaled(Fraction(-1))
     assert normalize((1, 2)).terms == {(1, 2): Fraction(1)}
+    # [x, x] vanishes for even generators and is 2xx for odd ones
+    assert assoc_expand((1, 1), 0) == {}
+    assert assoc_expand((1, 1), 1) == {(1, 1): 2}
 
 
 def test_jacobi_relator_is_zero():
@@ -155,6 +162,36 @@ def test_graft_matches_oracle():
     # graft into tree [1,[2,3]] at slot 2: substitute [s,s+1] for leaf 2
     out = graft(normalize((1, (2, 3))), 2, normalize((1, 2)))
     assert out.assoc_expansion() == assoc_expand((1, ((2, 3), 4)))
+
+
+def test_image_under_lie_itself_is_identity():
+    """lie.image with Lie's own unit, bracket, composition and action
+    fixes every basis word: at even d the word's sign cancels the sign
+    of the action.  The polydifferential and graph images of an empty
+    element are empty elements of their own class and arity."""
+    checked = 0
+    for d in (1, 2):
+        lie_unit = LieElement(1, {(1,): 1}, d)
+        mu = defcx.bracket_generator(d, "lie")
+
+        def compose(a, i, b):
+            return defcx._compose(d, "lie", a, i, b)
+
+        def act(x, sigma):
+            return defcx._act(d, "lie", x, sigma)
+
+        for m in range(1, 6):
+            for w in basis_words(m):
+                x = LieElement(m, {w: 1}, d)
+                assert image(x, d, lie_unit, mu, compose, act) == x, (d, w)
+                checked += 1
+        for m in (0, 3):
+            empty = LieElement(m, {}, d)
+            for got, cls in ((map_i(empty, d), OElement),
+                             (gra_image(empty, d), GraElement)):
+                assert type(got) is cls and got.arity == m
+                assert got.is_zero()
+    assert checked == 68
 
 
 def test_graft_slot_range():

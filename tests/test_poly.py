@@ -613,6 +613,14 @@ def test_connectivity_preserved():
     assert checked >= 10
 
 
+def test_is_connected_term_hand_cases():
+    cases = {(0, ()): False, (1, ()): True, (2, ()): False,
+             (2, ((1, 1),)): False, (3, ((1, 2), (2, 3))): True,
+             (4, ((1, 2, 3), (4, 4))): False, (4, ((1, 2, 3), (3, 4))): True}
+    for (arity, words), want in cases.items():
+        assert poly.is_connected_term(arity, words) is want, (arity, words)
+
+
 def test_degree_additive():
     for d in (1, 2):
         a = make_term(3, d, [(1, 2, 3)])
