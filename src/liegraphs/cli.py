@@ -204,10 +204,10 @@ def _check_w5():
 def _check_theta():
     th = defcx.theta_graph()
     closed = defcx.gc_differential(th, 3) == {}
-    deg = defcx.def_degree(gra.element(th), 1)
+    deg = defcx.def_degree(gra.element(th))
     k, im, coh = defcx.cohomology_rank("gc", 1, (2, 3))
     pre = defcx.theta_def_element()
-    pre_closed = defcx.def_differential(pre, 1).is_zero()
+    pre_closed = defcx.def_differential(pre).is_zero()
     ok = closed and deg == 1 and (k, im, coh) == (1, 0, 1) and pre_closed
     return ok, (f"closed={closed} degree={deg} slice=({k},{im},{coh}) "
                 f"preimage closed={pre_closed}")
@@ -227,8 +227,8 @@ def _check_chain_map():
         for n, k in ((2, 1), (2, 2)):
             sl = defcx.build_slice("def-olie", d, (n, k))
             for x in sl.basis:
-                if defcx.map_F(defcx.def_differential(x, d)) \
-                        != defcx.def_differential(defcx.map_F(x), d):
+                if defcx.map_F(defcx.def_differential(x)) \
+                        != defcx.def_differential(defcx.map_F(x)):
                     return False, f"d={d} slice {(n, k)}"
     return True, "F intertwines the differentials on tested slices"
 
@@ -337,7 +337,7 @@ def _serialize_witness(complex_id, w):
                 for g, c in sorted(w.items(), key=lambda kv: kv[0].edges)]
     if complex_id == "def-olie":
         return w.to_json()
-    return {"arity": w.arity, "d": w.parity_d,
+    return {"arity": w.arity, "d": w.d,
             "terms": [{"coeff": str(c), "word": list(word)}
                       for word, c in sorted(w.terms.items())]}
 
@@ -357,11 +357,10 @@ def _slice_witness(chain, sl, image_dim):
         if sl.complex_id in ("fcgc", "gc"):
             combo = terms = {sl.basis[idx]: c for idx, c in vec.items()}
         else:
-            combo = None
+            terms = {}
             for idx, c in sorted(vec.items()):
-                piece = sl.basis[idx].scaled(c)
-                combo = piece if combo is None else combo + piece
-            terms = combo.terms
+                linalg._axpy(terms, c, sl.basis[idx].terms)
+            combo = sl.basis[0].with_terms(terms)
         # exact: in the span of the predecessor's images, whose rows
         # are the terms they reach
         if pred is None or not row.keys() >= terms.keys() or not \

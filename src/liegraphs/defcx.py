@@ -4,8 +4,10 @@ Kontsevich graph complexes fcGC_d / GC_d.
 
 A deformation element of arity n is an (anti)invariant element of the
 target's arity-n space: for d odd invariance is twisted by the sign of
-the label permutation, for d even it is plain (stored Lie words follow
-the d = 1 rule, which absorbs an extra sign twist for even d).  The
+the label permutation, for d even it is plain.  The target is whichever
+operad the element lives in: the code here only uses the interface its
+class shares with the others (`Cls.bracket(d)`, `x.compose(i, y)`,
+`x.act(sigma)`, `x.degree()` and the element's own `d`).  The
 differential is
 
     delta x = mu o_1 x + mu o_2 x - (-1)^{|x|} sum_i x o_i mu
@@ -28,78 +30,11 @@ from itertools import combinations_with_replacement
 from types import MappingProxyType
 
 from . import linalg, memo, poly
-from .gra import GraElement, compose as gra_compose, element as gra_element
-from .gra import lie_to_gra, s_action as gra_s_action
-from .graphs import OrientedGraph, canonicalize, enumerate_graphs, perm_sign
-from .lie import LieElement, _relabel_tree, basis_words, graft, normalize
-from .lie import word_to_tree
+from .gra import GraElement, element as gra_element
+from .graphs import OrientedGraph, canonicalize, enumerate_graphs
+from .lie import LieElement, basis_words
 from .linalg import SparseMatrix, _add, _axpy, _exact
-from .poly import OElement, make_term, o_compose
-
-
-# -- target dispatch --------------------------------------------------
-
-def _target_of(x):
-    if isinstance(x, LieElement):
-        return "lie"
-    if isinstance(x, GraElement):
-        return "gra"
-    if isinstance(x, OElement):
-        return "olie"
-    raise TypeError(f"unsupported deformation element {type(x).__name__}")
-
-
-def bracket_generator(d, target):
-    """The image mu of the binary bracket in the target operad."""
-    if target == "lie":
-        return LieElement(2, {(1, 2): 1}, d)
-    if target == "gra":
-        return lie_to_gra(d)
-    if target == "olie":
-        return make_term(2, d, [(1, 2)])
-    raise ValueError(f"unknown target {target!r}")
-
-
-@memo
-def _word_action(word, sigma):
-    """Normal form of a basis word relabelled by sigma, as (word,
-    coeff) items."""
-    tree = _relabel_tree(word_to_tree(word), dict(enumerate(sigma, 1)))
-    return tuple(normalize(tree).terms.items())
-
-
-def _lie_relabel(x: LieElement, sigma):
-    sigma = tuple(sigma)
-    out = {}
-    for w, c in x.terms.items():
-        for v, cv in _word_action(w, sigma):
-            _add(out, v, c * cv)
-    return x.with_terms(out)
-
-
-def _compose(d, target, a, i, b):
-    if target == "gra":
-        return gra_compose(a, i, b)
-    if target == "olie":
-        return o_compose(a, i, b)
-    # stored Lie words use the unsuspended sign rule; correct by the
-    # operadic suspension sign for even d
-    out = graft(a, i, b)
-    if d % 2 == 0 and (i - 1) * (b.arity - 1) % 2 == 1:
-        out = out.scaled(-1)
-    return out
-
-
-def _act(d, target, x, sigma):
-    """Native symmetric action in stored coordinates."""
-    if target == "gra":
-        return gra_s_action(x, sigma)
-    if target == "olie":
-        return poly.s_action(x, sigma)
-    out = _lie_relabel(x, sigma)
-    if d % 2 == 0:
-        out = out.scaled(perm_sign(list(sigma)))
-    return out
+from .poly import OElement, make_term
 
 
 @memo
@@ -119,51 +54,35 @@ def _plain_changes(n):
     return tuple(out)
 
 
-def symmetrize(x, d=None):
+def symmetrize(x):
     """(Anti)symmetrizer projector: average over label permutations,
     sign-twisted for d odd.
 
     Walks S_n by adjacent transpositions so every step is a cheap
     neighbor swap instead of an arbitrary relabeling.  The signed sum is
     accumulated unscaled and divided by n! once."""
-    target = _target_of(x)
-    if d is None:
-        d = x.d if target != "lie" else x.parity_d
     n = x.arity
-    odd = d % 2 == 1
+    odd = x.d % 2 == 1
     sgn = 1
     # identity pass normalizes inputs whose terms are not yet in basis form
-    current = _act(d, target, x, tuple(range(1, n + 1)))
+    current = x.act(tuple(range(1, n + 1)))
     merged = dict(current.terms)
     for pos in _plain_changes(n):
         tau = list(range(1, n + 1))
         tau[pos], tau[pos + 1] = tau[pos + 1], tau[pos]
-        current = _act(d, target, current, tuple(tau))
+        current = current.act(tuple(tau))
         if odd:
             sgn = -sgn
         _axpy(merged, sgn, current.terms)
     return x.with_terms(merged).scaled(Fraction(1, math.factorial(n)))
 
 
-def def_degree(x, d=None):
+def def_degree(x):
     """Deformation degree d(n-1) + internal degree."""
-    target = _target_of(x)
-    if d is None:
-        d = x.d if target != "lie" else x.parity_d
-    n = x.arity
-    if target == "lie":
-        internal = (n - 1) * (1 - d)
-    elif target == "gra":
-        counts = {g.n_edges() for g in x.terms}
-        if len(counts) > 1:
-            raise ValueError("inhomogeneous edge count")
-        internal = (1 - d) * (counts.pop() if counts else 0)
-    else:
-        internal = x.degree() or 0
-    return d * (n - 1) + internal
+    return x.d * (x.arity - 1) + x.degree()
 
 
-def _bracket_mu(x, d):
+def _bracket_mu(x):
     """The bracket with mu before the symmetrizer P:
 
         mu o_1 x + mu o_2 x - (-1)^{|x|} sum_i c_i x o_i mu.
@@ -172,26 +91,23 @@ def _bracket_mu(x, d):
     two strands twists the label-ordering sign by the inversions at i,
     and averaging that twist over P leaves c_i = 0 for n even and
     (-1)^{i+1}/n for n odd."""
-    target = _target_of(x)
-    n = x.arity
-    mu = bracket_generator(d, target)
-    out = _compose(d, target, mu, 1, x) + _compose(d, target, mu, 2, x)
-    sign = (-1) ** (def_degree(x, d) % 2)
+    n, d = x.arity, x.d
+    mu = type(x).bracket(d)
+    out = mu.compose(1, x) + mu.compose(2, x)
+    sign = (-1) ** (def_degree(x) % 2)
     if d % 2 == 1 and n % 2 == 0:
         return out
     for i in range(1, n + 1):
         w = 1 if d % 2 == 0 else Fraction((-1) ** (i + 1), n)
-        out = out - _compose(d, target, x, i, mu).scaled(sign * w)
+        out = out - x.compose(i, mu).scaled(sign * w)
     return out
 
 
-def def_differential(x, d=None):
+def def_differential(x):
     """Differential of the invariant projection of x: the symmetrizer
-    applied to `_bracket_mu(x, d)`.  On invariant elements (the complex
+    applied to `_bracket_mu(x)`.  On invariant elements (the complex
     itself) this agrees with symmetrizing the plain bracket formula."""
-    if d is None:
-        d = x.parity_d if _target_of(x) == "lie" else x.d
-    return symmetrize(_bracket_mu(x, d), d)
+    return symmetrize(_bracket_mu(x))
 
 
 # -- the graph complexes ----------------------------------------------
@@ -220,7 +136,7 @@ def gc_differential(g: OrientedGraph, min_valence=1):
 @memo
 def _gc_differential(g, min_valence):
     out = {}
-    for G, c in _bracket_mu(gra_element(g), g.d).terms.items():
+    for G, c in _bracket_mu(gra_element(g)).terms.items():
         _add_class(out, G, c)
     if min_valence > 1:
         out = {G: c for G, c in out.items()
@@ -323,12 +239,12 @@ def _slice_basis(complex_id, d, key):
     elif complex_id == "def-olie":
         n, k = key
         vectors = ((x, x.terms) for x in (
-            symmetrize(OElement(n, d, {t: 1}, "lie"), d)
+            symmetrize(OElement(n, d, {t: 1}, "lie"))
             for t in _o_slice_terms(n, k, d)))
     else:
         n, = key
         vectors = ((x, x.terms) for x in (
-            symmetrize(LieElement(n, {w: 1}, d), d)
+            symmetrize(LieElement(n, {w: 1}, d))
             for w in basis_words(n)))
     gens, span = [], linalg.Echelon()
     for x, vec in vectors:
@@ -337,11 +253,11 @@ def _slice_basis(complex_id, d, key):
     return tuple(gens), span
 
 
-def _image(complex_id, d, x):
+def _image(complex_id, x):
     """The differential of the generator x, as a dict term -> coeff."""
     if complex_id in ("fcgc", "gc"):
         return gc_differential(x, min_valence=3 if complex_id == "gc" else 1)
-    return def_differential(x, d).terms
+    return def_differential(x).terms
 
 
 def _check_square_zero(first, second):
@@ -390,7 +306,7 @@ class Chain:
         succ = tuple(k + 1 for k in key)
         images = []
         for x in gens:
-            image = _image(self.complex_id, self.d, x)
+            image = _image(self.complex_id, x)
             if image and not self.in_bounds(succ):
                 raise ValueError("differential left the slice grid")
             images.append(image)

@@ -36,6 +36,25 @@ class GraElement(Combination):
     def with_terms(self, terms):
         return GraElement(self.arity, self.d, terms)
 
+    @classmethod
+    def bracket(cls, d):
+        """Image of the binary bracket: the single edge, directed 1 -> 2
+        for d odd, undirected (one-element edge ordering) for d even."""
+        return element(OrientedGraph(d, 2, ((1, 2),)))
+
+    def degree(self):
+        """(1 - d) times the edge count, shared by every term."""
+        counts = {g.n_edges() for g in self.terms}
+        if len(counts) > 1:
+            raise ValueError("inhomogeneous edge count")
+        return (1 - self.d) * (counts.pop() if counts else 0)
+
+    def compose(self, i, y):
+        return compose(self, i, y)
+
+    def act(self, sigma):
+        return s_action(self, sigma)
+
     def to_json(self):
         items = sorted(self.terms.items(), key=lambda kv: kv[0].edges)
         return {"arity": self.arity, "d": self.d,
@@ -127,12 +146,6 @@ def s_action(g, sigma):
     return GraElement(g.arity, g.d, terms)
 
 
-def lie_to_gra(d):
-    """Image of the binary bracket: the single edge, directed 1 -> 2 for
-    d odd, undirected (one-element edge ordering) for d even."""
-    return element(OrientedGraph(d, 2, ((1, 2),)))
-
-
-def gra_image(x: LieElement, d):
+def gra_image(x: LieElement):
     """Image of a Lie element under the induced map (see lie.image)."""
-    return image(x, d, unit(d), lie_to_gra(d), compose, s_action)
+    return image(x, unit(x.d), GraElement.bracket(x.d))

@@ -21,7 +21,7 @@ from itertools import permutations
 from types import MappingProxyType
 
 from . import memo
-from .gra import GraElement, element as gra_element, s_action
+from .gra import GraElement, _add_graph, s_action
 from .graphs import OrientedGraph
 from .linalg import _add, _exact
 
@@ -242,11 +242,11 @@ def gutt_mod_I_series(max_edges, d=1):
     two slots; the k = 0 term is the edgeless product graph."""
     if max_edges > 8:
         raise ValueError("max_edges <= 8")
-    out = GraElement(2, d, {})
+    terms = {}
     for k in range(max_edges + 1):
-        g = OrientedGraph(d, 2, tuple((1, 2) for _ in range(k)))
-        out = out + gra_element(g).scaled(Fraction(1, math.factorial(k)))
-    return out
+        _add_graph(terms, d, 2, ((1, 2),) * k,
+                   Fraction(1, math.factorial(k)))
+    return GraElement(2, d, terms)
 
 
 def skew_symmetrize_series(s: GraElement) -> GraElement:

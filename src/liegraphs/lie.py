@@ -9,8 +9,8 @@ minimal label in the leading position; the multilinear arity-m span has
 dimension (m-1)!.
 
 Storage convention: words are kept unshifted, with the d = 1 sign rule
-[x, y] = -[y, x]; all degree-shift bookkeeping for even d lives in the
-polydifferential layer.
+[x, y] = -[y, x]; the suspension signs for even d enter only through
+`LieElement.compose` and `LieElement.act`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 
+from . import memo
 from .graphs import perm_sign
 from .linalg import Combination, _add, _axpy, _exact
 
@@ -162,20 +163,48 @@ def _normalize_tree(tree):
 @dataclass(frozen=True, eq=False)
 class LieElement(Combination):
     """Exact linear combination of normal-form bracket words of one
-    arity; equality ignores parity_d."""
+    arity, in the Lie operad suspended for the parity of d."""
 
     arity: int
     terms: dict
-    parity_d: int = 1
+    d: int = 1
 
     def _shape(self):
-        return (self.arity,)
+        return (self.arity, self.d)
 
     def with_terms(self, terms):
-        return LieElement(self.arity, terms, self.parity_d)
+        return LieElement(self.arity, terms, self.d)
 
     def assoc_expansion(self):
         return left_normed_assoc_expansion(self.terms)
+
+    @classmethod
+    def bracket(cls, d):
+        """The binary bracket [1, 2]."""
+        return cls(2, {(1, 2): 1}, d)
+
+    def degree(self):
+        """(1 - d) per bracket: a word of arity n has n - 1."""
+        return (self.arity - 1) * (1 - self.d)
+
+    def compose(self, i, y):
+        """Operadic composition self o_i y: graft, corrected by the
+        suspension sign (-1)^((i-1)(k-1)) for even d."""
+        out = graft(self, i, y)
+        if self.d % 2 == 0 and (i - 1) * (y.arity - 1) % 2 == 1:
+            out = out.scaled(-1)
+        return out
+
+    def act(self, sigma):
+        """Relabel slots by sigma (sequence of images); for even d the
+        suspension twists the relabelling by the sign of sigma."""
+        sigma = tuple(sigma)
+        sign = perm_sign(list(sigma)) if self.d % 2 == 0 else 1
+        out = {}
+        for w, c in self.terms.items():
+            for v, cv in _word_action(w, sigma):
+                _add(out, v, sign * c * cv)
+        return self.with_terms(out)
 
 
 def normalize(exprs, d=1):
@@ -219,6 +248,14 @@ def _relabel_tree(tree, mapping):
     return mapping[tree]
 
 
+@memo
+def _word_action(word, sigma):
+    """Normal form of a basis word relabelled by sigma, as (word,
+    coeff) items."""
+    tree = _relabel_tree(word_to_tree(word), dict(enumerate(sigma, 1)))
+    return tuple(normalize(tree).terms.items())
+
+
 def graft(outer, slot, inner):
     """Operadic partial composition: substitute `inner` into slot `slot`.
 
@@ -241,14 +278,13 @@ def graft(outer, slot, inner):
             outer_map[slot] = ti
             combos.append((co * ci, _relabel_tree(to, outer_map)))
     if not combos:
-        return LieElement(outer.arity + k - 1, {}, outer.parity_d)
-    return normalize(combos, outer.parity_d)
+        return LieElement(outer.arity + k - 1, {}, outer.d)
+    return normalize(combos, outer.d)
 
 
-def image(x, d, unit, mu, compose, act):
+def image(x, unit, mu):
     """Image of a Lie element under the operad morphism sending the
-    bracket to mu, in the target with this unit, partial composition
-    compose(a, i, b) and symmetric action act(a, sigma).
+    bracket to mu, in the target operad of the elements unit and mu.
 
     The word (l1, ..., lm) maps to the chain mu o_1 (mu o_1 ...)
     relabelled by the word.  Stored words follow the d = 1 sign rule;
@@ -257,12 +293,12 @@ def image(x, d, unit, mu, compose, act):
     m = x.arity
     chain = [None, unit, mu]
     while len(chain) <= m:
-        chain.append(compose(mu, 1, chain[-1]))
+        chain.append(mu.compose(1, chain[-1]))
     terms = {}
     for word, c in x.terms.items():
-        if d % 2 == 0:
+        if x.d % 2 == 0:
             c = c * perm_sign(word)
-        _axpy(terms, c, act(chain[m], word).terms)
+        _axpy(terms, c, chain[m].act(word).terms)
     return replace(unit, arity=m, terms=terms)
 
 

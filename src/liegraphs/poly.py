@@ -34,8 +34,8 @@ from itertools import permutations, product
 from types import MappingProxyType
 
 from . import memo
-from .gra import GraElement, element as gra_element
-from .graphs import OrientedGraph, _components, perm_sign
+from .gra import GraElement, _add_graph
+from .graphs import _components, perm_sign
 from .lie import LieElement, _relabel_tree, assoc_expand, image
 from .lie import parse_bracket, pretty_bracket, tree_leaves, word_to_tree
 from .linalg import Combination, Echelon, _add, _exact
@@ -177,12 +177,23 @@ class OElement(Combination):
     def with_terms(self, terms):
         return OElement(self.arity, self.d, terms, self.kind)
 
+    @classmethod
+    def bracket(cls, d):
+        """Image of the binary bracket: the corolla, one component (1, 2)."""
+        return cls(2, d, {((1, 2),): 1})
+
     def degree(self):
         degs = {sum((len(w) - 1) * (1 - self.d) for w in t)
                 for t in self.terms}
         if len(degs) > 1:
             raise ValueError("inhomogeneous element")
-        return degs.pop() if degs else None
+        return degs.pop() if degs else 0
+
+    def compose(self, i, y):
+        return o_compose(self, i, y)
+
+    def act(self, sigma):
+        return s_action(self, sigma)
 
     def to_json(self):
         items = sorted(self.terms.items())
@@ -469,14 +480,11 @@ def s_action(x: OElement, sigma):
     return OElement(x.arity, x.d, out_terms, x.kind)
 
 
-def map_i(x: LieElement, d=None):
+def map_i(x: LieElement):
     """Image of a Lie element under the induced morphism (see lie.image);
     from arity 3 on a word maps to several terms, since components may
     attach directly to the output."""
-    if d is None:
-        d = x.parity_d
-    corolla = OElement(2, d, {((1, 2),): 1}, "lie")
-    return image(x, d, unit(d), corolla, o_compose, s_action)
+    return image(x, unit(x.d), OElement.bracket(x.d))
 
 
 def ass_corolla(n):
@@ -504,14 +512,12 @@ def quotient_to_gra(x: OElement) -> GraElement:
     the term's component order (d even)."""
     if x.kind != "lie":
         raise ValueError("quotient defined on the Lie kind")
-    out = GraElement(x.arity, x.d, {})
+    terms = {}
     for t, c in x.terms.items():
         if any(len(w) != 2 or w[0] == w[1] for w in t):
             continue  # >2 slots or a tadpole: in the ideal
-        edges = tuple(t)
-        g = OrientedGraph(x.d, x.arity, edges)
-        out = out + gra_element(g, c)
-    return out
+        _add_graph(terms, x.d, x.arity, t, c)
+    return GraElement(x.arity, x.d, terms)
 
 
 def ass_remark_check():

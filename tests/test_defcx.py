@@ -8,14 +8,15 @@ from itertools import permutations
 
 import pytest
 
-from liegraphs import defcx, linalg
-from liegraphs.defcx import (SliceBasis, _add_class, bracket_generator,
+from liegraphs import defcx, lie, linalg
+from liegraphs.defcx import (SliceBasis, _add_class,
                              build_slice, cohomology_rank, def_degree,
                              def_differential, five_wheel_cocycle,
                              gc_differential, gc_differential_combo, map_F,
                              symmetrize, tetrahedron, theta_def_element,
                              theta_graph, to_gc_classes)
-from liegraphs.gra import compose as gra_compose, element as gra_element
+from liegraphs.gra import GraElement, compose as gra_compose
+from liegraphs.gra import element as gra_element
 from liegraphs.graphs import OrientedGraph, enumerate_graphs, perm_sign
 from liegraphs.lie import (LieElement, _relabel_tree, basis_words, normalize,
                            word_to_tree)
@@ -28,33 +29,33 @@ def test_symmetrize_is_projector():
     for d in (1, 2):
         x = make_term(2, d, [(1, 2), (1, 2)]) \
             + make_term(2, d, [(1, 2, 2)], Fraction(2))
-        p = symmetrize(x, d)
-        assert symmetrize(p, d) == p
+        p = symmetrize(x)
+        assert symmetrize(p) == p
         y = LieElement(3, {(1, 2, 3): Fraction(1)}, d)
-        q = symmetrize(y, d)
-        assert symmetrize(q, d) == q
+        q = symmetrize(y)
+        assert symmetrize(q) == q
         g = gra_element(OrientedGraph(d, 3, ((1, 2), (2, 3))))
-        r = symmetrize(g, d)
-        assert symmetrize(r, d) == r
+        r = symmetrize(g)
+        assert symmetrize(r) == r
 
 
 def test_def_degree_anchors():
     # the bracket generator sits in degree 1 in every target
     for d in (1, 2):
-        for target in ("lie", "gra", "olie"):
-            assert def_degree(bracket_generator(d, target), d) == 1
-    assert def_degree(theta_def_element(), 1) == 1
-    assert def_degree(gra_element(theta_graph()), 1) == 1
-    assert def_degree(gra_element(tetrahedron()), 2) == 0
+        for cls in (LieElement, GraElement, OElement):
+            assert def_degree(cls.bracket(d)) == 1
+    assert def_degree(theta_def_element()) == 1
+    assert def_degree(gra_element(theta_graph())) == 1
+    assert def_degree(gra_element(tetrahedron())) == 0
 
 
 def test_differential_raises_degree():
     # smallest invariant elements with nonzero differential per parity
     for d, key in ((1, (3, 3)), (2, (2, 3))):
         x = build_slice("def-olie", d, key).basis[0]
-        dx = def_differential(x, d)
+        dx = def_differential(x)
         assert not dx.is_zero()
-        assert def_degree(dx, d) == def_degree(x, d) + 1
+        assert def_degree(dx) == def_degree(x) + 1
 
 
 def test_bare_white_hits_corolla():
@@ -62,20 +63,20 @@ def test_bare_white_hits_corolla():
     the anchor identity pinning both bracket slots of the formula."""
     for d in (1, 2):
         bare = OElement(1, d, {(): Fraction(1)}, "lie")
-        assert def_differential(bare, d) == make_term(2, d, [(1, 2)])
+        assert def_differential(bare) == make_term(2, d, [(1, 2)])
 
 
 def test_bracket_generator_closed():
     for d in (1, 2):
-        for target in ("lie", "gra", "olie"):
-            mu = bracket_generator(d, target)
-            assert def_differential(mu, d).is_zero()
+        for cls in (LieElement, GraElement, OElement):
+            mu = cls.bracket(d)
+            assert def_differential(mu).is_zero()
 
 
 def test_theta_def_element():
     th = theta_def_element()
-    assert symmetrize(th, 1) == th
-    assert def_differential(th, 1).is_zero()
+    assert symmetrize(th) == th
+    assert def_differential(th).is_zero()
     assert map_F(th) == gra_element(theta_graph())
     # components with three or more slots die under the projection
     assert map_F(make_term(3, 1, [(1, 2, 3)])).is_zero()
@@ -86,7 +87,7 @@ def test_def_olie_d_squared_zero():
         for n, k in ((1, 0), (2, 1), (2, 2), (3, 2)):
             sl = build_slice("def-olie", d, (n, k))
             for x in sl.basis:
-                assert def_differential(def_differential(x, d), d).is_zero()
+                assert def_differential(def_differential(x)).is_zero()
 
 
 def test_chain_map_to_graphs():
@@ -96,8 +97,8 @@ def test_chain_map_to_graphs():
         for n, k in ((2, 1), (2, 2), (3, 2)):
             sl = build_slice("def-olie", d, (n, k))
             for x in sl.basis[:3]:
-                assert map_F(def_differential(x, d)) \
-                    == def_differential(map_F(x), d)
+                assert map_F(def_differential(x)) \
+                    == def_differential(map_F(x))
 
 
 def test_gc_d_squared_zero_small():
@@ -120,8 +121,8 @@ def test_gc_matches_symmetrized_oracle():
              (2, 4, ((1, 2), (2, 3), (3, 4), (1, 4)))]
     for d, n, edges in cases:
         g = OrientedGraph(d, n, edges)
-        x = symmetrize(gra_element(g), d)
-        dx = def_differential(x, d)
+        x = symmetrize(gra_element(g))
+        dx = def_differential(x)
         out = {}
         for G, c in dx.terms.items():
             _add_class(out, G, c)
@@ -133,7 +134,7 @@ def _split_weights(x, d):
     the weights c_i of the splittings x o_i mu, or None when they
     vanish (d odd, n even)."""
     n = x.arity
-    sign = Fraction((-1) ** (def_degree(x, d) % 2))
+    sign = Fraction((-1) ** (def_degree(x) % 2))
     if d % 2 == 1 and n % 2 == 0:
         return None
     return [sign * (Fraction(1) if d % 2 == 0
@@ -144,18 +145,16 @@ def _split_weights(x, d):
 def _oracle_def_differential(x, d):
     """delta(Px) = P(mu o_1 x + mu o_2 x) - P(sum_i c_i x o_i mu), with
     the two parts symmetrized apart."""
-    target = defcx._target_of(x)
-    mu = bracket_generator(d, target)
-    out = symmetrize(defcx._compose(d, target, mu, 1, x)
-                     + defcx._compose(d, target, mu, 2, x), d)
+    mu = type(x).bracket(d)
+    out = symmetrize(mu.compose(1, x) + mu.compose(2, x))
     weights = _split_weights(x, d)
     if weights is None:
         return out
     splits = None
     for i, w in enumerate(weights, 1):
-        piece = defcx._compose(d, target, x, i, mu).scaled(w)
+        piece = x.compose(i, mu).scaled(w)
         splits = piece if splits is None else splits + piece
-    return out - symmetrize(splits, d)
+    return out - symmetrize(splits)
 
 
 def _oracle_gc_differential(g, min_valence):
@@ -163,7 +162,7 @@ def _oracle_gc_differential(g, min_valence):
     representative, reduced to classes."""
     d = g.d
     e = gra_element(g)
-    mu = bracket_generator(d, "gra")
+    mu = GraElement.bracket(d)
     raw = gra_compose(mu, 1, e) + gra_compose(mu, 2, e)
     for v, w in enumerate(_split_weights(e, d) or (), 1):
         raw = raw - gra_compose(e, v, mu).scaled(w)
@@ -189,7 +188,7 @@ def test_bracket_mu_matches_split_formula():
             elements += [(x, d) for x in gens]
     assert len(elements) == 32
     for x, d in elements:
-        assert def_differential(x, d) == _oracle_def_differential(x, d)
+        assert def_differential(x) == _oracle_def_differential(x, d)
     graphs = 0
     for d in (1, 2):
         for mv in (1, 3):
@@ -206,7 +205,7 @@ def test_word_action_matches_uncached_normalize():
     """The cached relabelling of Lie words agrees with normalizing the
     relabelled tree, for every basis word of arity <= 5 and every
     permutation; for d even the action is twisted by the sign."""
-    defcx._word_action.cache_clear()
+    lie._word_action.cache_clear()
     for d in (1, 2):
         for n in range(2, 6):
             for w in basis_words(n):
@@ -217,9 +216,9 @@ def test_word_action_matches_uncached_normalize():
                     want = normalize(tree, d)
                     if d % 2 == 0:
                         want = want.scaled(perm_sign(list(sigma)))
-                    got = defcx._act(d, "lie", x, sigma)
-                    assert got == want and got.parity_d == d
-    info = defcx._word_action.cache_info()
+                    got = x.act(sigma)
+                    assert got == want and got.d == d
+    info = lie._word_action.cache_info()
     assert info.currsize == info.misses == sum(
         len(basis_words(n)) * math.factorial(n) for n in range(2, 6))
     assert info.hits == info.misses
@@ -304,8 +303,8 @@ def test_grid_edge_raises_at_first_image(monkeypatch):
     image = defcx._image
     seen = []
 
-    def recorded(complex_id, d, x):
-        seen.append(image(complex_id, d, x))
+    def recorded(complex_id, x):
+        seen.append(image(complex_id, x))
         return seen[-1]
 
     monkeypatch.setattr(defcx, "_image", recorded)
@@ -322,8 +321,8 @@ def test_chain_checks_square_zero(monkeypatch):
     hot = OrientedGraph(1, 3, ((1, 3), (2, 3), (2, 3), (2, 3)))
     image = defcx._image
 
-    def corrupted(complex_id, d, x):
-        out = dict(image(complex_id, d, x))
+    def corrupted(complex_id, x):
+        out = dict(image(complex_id, x))
         if x == theta:
             out[hot] = out.get(hot, 0) + 1
         return out
@@ -347,7 +346,7 @@ def _greedy_basis(complex_id, d, key):
     for t in terms:
         x = symmetrize(OElement(n, d, {t: Fraction(1)}, "lie")
                        if complex_id == "def-olie"
-                       else LieElement(n, {t: Fraction(1)}, d), d)
+                       else LieElement(n, {t: Fraction(1)}, d))
         vec = {index[tt]: c for tt, c in x.terms.items()}
         if vec and linalg.rank(SparseMatrix.from_columns(
                 cols + [vec], len(terms))) > len(cols):
@@ -374,7 +373,7 @@ def test_invariant_basis_matches_greedy_rank():
             if chain.in_bounds(succ) else ([], {}, SparseMatrix(0, 0, []))
         cols = []
         for x, new_col in zip(gens, sl.matrix.transpose().rows):
-            image = def_differential(x, d).terms
+            image = def_differential(x).terms
             vec = {index[t]: c for t, c in image.items()}
             col = linalg.solve(span, vec)
             assert col is not None and span.mul_vector(col) == vec
@@ -402,6 +401,6 @@ def test_graph_slice_rows_drop_empty_rows():
 
 
 def test_to_gc_classes():
-    y = symmetrize(gra_element(theta_graph()), 1)
+    y = symmetrize(gra_element(theta_graph()))
     classes = to_gc_classes(y)
     assert list(classes) == [theta_graph()]

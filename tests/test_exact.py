@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liegraphs import defcx, gra, gutt, poly
+from liegraphs import defcx, gra, gutt, lie, poly
 from liegraphs.graphs import OrientedGraph
 from liegraphs.lie import LieElement, basis_words
 from liegraphs.linalg import (Combination, Echelon, SparseMatrix, in_image,
@@ -24,7 +24,7 @@ THIRD = Fraction(1, 3)
 # every memo whose entries hold coefficients
 MEMOS = [(poly, "component_normal_form"), (poly, "_component_action"),
          (poly, "_term_action"), (poly, "_basis_system"),
-         (defcx, "_word_action"), (defcx, "_gc_differential"),
+         (lie, "_word_action"), (defcx, "_gc_differential"),
          (gutt, "_straighten"), (gutt, "_sigma_basis"),
          (gutt, "_sigma_inv_basis"), (gutt, "_star_basis")]
 

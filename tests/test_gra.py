@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from liegraphs.gra import (GraElement, compose, element, gra_image,
-                           lie_to_gra, s_action, unit)
+                           s_action, unit)
 from liegraphs.graphs import OrientedGraph, _normal_form
 from liegraphs.lie import normalize
 
@@ -42,7 +42,7 @@ def test_compose_unit():
 
 def test_compose_index_range():
     d = 1
-    e = lie_to_gra(d)
+    e = GraElement.bracket(d)
     with pytest.raises(ValueError):
         compose(e, 3, e)
     for i in (True, 1.0, "1", None):
@@ -101,7 +101,7 @@ def test_compose_matches_canonicalize_oracle():
 
 def test_sequential_associativity_edges():
     for d in (1, 2):
-        e = lie_to_gra(d)
+        e = GraElement.bracket(d)
         # operad axiom (a o_i b) o_j c = a o_i (b o_{j-i+1} c) at i=1, j=2
         lhs = compose(compose(e, 1, e), 2, e)
         rhs = compose(e, 1, compose(e, 2, e))
@@ -160,15 +160,15 @@ def test_operad_axioms_random():
 
 
 def test_s_action_examples():
-    e1 = lie_to_gra(1)
+    e1 = GraElement.bracket(1)
     assert s_action(e1, (1, 2)) == e1
     assert s_action(e1, (2, 1)) == e1.scaled(Fraction(-1))
-    e2 = lie_to_gra(2)
+    e2 = GraElement.bracket(2)
     assert s_action(e2, (2, 1)) == e2
 
 
 def test_s_action_rejects_non_permutations():
-    e = lie_to_gra(1)
+    e = GraElement.bracket(1)
     for sigma in ((2, 3), (0, 2), (1, 1), (1,), (1, 2, 3)):
         with pytest.raises(ValueError, match="not a permutation"):
             s_action(e, sigma)
@@ -210,8 +210,8 @@ def test_equivariance():
 
 
 def test_lie_to_gra_display():
-    assert list(lie_to_gra(1).terms) == [graph(1, 2, (1, 2))]
-    assert list(lie_to_gra(2).terms) == [graph(2, 2, (1, 2))]
+    assert list(GraElement.bracket(1).terms) == [graph(1, 2, (1, 2))]
+    assert list(GraElement.bracket(2).terms) == [graph(2, 2, (1, 2))]
 
 
 def test_jacobi_image_is_zero():
@@ -221,7 +221,7 @@ def test_jacobi_image_is_zero():
     for d in (1, 2):
         raw = GraElement(3, d, {})
         for tree in relator:
-            raw = raw + gra_image(normalize(tree, d), d)
+            raw = raw + gra_image(normalize(tree, d))
         assert raw.is_zero()
 
 
@@ -244,11 +244,14 @@ def test_lie_to_gra_is_operad_morphism():
         y = LieElement(k, {w: Fraction(rng.randint(-2, 2))
                            for w in rng.sample(basis_words(k), 1)}, d)
         i = rng.randint(1, m)
-        lhs = gra_image(graft(x, i, y), d)
-        rhs = compose(gra_image(x, d), i, gra_image(y, d))
+        lhs = gra_image(graft(x, i, y))
+        rhs = compose(gra_image(x), i, gra_image(y))
         if d % 2 == 0 and (i - 1) * (k - 1) % 2 == 1:
             rhs = rhs.scaled(Fraction(-1))
         assert lhs == rhs
+        # the sign-free form: the suspension sign is inside compose
+        assert gra_image(x.compose(i, y)) \
+            == gra_image(x).compose(i, gra_image(y))
 
 
 def test_compose_never_tadpoles():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liegraphs import linalg
-from liegraphs.gra import lie_to_gra
+from liegraphs.gra import GraElement
 from liegraphs.gutt import (FPLieAlgebra, abelian, gutt_mod_I_series,
                             heisenberg, monomial, poly_add, poly_scale,
                             series_coefficient, sigma, sigma_inv,
@@ -163,7 +163,7 @@ def test_skew_symmetrized_series():
     assert series_coefficient(sk, 5) == Fraction(1, 120)
     # the linear term is the graph-operad bracket generator
     single = {g: c for g, c in sk.terms.items() if g.n_edges() == 1}
-    assert single == dict(lie_to_gra(1).terms)
+    assert single == dict(GraElement.bracket(1).terms)
 
 
 def test_algebra_json_roundtrip():

@@ -13,7 +13,6 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liegraphs import defcx
 from liegraphs.gra import GraElement, gra_image
 from liegraphs.lie import (BracketParseError, LieElement, _relabel_tree,
                            assoc_expand, basis_words, bch_truncated, dim_lie,
@@ -172,26 +171,33 @@ def test_image_under_lie_itself_is_identity():
     checked = 0
     for d in (1, 2):
         lie_unit = LieElement(1, {(1,): 1}, d)
-        mu = defcx.bracket_generator(d, "lie")
-
-        def compose(a, i, b):
-            return defcx._compose(d, "lie", a, i, b)
-
-        def act(x, sigma):
-            return defcx._act(d, "lie", x, sigma)
-
+        mu = LieElement.bracket(d)
         for m in range(1, 6):
             for w in basis_words(m):
                 x = LieElement(m, {w: 1}, d)
-                assert image(x, d, lie_unit, mu, compose, act) == x, (d, w)
+                assert image(x, lie_unit, mu) == x, (d, w)
                 checked += 1
         for m in (0, 3):
             empty = LieElement(m, {}, d)
-            for got, cls in ((map_i(empty, d), OElement),
-                             (gra_image(empty, d), GraElement)):
+            for got, cls in ((map_i(empty), OElement),
+                             (gra_image(empty), GraElement)):
                 assert type(got) is cls and got.arity == m
                 assert got.is_zero()
     assert checked == 68
+
+
+def test_lie_elements_of_different_d_do_not_mix():
+    """d lives on the element: Lie elements with the same words but
+    different d are unequal, and adding them is an error, not a sum
+    under the left operand's sign rule."""
+    for d, e in ((1, 2), (2, 1), (1, 3)):
+        a = LieElement(2, {(1, 2): 1}, d)
+        b = LieElement(2, {(1, 2): 1}, e)
+        assert a != b
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a - b
 
 
 def test_graft_slot_range():

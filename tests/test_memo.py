@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from liegraphs import MEMO_MAXSIZE, defcx, gutt, poly
+from liegraphs import MEMO_MAXSIZE, defcx, gutt, lie, poly
 from liegraphs.graphs import OrientedGraph
 
-MEMOISED = (defcx._plain_changes, defcx._gc_differential, defcx._word_action,
+MEMOISED = (defcx._plain_changes, defcx._gc_differential, lie._word_action,
             poly.lyndon_tree, poly._basis_system, poly.component_normal_form,
             poly._component_action, poly._term_action,
             gutt._straighten, gutt._sigma_basis, gutt._sigma_inv_basis,

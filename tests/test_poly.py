@@ -8,8 +8,9 @@ import pytest
 
 from liegraphs import poly
 from liegraphs.defcx import _o_slice_terms
-from liegraphs.gra import compose as gra_compose, gra_image, lie_to_gra
-from liegraphs.graphs import perm_sign
+from liegraphs.gra import GraElement, compose as gra_compose, gra_image
+from liegraphs.gra import element as gra_element
+from liegraphs.graphs import OrientedGraph, perm_sign
 from liegraphs.lie import _relabel_tree, normalize
 from liegraphs.poly import (OElement, ass_corolla, ass_remark_check,
                             basis_for_multiset, component_normal_form,
@@ -325,7 +326,7 @@ def test_s_action_is_an_action():
 
 def test_map_i_corolla():
     for d in (1, 2):
-        assert map_i(normalize((1, 2), d), d) == corolla(d)
+        assert map_i(normalize((1, 2), d)) == corolla(d)
 
 
 def test_map_i_quotient_coherence():
@@ -340,7 +341,7 @@ def test_map_i_quotient_coherence():
         x = LieElement(m, {w: Fraction(rng.randint(-2, 2))
                            for w in rng.sample(words, min(2, len(words)))},
                        d)
-        assert quotient_to_gra(map_i(x, d)) == gra_image(x, d)
+        assert quotient_to_gra(map_i(x)) == gra_image(x)
 
 
 def test_map_i_is_morphism():
@@ -359,11 +360,13 @@ def test_map_i_is_morphism():
         y = LieElement(k, {rng.choice(basis_words(k)):
                            Fraction(rng.randint(-2, 2))}, d)
         i = rng.randint(1, m)
-        lhs = map_i(graft(x, i, y), d)
-        rhs = o_compose(map_i(x, d), i, map_i(y, d))
+        lhs = map_i(graft(x, i, y))
+        rhs = o_compose(map_i(x), i, map_i(y))
         if d % 2 == 0 and (i - 1) * (k - 1) % 2 == 1:
             rhs = rhs.scaled(Fraction(-1))
         assert lhs == rhs
+        # the sign-free form: the suspension sign is inside compose
+        assert map_i(x.compose(i, y)) == map_i(x).compose(i, map_i(y))
 
 
 def random_o(rng, d, arity, comp_lens):
@@ -572,10 +575,42 @@ def test_ass_corolla_display():
     assert ass_corolla(3).terms == {((1, 2, 3),): Fraction(1)}
 
 
+def _quotient_by_sums(x):
+    """quotient_to_gra as one element sum per term."""
+    out = GraElement(x.arity, x.d, {})
+    for t, c in x.terms.items():
+        if any(len(w) != 2 or w[0] == w[1] for w in t):
+            continue
+        out = out + gra_element(OrientedGraph(x.d, x.arity, tuple(t)), c)
+    return out
+
+
+def test_quotient_to_gra_matches_term_by_term_sums():
+    """Summed into one dict, the projection of a many-term element is
+    the sum of its terms' projections.  The raw terms come in pairs
+    that list one edge set in two orders with coefficients that cancel
+    in Gra, beside terms in the ideal (three slots, tadpoles)."""
+    rng = random.Random(13)
+    pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    for d in (1, 2):
+        terms = {((1, 2, 3),): 5, ((1, 1), (2, 3)): 2}
+        while len(terms) < 600:
+            t = tuple(rng.sample(pairs, 3))
+            c = rng.randint(-3, 3) or 1
+            terms[t] = c
+            # t reversed swaps its first and last edge: an odd edge
+            # permutation, which changes the sign of the graph at even d
+            terms.setdefault(t[::-1], -c if d % 2 else c)
+        x = OElement(6, d, terms)
+        got = quotient_to_gra(x)
+        assert got == _quotient_by_sums(x)
+        assert 0 < len(got.terms) < len(terms) // 2
+
+
 def test_quotient_to_gra_generators():
     for d in (1, 2):
-        assert quotient_to_gra(map_i(normalize((1, 2), d), d)) \
-            == lie_to_gra(d)
+        assert quotient_to_gra(map_i(normalize((1, 2), d))) \
+            == GraElement.bracket(d)
     # a 3-slot component lies in the ideal
     assert quotient_to_gra(make_term(3, 1, [(1, 2, 3)])).is_zero()
 
@@ -593,7 +628,7 @@ def test_quotient_is_morphism():
     # and on the worked corolla example
     for d in (1, 2):
         lhs = quotient_to_gra(o_compose(corolla(d), 2, corolla(d)))
-        rhs = gra_compose(lie_to_gra(d), 2, lie_to_gra(d))
+        rhs = gra_compose(GraElement.bracket(d), 2, GraElement.bracket(d))
         assert lhs == rhs
 
 
