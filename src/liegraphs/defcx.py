@@ -14,7 +14,10 @@ differential is
 
 followed by the symmetrizer (a projector: average, not sum), where mu
 is the image of the binary bracket in the target and |x| is the
-deformation degree d(n-1) + (internal degree).
+deformation degree d(n-1) + (internal degree).  The symmetrizer sums
+over S_n through the cosets of S_1 < S_2 < ... < S_n, so the bracket
+with mu of an invariant x, already invariant in all but one or two
+labels, costs about its orbit rather than (n+1)! relabellings.
 
 Generators of fcGC_d are connected graphs up to relabeling; the
 differential follows the printed formula: -2 times the sum of univalent
@@ -37,44 +40,36 @@ from .linalg import SparseMatrix, _add, _axpy, _exact
 from .poly import OElement, make_term
 
 
-@memo
-def _plain_changes(n):
-    """Adjacent-swap positions (0-based) visiting all of S_n once."""
-    if n <= 1:
-        return ()
-    sub = _plain_changes(n - 1)
-    out = []
-    for k in range(len(sub) + 1):
-        if k % 2 == 0:
-            out.extend(range(n - 2, -1, -1))
-        else:
-            out.extend(range(0, n - 1))
-        if k < len(sub):
-            out.append(sub[k] + (1 if k % 2 == 0 else 0))
-    return tuple(out)
-
-
 def symmetrize(x):
     """(Anti)symmetrizer projector: average over label permutations,
     sign-twisted for d odd.
 
-    Walks S_n by adjacent transpositions so every step is a cheap
-    neighbor swap instead of an arbitrary relabeling.  The signed sum is
+    The sum over S_n is built in stages k = 2..n, since S_k is the union
+    of the cosets of S_{k-1} by the cycles that send label k to each
+    j < k.  Stage k adds to the running sum its images under those
+    k - 1 cycles, each reached from the last by one adjacent swap: the
+    swaps (k-1 k), (k-2 k-1), ..., (1 2), in that order, reach the cycle
+    of j after k - j of them, with sign (-1)^(k-j) at odd d.  Adjacent
+    swaps give the right cosets whether `act` is a left or a right
+    action, and a stage mixes only label k into the labels before it,
+    so an input already invariant in some labels grows by its orbit,
+    not by n!.  That is 1 + n(n-1)/2 calls of `act`.  The signed sum is
     accumulated unscaled and divided by n! once."""
     n = x.arity
-    odd = x.d % 2 == 1
-    sgn = 1
+    sign = -1 if x.d % 2 == 1 else 1
+    ident = tuple(range(1, n + 1))
+    swaps = [ident[:j - 1] + (j + 1, j) + ident[j + 1:]
+             for j in range(1, n)]
     # identity pass normalizes inputs whose terms are not yet in basis form
-    current = x.act(tuple(range(1, n + 1)))
-    merged = dict(current.terms)
-    for pos in _plain_changes(n):
-        tau = list(range(1, n + 1))
-        tau[pos], tau[pos + 1] = tau[pos + 1], tau[pos]
-        current = current.act(tuple(tau))
-        if odd:
-            sgn = -sgn
-        _axpy(merged, sgn, current.terms)
-    return x.with_terms(merged).scaled(Fraction(1, math.factorial(n)))
+    total = x.act(ident)
+    for k in range(2, n + 1):
+        merged, current, sgn = dict(total.terms), total, 1
+        for tau in reversed(swaps[:k - 1]):
+            current = current.act(tau)
+            sgn *= sign
+            _axpy(merged, sgn, current.terms)
+        total = x.with_terms(merged)
+    return total.scaled(Fraction(1, math.factorial(n)))
 
 
 def def_degree(x):

@@ -261,10 +261,12 @@ def graft(outer, slot, inner):
 
     Inner labels are shifted to occupy slot..slot+k-1; outer labels above
     the slot shift up by k-1.  Sign-neutral: Koszul signs for even d are
-    the caller's responsibility.
+    the caller's responsibility.  Both elements must have the same d.
     """
     if not 1 <= slot <= outer.arity:
         raise ValueError(f"slot {slot} out of range 1..{outer.arity}")
+    if outer.d != inner.d:
+        raise ValueError("parity mismatch")
     k = inner.arity
     outer_map = {j: (j if j < slot else j + k - 1)
                  for j in range(1, outer.arity + 1)}

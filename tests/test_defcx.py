@@ -8,7 +8,7 @@ from itertools import permutations
 
 import pytest
 
-from liegraphs import defcx, lie, linalg
+from liegraphs import defcx, lie, linalg, poly
 from liegraphs.defcx import (SliceBasis, _add_class,
                              build_slice, cohomology_rank, def_degree,
                              def_differential, five_wheel_cocycle,
@@ -37,6 +37,57 @@ def test_symmetrize_is_projector():
         g = gra_element(OrientedGraph(d, 3, ((1, 2), (2, 3))))
         r = symmetrize(g)
         assert symmetrize(r) == r
+
+
+def _full_symmetrize(x):
+    """The projector by its definition: the average of x.act(sigma) over
+    all of S_n, each twisted by perm_sign(sigma) at odd d."""
+    n, out = x.arity, {}
+    for sigma in permutations(range(1, n + 1)):
+        sign = perm_sign(list(sigma)) if x.d % 2 == 1 else 1
+        linalg._axpy(out, sign, x.act(sigma).terms)
+    return x.with_terms(out).scaled(Fraction(1, math.factorial(n)))
+
+
+def test_symmetrize_matches_full_sum():
+    """The staged sum over cosets equals the n!-term sum on raw def-olie
+    terms through (3,3) and their brackets with mu, Lie words through
+    arity 4 and labelled graphs with v <= 4, e <= 4, at d = 1 and 2."""
+    inputs = []
+    for d in (1, 2):
+        for n in range(1, 4):
+            for k in range(4):
+                for t in defcx._o_slice_terms(n, k, d):
+                    x = OElement(n, d, {t: 1}, "lie")
+                    inputs += [x, defcx._bracket_mu(x)]
+        for n in range(1, 5):
+            inputs += [LieElement(n, {w: 1}, d) for w in basis_words(n)]
+        for v in range(1, 5):
+            for e in range(5):
+                inputs += [gra_element(OrientedGraph(d, v, g.edges))
+                           for g in enumerate_graphs(v, e, 1,
+                                                     connected=False)]
+    assert len(inputs) == 272
+    for x in inputs:
+        assert symmetrize(x) == _full_symmetrize(x)
+
+
+def test_symmetrize_cost(monkeypatch):
+    """Stage k of the symmetrizer acts by k - 1 cycles, so an arity-n
+    element costs 1 + n(n-1)/2 calls of the action, not n!."""
+    calls = []
+    act = poly.s_action
+
+    def counted(x, sigma):
+        calls.append(sigma)
+        return act(x, sigma)
+
+    monkeypatch.setattr(poly, "s_action", counted)
+    for n in range(2, 6):
+        calls.clear()
+        path = [(j, j + 1) for j in range(1, n)]
+        symmetrize(make_term(n, 2, path))
+        assert len(calls) == 1 + n * (n - 1) // 2
 
 
 def test_def_degree_anchors():

@@ -205,6 +205,16 @@ def test_graft_slot_range():
         graft(normalize((1, 2)), 3, unit())
 
 
+def test_graft_refuses_mixed_d():
+    """Like gra.compose and poly.o_compose, graft composes only elements
+    of one d."""
+    for outer, slot, inner in ((1, 1, 2), (2, 2, 1)):
+        with pytest.raises(ValueError):
+            LieElement.bracket(outer).compose(slot, LieElement.bracket(inner))
+        with pytest.raises(ValueError):
+            graft(LieElement.bracket(outer), slot, LieElement.bracket(inner))
+
+
 def random_element(rng, m):
     words = basis_words(m)
     terms = {w: Fraction(rng.randint(-3, 3)) for w in rng.sample(

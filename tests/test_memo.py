@@ -7,8 +7,8 @@ import pytest
 from liegraphs import MEMO_MAXSIZE, defcx, gutt, lie, poly
 from liegraphs.graphs import OrientedGraph
 
-MEMOISED = (defcx._plain_changes, defcx._gc_differential, lie._word_action,
-            poly.lyndon_tree, poly._basis_system, poly.component_normal_form,
+MEMOISED = (defcx._gc_differential, lie._word_action, poly.lyndon_tree,
+            poly._basis_system, poly.component_normal_form,
             poly._component_action, poly._term_action,
             gutt._straighten, gutt._sigma_basis, gutt._sigma_inv_basis,
             gutt._star_basis)
@@ -22,11 +22,15 @@ def test_every_memo_is_bounded():
 
 
 def test_memo_counts_hits():
-    defcx._plain_changes.cache_clear()
-    first = defcx._plain_changes(4)
-    assert defcx._plain_changes(4) is first
-    info = defcx._plain_changes.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
+    """lyndon_tree((1, 2, 3)) is (1, (2, 3)): one miss for each of the
+    words (1, 2, 3), (1,), (2, 3), (2,) and (3,); the second call is one
+    hit."""
+    poly.lyndon_tree.cache_clear()
+    first = poly.lyndon_tree((1, 2, 3))
+    assert first == (1, (2, 3))
+    assert poly.lyndon_tree((1, 2, 3)) is first
+    info = poly.lyndon_tree.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 5, 5)
 
 
 def test_memo_results_are_read_only():
