@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 # The bound is far above the largest cache any table or op-stream fills
 # (a few thousand entries), so nothing is evicted there; one
 # `cohomology --complex def-olie --d 2 --arity 2 --internal 3` call, for
-# example, fills 574 entries of poly._term_action and 159 of
-# poly._component_action.
+# example, fills 574 entries of poly._term_action.
 MEMO_MAXSIZE = 2 ** 16
 memo = functools.lru_cache(maxsize=MEMO_MAXSIZE)

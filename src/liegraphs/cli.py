@@ -456,10 +456,7 @@ def cmd_compose(args):
               file=sys.stderr)
         return 1
     try:
-        if args.op == "gra":
-            out = gra.compose(a, args.i, b)
-        else:
-            out = poly.o_compose(a, args.i, b)
+        out = a.compose(args.i, b)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

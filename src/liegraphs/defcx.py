@@ -132,10 +132,9 @@ def gc_differential(g: OrientedGraph, min_valence=1):
 def _gc_differential(g, min_valence):
     out = {}
     for G, c in _bracket_mu(gra_element(g)).terms.items():
-        _add_class(out, G, c)
-    if min_valence > 1:
-        out = {G: c for G, c in out.items()
-               if min(G.valences()) >= min_valence}
+        # valences survive relabelling: drop a term before reducing it
+        if min_valence <= 1 or min(G.valences()) >= min_valence:
+            _add_class(out, G, c)
     # sums of the 1/n-weighted terms of odd d can be integral
     return MappingProxyType({G: _exact(c) for G, c in out.items()})
 
@@ -204,7 +203,7 @@ def _o_slice_terms(n, k, d):
 
     def rec(start, left, acc):
         if left == 0:
-            key, sign = poly._sort_term(list(acc), d, "lie")
+            key, sign = poly._sort_term(list(acc), p)
             if sign != 0 and poly.is_connected_term(n, key):
                 labels = {x for w in key for x in w}
                 if labels == set(range(1, n + 1)) or (n == 1 and not key):

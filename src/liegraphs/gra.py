@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .graphs import OrientedGraph, _normal_form
+from .graphs import OrientedGraph, _as_permutation, _check_slot, _normal_form
 from .lie import LieElement, image
 from .linalg import Combination, _add, _exact
 
@@ -63,18 +63,15 @@ class GraElement(Combination):
 
     @classmethod
     def from_json(cls, rec):
+        arity, d = rec["arity"], rec["d"]
         terms = {}
         for t in rec["terms"]:
             g = OrientedGraph.from_json(t["graph"])
-            terms[g] = terms.get(g, 0) + _exact(t["coeff"])
-        arity, d = rec["arity"], rec["d"]
-        out = {}
-        for g, c in terms.items():
             if (g.n_vertices, g.d) != (arity, d):
                 raise ValueError(f"graph of shape {(g.n_vertices, g.d)} in"
                                  f" an element of shape {(arity, d)}")
-            _add_graph(out, d, arity, g.edges, c)
-        return cls(arity, d, out)
+            _add_graph(terms, d, arity, g.edges, _exact(t["coeff"]))
+        return cls(arity, d, terms)
 
 
 def _add_graph(terms, d, n, edges, coeff):
@@ -102,10 +99,7 @@ def compose(g1, i, g2):
     g2's vertices occupy i..i+arity(g2)-1; for d even g1's edges keep
     their order and g2's are appended after them.
     """
-    if type(i) is not int:
-        raise TypeError(f"index {i!r} is not an int")
-    if not 1 <= i <= g1.arity:
-        raise ValueError(f"index {i} out of range 1..{g1.arity}")
+    _check_slot(i, g1.arity)
     if g1.d != g2.d:
         raise ValueError("parity mismatch")
     d, v2 = g1.d, g2.arity
@@ -135,9 +129,7 @@ def compose(g1, i, g2):
 
 def s_action(g, sigma):
     """Relabel vertices by the permutation sigma (sequence of images)."""
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(1, g.arity + 1)):
-        raise ValueError(f"not a permutation of 1..{g.arity}: {sigma}")
+    sigma = _as_permutation(sigma, g.arity)
     mapping = {v: sigma[v - 1] for v in range(1, g.arity + 1)}
     terms = {}
     for G, c in g.terms.items():

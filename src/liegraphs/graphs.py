@@ -88,6 +88,24 @@ def perm_sign(perm):
     return (-1) ** inv
 
 
+def _check_slot(i, arity):
+    """Refuse a composition index: TypeError unless it is an int (a
+    bool is not), ValueError outside 1..arity."""
+    if type(i) is not int:
+        raise TypeError(f"index {i!r} is not an int")
+    if not 1 <= i <= arity:
+        raise ValueError(f"index {i} out of range 1..{arity}")
+
+
+def _as_permutation(sigma, n):
+    """sigma (a sequence of images) as a tuple; ValueError unless it
+    permutes 1..n."""
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {sigma}")
+    return sigma
+
+
 def _normal_form(d, edges):
     """Sort a labelled edge list into (low, high) pairs.
 
@@ -331,8 +349,7 @@ def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
                 if child in tried or not viable(child, left):
                     continue
                 tried.add(child)
-                children.add(canonicalize(
-                    OrientedGraph(1, n, child)).canonical.edges)
+                children.add(_canonical_form(1, n, child)[0])
         level = children
     signed = [canonicalize(OrientedGraph(d, n, edges)) for edges in level]
     return sorted((sc.canonical for sc in signed if not sc.is_zero()),

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import memo
-from .graphs import perm_sign
+from .graphs import _as_permutation, _check_slot, perm_sign
 from .linalg import Combination, _add, _axpy, _exact
 
 
@@ -198,8 +198,8 @@ class LieElement(Combination):
     def act(self, sigma):
         """Relabel slots by sigma (sequence of images); for even d the
         suspension twists the relabelling by the sign of sigma."""
-        sigma = tuple(sigma)
-        sign = perm_sign(list(sigma)) if self.d % 2 == 0 else 1
+        sigma = _as_permutation(sigma, self.arity)
+        sign = perm_sign(sigma) if self.d % 2 == 0 else 1
         out = {}
         for w, c in self.terms.items():
             for v, cv in _word_action(w, sigma):
@@ -263,8 +263,7 @@ def graft(outer, slot, inner):
     the slot shift up by k-1.  Sign-neutral: Koszul signs for even d are
     the caller's responsibility.  Both elements must have the same d.
     """
-    if not 1 <= slot <= outer.arity:
-        raise ValueError(f"slot {slot} out of range 1..{outer.arity}")
+    _check_slot(slot, outer.arity)
     if outer.d != inner.d:
         raise ValueError("parity mismatch")
     k = inner.arity

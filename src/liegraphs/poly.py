@@ -35,7 +35,7 @@ from types import MappingProxyType
 
 from . import memo
 from .gra import GraElement, _add_graph
-from .graphs import _components, perm_sign
+from .graphs import _as_permutation, _check_slot, _components, perm_sign
 from .lie import LieElement, _relabel_tree, assoc_expand, image
 from .lie import parse_bracket, pretty_bracket, tree_leaves, word_to_tree
 from .linalg import Combination, Echelon, _add, _exact
@@ -128,33 +128,42 @@ def component_normal_form(tree, p):
 
 # -- elements ---------------------------------------------------------
 
-def _parity(word, d, kind):
-    if kind == "ass":
-        return 0
-    return (len(word) - 1) * (1 - d) % 2
+def _gen_parity(d, kind):
+    """Parity p of the generators: (d - 1) mod 2, 0 for the ass kind."""
+    return (d - 1) % 2 if kind == "lie" else 0
+
+
+def _word_tree(word, kind):
+    """Bracket tree of a component word: its Lyndon bracketing, or the
+    left-nested tree for the ass kind."""
+    return lyndon_tree(word) if kind == "lie" else word_to_tree(word)
+
+
+def _parity(word, p):
+    """Operadic degree parity of a component: (m - 1) p for m slots."""
+    return (len(word) - 1) * p % 2
 
 
 def _word_key(w):
     return len(w), w
 
 
-def _sort_term(words, d, kind):
+def _sort_term(words, p):
     """Canonically sort component words; Koszul sign from odd components.
 
     Returns (sorted tuple, sign) with sign 0 when an odd component
-    repeats.  Components are all even at odd d and for the ass kind.
+    repeats.  Components are all even at p = 0.
     """
     if len(words) < 2:
         return tuple(words), 1
-    if kind == "ass" or d % 2 == 1:
+    if not p:
         return tuple(sorted(words, key=_word_key)), 1
     keyed = sorted(range(len(words)), key=lambda i: _word_key(words[i]))
     out = tuple(words[i] for i in keyed)
     for a, b in zip(out, out[1:]):
-        if a == b and _parity(a, d, kind) == 1:
+        if a == b and _parity(a, p) == 1:
             return out, 0
-    return out, perm_sign([i for i in keyed
-                           if _parity(words[i], d, kind) == 1])
+    return out, perm_sign([i for i in keyed if _parity(words[i], p) == 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,34 +216,27 @@ class OElement(Combination):
     def from_json(cls, rec):
         kind = rec.get("kind", "lie")
         d = rec["d"]
-        p = (d - 1) % 2 if kind == "lie" else 0
         arity = rec["arity"]
         cls(arity, d, {}, kind)  # refuse a bad kind or arity first
+        p = _gen_parity(d, kind)
         terms = {}
         for t in rec["terms"]:
             coeff = _exact(t["coeff"])
             combos = [_component_from_json(comp, kind, p, arity)
                       for comp in t["components"]]
-            _expand_product(terms, combos, [], coeff, d, kind)
+            _expand_product(terms, combos, [], coeff, p)
         return cls(arity, d, terms, kind)
 
 
 def _component_to_json(word, kind):
     """Serialize one component as a payload word over slot labels 1..m
     plus the attachment list mapping slots to whites."""
+    slots = range(1, len(word) + 1)
     if kind == "ass":
-        return {"word": " ".join(str(k) for k in range(1, len(word) + 1)),
-                "attach": list(word)}
-    counter = [0]
-
-    def slots(t):
-        if isinstance(t, tuple):
-            return tuple(slots(x) for x in t)
-        counter[0] += 1
-        return counter[0]
-
-    return {"word": pretty_bracket(slots(lyndon_tree(word))),
-            "attach": list(word)}
+        text = " ".join(map(str, slots))
+    else:
+        text = pretty_bracket(_refill(lyndon_tree(word), iter(slots)))
+    return {"word": text, "attach": list(word)}
 
 
 def _component_from_json(comp, kind, p, arity):
@@ -255,13 +257,12 @@ def _component_from_json(comp, kind, p, arity):
         raise ValueError(f"component {comp['word']!r} attaches to a white"
                          f" outside 1..{arity}: {attach}")
     if kind == "ass":
-        return {tuple(attach[k - 1] for k in slots): 1}
-    return component_normal_form(
-        _relabel_tree(slot_tree, dict(enumerate(attach, 1))), p)
+        slot_tree = word_to_tree(slots)
+    return _substituted(slot_tree, dict(enumerate(attach, 1)), kind, p)
 
 
-def _add_term(terms, words, coeff, d, kind):
-    key, sign = _sort_term(words, d, kind)
+def _add_term(terms, words, coeff, p):
+    key, sign = _sort_term(words, p)
     if sign:
         _add(terms, key, sign * coeff)
 
@@ -279,16 +280,17 @@ def _is_basis_word(w, p):
 def make_term(arity, d, words, coeff=1, kind="lie"):
     """OElement with one term given by raw component words; for the Lie
     kind each word must already be a basis word (else ValueError)."""
+    p = _gen_parity(d, kind)
     for w in words:
         if not w:
             raise ValueError("empty component")
         for x in w:
             if not 1 <= x <= arity:
                 raise ValueError("white label out of range")
-        if kind == "lie" and not _is_basis_word(w, (d - 1) % 2):
+        if kind == "lie" and not _is_basis_word(w, p):
             raise ValueError(f"component {w} is not a basis word at d={d}")
     terms = {}
-    _add_term(terms, words, _exact(coeff), d, kind)
+    _add_term(terms, words, _exact(coeff), p)
     return OElement(arity, d, terms, kind)
 
 
@@ -298,13 +300,21 @@ def unit(d, kind="lie"):
 
 # -- composition ------------------------------------------------------
 
+def _refill(tree, leaves):
+    """The tree with its leaves, in reading order, replaced by the
+    next items of the iterator `leaves`."""
+    if isinstance(tree, tuple):
+        return (_refill(tree[0], leaves), _refill(tree[1], leaves))
+    return next(leaves)
+
+
 def _tree_with_markers(word, i, shift, kind, after):
-    """Bracket tree of a component word, left-nested for the ass kind,
-    with whites above i shifted by `shift` and each occurrence of white
-    i replaced by the next negative marker -1, -2, ... (numbered across
-    the calls sharing `after`).  Appends to `after` each marker's count
-    of leaves to its right in reading order: the Koszul crossings a
-    grafted component makes for even d."""
+    """Bracket tree of a component word (see _word_tree) with whites
+    above i shifted by `shift` and each occurrence of white i replaced
+    by the next negative marker -1, -2, ... (numbered across the calls
+    sharing `after`).  Appends to `after` each marker's count of leaves
+    to its right in reading order: the Koszul crossings a grafted
+    component makes for even d."""
     leaves = []
     for pos, x in enumerate(word):
         if x == i:
@@ -313,14 +323,7 @@ def _tree_with_markers(word, i, shift, kind, after):
         elif x > i:
             x += shift
         leaves.append(x)
-    leaves = iter(leaves)
-
-    def fill(t):
-        if isinstance(t, tuple):
-            return (fill(t[0]), fill(t[1]))
-        return next(leaves)
-
-    return fill(lyndon_tree(word) if kind == "lie" else word_to_tree(word))
+    return _refill(_word_tree(word, kind), iter(leaves))
 
 
 def _injective_assignments(n_items, slots):
@@ -333,7 +336,8 @@ def _injective_assignments(n_items, slots):
 
 
 def _substituted(tree, mapping, kind, p):
-    """Normal form of a component tree relabelled by mapping."""
+    """Normal form of a component tree relabelled by mapping: its
+    basis expansion, or the leaf word for the ass kind."""
     st = _relabel_tree(tree, mapping)
     if kind == "ass":
         return {tree_leaves(st): 1}
@@ -349,14 +353,11 @@ def o_compose(a, i, b):
     the markers its components graft onto, and b's whites on the
     markers left free.  Components with no free marker are normalized
     once per assignment; only the others vary with the free whites."""
-    if type(i) is not int:
-        raise TypeError(f"index {i!r} is not an int")
-    if not 1 <= i <= a.arity:
-        raise ValueError(f"index {i} out of range 1..{a.arity}")
+    _check_slot(i, a.arity)
     if (a.d, a.kind) != (b.d, b.kind):
         raise ValueError("d/kind mismatch")
     d, kind = a.d, a.kind
-    p = (d - 1) % 2 if kind == "lie" else 0
+    p = _gen_parity(d, kind)
     n2 = b.arity
     new_arity = a.arity + n2 - 1
     b_whites = range(i, i + n2)
@@ -369,13 +370,12 @@ def o_compose(a, i, b):
             trees.append(_tree_with_markers(w, i, n2 - 1, kind, after))
             comp_markers.append(range(-first - 1, -len(after) - 1, -1))
         markers = range(-1, -len(after) - 1, -1)
-        pa = [_parity(w, d, kind) for w in ta]
+        pa = [_parity(w, p) for w in ta]
         for tb, cb in b.terms.items():
             b_words = [tuple(x + i - 1 for x in w) for w in tb]
-            b_trees = [lyndon_tree(w) if kind == "lie" else word_to_tree(w)
-                       for w in b_words]
+            b_trees = [_word_tree(w, kind) for w in b_words]
             q = len(b_words)
-            pb = [_parity(w, d, kind) for w in b_words]
+            pb = [_parity(w, p) for w in b_words]
             parities = pa + pb
             for assignment in _injective_assignments(q, markers):
                 covered = {m: u for u, m in enumerate(assignment)
@@ -425,57 +425,45 @@ def o_compose(a, i, b):
                                 break
                             combos[k] = nf
                         else:
-                            _expand_product(out_terms, combos, tail, coeff,
-                                            d, kind)
+                            _expand_product(out_terms, combos, tail, coeff, p)
     return OElement(new_arity, d, out_terms, kind)
 
 
-def _expand_product(out_terms, combos, tail, coeff, d, kind):
+def _expand_product(out_terms, combos, tail, coeff, p):
     """Multilinear expansion of a product of component combinations."""
     if len(combos) == 1:
         for w, c in combos[0].items():
-            _add_term(out_terms, [w, *tail], coeff * c, d, kind)
+            _add_term(out_terms, [w, *tail], coeff * c, p)
         return
     for choice in product(*(nf.items() for nf in combos)):
         c = coeff
         for _, cv in choice:
             c *= cv
-        _add_term(out_terms, [w for w, _ in choice] + tail, c, d, kind)
+        _add_term(out_terms, [w for w, _ in choice] + tail, c, p)
 
 
 # -- symmetric action and morphisms -----------------------------------
 
 @memo
-def _component_action(word, sigma, p):
-    """Normal form of a basis word's bracket tree relabelled by sigma,
-    as (word, coeff) items."""
-    tree = _relabel_tree(lyndon_tree(word), dict(enumerate(sigma, 1)))
-    return tuple(component_normal_form(tree, p).items())
-
-
-@memo
-def _term_action(term, sigma, d, kind):
+def _term_action(term, sigma, kind, p):
     """Image of one term with coefficient 1 under sigma, as (term,
-    coeff) items."""
-    if kind == "ass":
-        combos = [{tuple(sigma[l - 1] for l in w): 1} for w in term]
-    else:
-        p = (d - 1) % 2
-        combos = [dict(_component_action(w, sigma, p)) for w in term]
+    coeff) items: each component's tree relabelled by sigma."""
+    mapping = dict(enumerate(sigma, 1))
+    combos = [_substituted(_word_tree(w, kind), mapping, kind, p)
+              for w in term]
     out = {}
-    _expand_product(out, combos, [], 1, d, kind)
+    _expand_product(out, combos, [], 1, p)
     return tuple((t, _exact(c)) for t, c in out.items())
 
 
 def s_action(x: OElement, sigma):
     """Relabel white vertices by sigma (sequence of images); components
     are renormalized, so internal orientation signs are automatic."""
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(1, x.arity + 1)):
-        raise ValueError(f"not a permutation of 1..{x.arity}: {sigma}")
+    sigma = _as_permutation(sigma, x.arity)
+    p = _gen_parity(x.d, x.kind)
     out_terms = {}
     for t, c in x.terms.items():
-        for tt, cc in _term_action(t, sigma, x.d, x.kind):
+        for tt, cc in _term_action(t, sigma, x.kind, p):
             out_terms[tt] = out_terms.get(tt, 0) + c * cc
     return OElement(x.arity, x.d, out_terms, x.kind)
 

@@ -275,6 +275,27 @@ def test_word_action_matches_uncached_normalize():
     assert info.hits == info.misses
 
 
+def test_gc_differential_reduces_only_kept_terms(monkeypatch):
+    """Valences survive relabelling, so the trivalent differential
+    drops a term with a vertex of valence < 3 before reducing it to its
+    class: no such term reaches canonicalize, and the result is still
+    the oracle's.  Each generator has a vertex of valence >= 4, whose
+    splittings can stay trivalent."""
+    gens = enumerate_graphs(5, 8, 1, 3) + enumerate_graphs(6, 10, 2, 3)
+    want = [_oracle_gc_differential(g, 3) for g in gens]
+    assert len(gens) == 5 and all(want)
+    seen = []
+
+    def spy(g, _inner=defcx.canonicalize):
+        seen.append(g)
+        return _inner(g)
+
+    monkeypatch.setattr(defcx, "canonicalize", spy)
+    defcx._gc_differential.cache_clear()
+    assert [gc_differential(g, 3) for g in gens] == want
+    assert seen and all(min(G.valences()) >= 3 for G in seen)
+
+
 def test_gc_attachment_and_splitting_shape():
     """d = 2 single edge: attachments and splittings both land on the
     two-edge path, with the attachment pair contributing twice."""

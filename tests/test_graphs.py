@@ -8,6 +8,7 @@ from itertools import (combinations, combinations_with_replacement,
 
 import pytest
 
+from liegraphs import graphs
 from liegraphs.graphs import (OrientedGraph, SignedCanonical, _normal_form,
                               canonicalize, enumerate_graphs, is_connected,
                               perm_sign)
@@ -251,6 +252,25 @@ def test_enumerate_closed_under_canonicalize():
         for g in enumerate_graphs(v, e, d, min_valence=1):
             again = canonicalize(g)
             assert again.sign == 1 and again.canonical == g
+
+
+def test_enumerate_canonicalizes_only_the_slice(monkeypatch):
+    """The edge-by-edge levels reduce children to their unsigned class
+    on raw edge tuples; canonicalize (the signed class at d) sees only
+    graphs of the slice itself."""
+    seen = []
+
+    def spy(g, _inner=graphs.canonicalize):
+        seen.append(g)
+        return _inner(g)
+
+    monkeypatch.setattr(graphs, "canonicalize", spy)
+    for d in (1, 2):
+        seen.clear()
+        out = enumerate_graphs(5, 7, d, min_valence=1)
+        assert out and len(seen) >= len(out)
+        assert {(g.d, g.n_vertices, g.n_edges()) for g in seen} \
+            == {(d, 5, 7)}
 
 
 def test_enumerate_bounds():

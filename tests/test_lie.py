@@ -205,6 +205,26 @@ def test_graft_slot_range():
         graft(normalize((1, 2)), 3, unit())
 
 
+def test_graft_and_compose_refuse_a_non_int_slot():
+    """As in gra and poly, a slot that is not an int (a bool included)
+    raises TypeError rather than composing at a rounded slot."""
+    x = LieElement.bracket(1)
+    for slot in (1.5, True):
+        with pytest.raises(TypeError, match="index"):
+            graft(x, slot, x)
+        with pytest.raises(TypeError, match="index"):
+            x.compose(slot, x)
+
+
+def test_act_refuses_non_permutations():
+    """act relabels only by a permutation of 1..arity."""
+    x = LieElement.bracket(1)
+    for sigma in ((2, 3), (2, 1, 3), (1, 1), (1,)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            x.act(sigma)
+    assert x.act([2, 1]) == x.act((2, 1)) == x.scaled(-1)
+
+
 def test_graft_refuses_mixed_d():
     """Like gra.compose and poly.o_compose, graft composes only elements
     of one d."""

@@ -1,17 +1,34 @@
 """The library's memoised functions share one bounded cache policy."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import liegraphs
 from liegraphs import MEMO_MAXSIZE, defcx, gutt, lie, poly
 from liegraphs.graphs import OrientedGraph
 
 MEMOISED = (defcx._gc_differential, lie._word_action, poly.lyndon_tree,
             poly._basis_system, poly.component_normal_form,
-            poly._component_action, poly._term_action,
+            poly._term_action,
             gutt._straighten, gutt._sigma_basis, gutt._sigma_inv_basis,
             gutt._star_basis)
+
+
+def test_memoised_lists_every_memo():
+    """Every LRU wrapper defined in a liegraphs module is in MEMOISED,
+    and nothing else is, so a memo added or dropped without updating the
+    list fails here."""
+    found = set()
+    for info in pkgutil.iter_modules(liegraphs.__path__):
+        module = importlib.import_module(f"liegraphs.{info.name}")
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_info", None)) \
+                    and obj.__module__ == module.__name__:
+                found.add(obj)
+    assert found == set(MEMOISED)
 
 
 def test_every_memo_is_bounded():

@@ -210,10 +210,11 @@ def _oracle_sort_term(words, d, kind):
     if kind == "ass" or d % 2 == 1:
         return out, 1
     for a, b in zip(out, out[1:]):
-        if a == b and poly._parity(a, d, kind) == 1:
+        if a == b and poly._parity(a, poly._gen_parity(d, kind)) == 1:
             return out, 0
     return out, perm_sign([i for i in keyed
-                           if poly._parity(words[i], d, kind) == 1])
+                           if poly._parity(words[i],
+                                           poly._gen_parity(d, kind)) == 1])
 
 
 def _oracle_expand_product(out_terms, combos, tail, coeff, d, kind):
@@ -255,7 +256,8 @@ def test_sort_term_matches_oracle():
         for n in range(5):
             for words in product(pool, repeat=n):
                 want = _oracle_sort_term(list(words), d, kind)
-                assert poly._sort_term(list(words), d, kind) == want
+                p = poly._gen_parity(d, kind)
+                assert poly._sort_term(list(words), p) == want
                 zeros += want[1] == 0
     assert zeros >= 100
 
@@ -483,13 +485,14 @@ def _marker_o_compose(a, i, b):
                 return m
 
             trees.append(walk(lyndon_tree(w) if kind == "lie" else w))
-        pa = [poly._parity(w, d, kind) for w in ta]
+        pa = [poly._parity(w, poly._gen_parity(d, kind)) for w in ta]
         for tb, cb in b.terms.items():
             b_words = [tuple(x + i - 1 for x in w) for w in tb]
             b_trees = [lyndon_tree(w) if kind == "lie" else w
                        for w in b_words]
             q = len(b_words)
-            pb = [poly._parity(w, d, kind) for w in b_words]
+            pb = [poly._parity(w, poly._gen_parity(d, kind))
+                  for w in b_words]
             for assignment in _oracle_assignments(q, marker_list):
                 covered = {m: u for u, m in enumerate(assignment)
                            if m is not None}
