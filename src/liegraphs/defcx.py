@@ -19,6 +19,11 @@ over S_n through the cosets of S_1 < S_2 < ... < S_n, so the bracket
 with mu of an invariant x, already invariant in all but one or two
 labels, costs about its orbit rather than (n+1)! relabellings.
 
+Between a slice's raw terms and its differential the pipeline works in
+integers: it sums orbits without the 1/n! (`_orbit_sum`), brackets with
+mu at integer weights, and divides once, when a generator or an image
+is returned.  A slice's span holds the integer orbit sums.
+
 Generators of fcGC_d are connected graphs up to relabeling; the
 differential follows the printed formula: -2 times the sum of univalent
 attachments plus the sum of vertex splittings.
@@ -42,7 +47,15 @@ from .poly import OElement, make_term
 
 def symmetrize(x):
     """(Anti)symmetrizer projector: average over label permutations,
-    sign-twisted for d odd.
+    sign-twisted for d odd.  The orbit sum `_orbit_sum(x)` divided by
+    n!."""
+    return _orbit_sum(x).scaled(Fraction(1, math.factorial(x.arity)))
+
+
+def _orbit_sum(x):
+    """The sum of sigma x over S_n, twisted by the sign of sigma for d
+    odd: n! times the symmetrizer, so integer coefficients stay
+    integers.
 
     The sum over S_n is built in stages k = 2..n, since S_k is the union
     of the cosets of S_{k-1} by the cycles that send label k to each
@@ -53,8 +66,7 @@ def symmetrize(x):
     swaps give the right cosets whether `act` is a left or a right
     action, and a stage mixes only label k into the labels before it,
     so an input already invariant in some labels grows by its orbit,
-    not by n!.  That is 1 + n(n-1)/2 calls of `act`.  The signed sum is
-    accumulated unscaled and divided by n! once."""
+    not by n!.  That is 1 + n(n-1)/2 calls of `act`."""
     n = x.arity
     sign = -1 if x.d % 2 == 1 else 1
     ident = tuple(range(1, n + 1))
@@ -69,7 +81,7 @@ def symmetrize(x):
             sgn *= sign
             _axpy(merged, sgn, current.terms)
         total = x.with_terms(merged)
-    return total.scaled(Fraction(1, math.factorial(n)))
+    return total
 
 
 def def_degree(x):
@@ -78,31 +90,42 @@ def def_degree(x):
 
 
 def _bracket_mu(x):
-    """The bracket with mu before the symmetrizer P:
+    """(w B(x), w): the bracket with mu before the symmetrizer P,
+    scaled so that integer coefficients stay integers,
 
-        mu o_1 x + mu o_2 x - (-1)^{|x|} sum_i c_i x o_i mu.
+        B(x) = mu o_1 x + mu o_2 x - (-1)^{|x|} sum_i c_i x o_i mu.
 
     For d even all weights c_i are 1; for d odd expanding slot i into
     two strands twists the label-ordering sign by the inversions at i,
     and averaging that twist over P leaves c_i = 0 for n even and
-    (-1)^{i+1}/n for n odd."""
+    (-1)^{i+1}/n for n odd.  There the factor w is n and the weights
+    w c_i = (-1)^{i+1}; everywhere else w is 1.  So an integer x gives
+    an integer bracket, and the caller divides by w once, at the end."""
     n, d = x.arity, x.d
     mu = type(x).bracket(d)
     out = mu.compose(1, x) + mu.compose(2, x)
-    sign = (-1) ** (def_degree(x) % 2)
     if d % 2 == 1 and n % 2 == 0:
-        return out
+        return out, 1
+    w = n if d % 2 == 1 else 1
+    sign = (-1) ** (def_degree(x) % 2)
+    out = out.scaled(w)
     for i in range(1, n + 1):
-        w = 1 if d % 2 == 0 else Fraction((-1) ** (i + 1), n)
-        out = out - x.compose(i, mu).scaled(sign * w)
-    return out
+        c = 1 if d % 2 == 0 else (-1) ** (i + 1)
+        out = out - x.compose(i, mu).scaled(sign * c)
+    return out, w
 
 
 def def_differential(x):
     """Differential of the invariant projection of x: the symmetrizer
-    applied to `_bracket_mu(x)`.  On invariant elements (the complex
-    itself) this agrees with symmetrizing the plain bracket formula."""
-    return symmetrize(_bracket_mu(x))
+    applied to the bracket with mu.  On invariant elements (the complex
+    itself) this agrees with symmetrizing the plain bracket formula.
+
+    x is first cleared of denominators, so the bracket and the orbit
+    sum run on integers, and the result is divided once."""
+    den = math.lcm(*(c.denominator for c in x.terms.values()))
+    image, w = _bracket_mu(x.scaled(den))
+    scale = den * w * math.factorial(x.arity + 1)
+    return _orbit_sum(image).scaled(Fraction(1, scale))
 
 
 # -- the graph complexes ----------------------------------------------
@@ -131,12 +154,13 @@ def gc_differential(g: OrientedGraph, min_valence=1):
 @memo
 def _gc_differential(g, min_valence):
     out = {}
-    for G, c in _bracket_mu(gra_element(g)).terms.items():
+    image, w = _bracket_mu(gra_element(g))
+    for G, c in image.terms.items():
         # valences survive relabelling: drop a term before reducing it
         if min_valence <= 1 or min(G.valences()) >= min_valence:
             _add_class(out, G, c)
-    # sums of the 1/n-weighted terms of odd d can be integral
-    return MappingProxyType({G: _exact(c) for G, c in out.items()})
+    return MappingProxyType({G: _exact(Fraction(c, w))
+                             for G, c in out.items()})
 
 
 def gc_differential_combo(combo, min_valence=1):
@@ -184,7 +208,9 @@ class SliceBasis:
     d: int
     key: tuple
     basis: tuple           # generators: graphs, or invariant elements
-    span: linalg.Echelon = field(compare=False)  # their term coordinates
+    # the term coordinates of the generators' integer orbit sums (n!
+    # times the generators for the def complexes)
+    span: linalg.Echelon = field(compare=False)
     rows: tuple            # the successor terms the differentials reach
     matrix: SparseMatrix   # differential, rows indexed by `rows`
 
@@ -222,29 +248,29 @@ def _o_slice_terms(n, k, d):
     return sorted(set(out))
 
 
-def _slice_basis(complex_id, d, key):
-    """(generators, Echelon of their term coordinates) of one slice:
-    the graphs, or a maximal independent set of the symmetrized terms,
-    taken in term order."""
+def _slice_basis(complex_id, d, key, span):
+    """Yield the generators of one slice, each as soon as it is found
+    independent, and add its term coordinates to the Echelon span: the
+    graphs, or a maximal independent set of the symmetrized terms, taken
+    in term order.  For the def complexes span holds the integer orbit
+    sums, and the generator is the orbit sum divided by n!."""
     if complex_id in ("fcgc", "gc"):
         mv = 3 if complex_id == "gc" else 1
-        gens = enumerate_graphs(*key, d, min_valence=mv, connected=True)
-        vectors = ((g, {g: 1}) for g in gens)
-    elif complex_id == "def-olie":
-        n, k = key
-        vectors = ((x, x.terms) for x in (
-            symmetrize(OElement(n, d, {t: 1}, "lie"))
-            for t in _o_slice_terms(n, k, d)))
+        for g in enumerate_graphs(*key, d, min_valence=mv, connected=True):
+            if span.add({g: 1}):
+                yield g
+        return
+    n = key[0]
+    if complex_id == "def-olie":
+        raw = (OElement(n, d, {t: 1}, "lie")
+               for t in _o_slice_terms(n, key[1], d))
     else:
-        n, = key
-        vectors = ((x, x.terms) for x in (
-            symmetrize(LieElement(n, {w: 1}, d))
-            for w in basis_words(n)))
-    gens, span = [], linalg.Echelon()
-    for x, vec in vectors:
-        if span.add(vec):
-            gens.append(x)
-    return tuple(gens), span
+        raw = (LieElement(n, {w: 1}, d) for w in basis_words(n))
+    scale = Fraction(1, math.factorial(n))
+    for x in raw:
+        orbit = _orbit_sum(x)
+        if span.add(orbit.terms):
+            yield orbit.scaled(scale)
 
 
 def _image(complex_id, x):
@@ -256,13 +282,20 @@ def _image(complex_id, x):
 
 def _check_square_zero(first, second):
     """Raise ArithmeticError unless the differential of the slice
-    `first` followed by that of its successor `second` is zero."""
+    `first` followed by that of its successor `second` is zero: each
+    image's coordinates x over the successor's generators must give
+    sum_j x_j column_j = 0."""
+    columns = [dict(col) for col in second.matrix.transpose().rows]
     for col in first.matrix.transpose().rows:
         try:
             x = second.span.coords({first.rows[i]: c for i, c in col})
         except ValueError:  # the image is not in the complex
-            x = None
-        if x is None or second.matrix.mul_vector(x):
+            dd = None
+        else:
+            dd = {}
+            for j, c in x.items():
+                _axpy(dd, c, columns[j])
+        if dd is None or dd:
             raise ArithmeticError(f"d o d != 0 from slice {first.key}"
                                   f" to {second.key}")
 
@@ -296,20 +329,22 @@ class Chain:
         if not self.in_bounds(key):
             raise ValueError(f"slice {key} outside bounds"
                              f" {self.lower}..{self.upper}")
-        gens, span = _slice_basis(self.complex_id, self.d, key)
         succ = tuple(k + 1 for k in key)
-        images = []
-        for x in gens:
+        span, gens, images = linalg.Echelon(), [], []
+        # each image as soon as its generator is found: at the grid edge
+        # the first nonzero one ends the slice
+        for x in _slice_basis(self.complex_id, self.d, key, span):
             image = _image(self.complex_id, x)
             if image and not self.in_bounds(succ):
                 raise ValueError("differential left the slice grid")
+            gens.append(x)
             images.append(image)
         rows = tuple(sorted({t for image in images for t in image}))
         index = {t: i for i, t in enumerate(rows)}
         cols = [{index[t]: c for t, c in image.items()} for image in images]
-        sl = SliceBasis(self.complex_id, self.d, key, gens, span, rows,
-                        SparseMatrix.from_columns(cols, len(rows),
-                                                  n_cols=len(gens)))
+        sl = SliceBasis(self.complex_id, self.d, key, tuple(gens), span,
+                        rows, SparseMatrix.from_columns(cols, len(rows),
+                                                        n_cols=len(gens)))
         pred = tuple(k - 1 for k in key)
         if pred in self._slices:
             _check_square_zero(self._slices[pred], sl)

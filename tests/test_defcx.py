@@ -59,7 +59,7 @@ def test_symmetrize_matches_full_sum():
             for k in range(4):
                 for t in defcx._o_slice_terms(n, k, d):
                     x = OElement(n, d, {t: 1}, "lie")
-                    inputs += [x, defcx._bracket_mu(x)]
+                    inputs += [x, defcx._bracket_mu(x)[0]]
         for n in range(1, 5):
             inputs += [LieElement(n, {w: 1}, d) for w in basis_words(n)]
         for v in range(1, 5):
@@ -232,10 +232,11 @@ def test_bracket_mu_matches_split_formula():
     for d in (1, 2):
         for n in range(1, 4):
             for k in range(4):
-                gens, _ = defcx._slice_basis("def-olie", d, (n, k))
+                gens = defcx._slice_basis("def-olie", d, (n, k),
+                                          linalg.Echelon())
                 elements += [(x, d) for x in gens]
         for n in range(2, 6):
-            gens, _ = defcx._slice_basis("def-lie", d, (n,))
+            gens = defcx._slice_basis("def-lie", d, (n,), linalg.Echelon())
             elements += [(x, d) for x in gens]
     assert len(elements) == 32
     for x, d in elements:
@@ -371,18 +372,56 @@ def test_slice_bounds():
 
 def test_grid_edge_raises_at_first_image(monkeypatch):
     """At the grid edge the slice stops at the first nonzero image,
-    before it computes any more of them."""
-    image = defcx._image
-    seen = []
+    before it computes any more of them.  Each image follows its
+    generator at once, so the edge slice sums one orbit of its 225 raw
+    terms, not all of them."""
+    image, orbit_sum = defcx._image, defcx._orbit_sum
+    seen, events = [], []
 
     def recorded(complex_id, x):
+        events.append("image")
         seen.append(image(complex_id, x))
         return seen[-1]
 
+    def counted(x):
+        events.append("orbit")
+        return orbit_sum(x)
+
     monkeypatch.setattr(defcx, "_image", recorded)
+    monkeypatch.setattr(defcx, "_orbit_sum", counted)
     with pytest.raises(ValueError, match="left the slice grid"):
         build_slice("def-olie", 2, (3, 4))
     assert seen and seen[-1] and not any(seen[:-1])
+    assert len(seen) == 1 and events[:2] == ["orbit", "image"]
+
+
+def test_def_slices_compose_and_act_on_integers(monkeypatch):
+    """Building the def slices sums orbits in integers and divides once
+    at the end: every element the compositions and actions see has
+    integer coefficients, though the generators carry 1/n!."""
+    coeffs = []
+
+    def spied(fn):
+        def wrapped(*args):
+            for a in args:
+                if isinstance(a, linalg.Combination):
+                    coeffs.extend(a.terms.values())
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(poly, "s_action", spied(poly.s_action))
+    monkeypatch.setattr(poly, "o_compose", spied(poly.o_compose))
+    monkeypatch.setattr(lie, "graft", spied(lie.graft))
+    monkeypatch.setattr(LieElement, "act", spied(LieElement.act))
+    slices = []
+    for d in (1, 2):
+        chain = defcx.Chain("def-olie", d)
+        slices += [chain.slice((2, 2)), chain.slice((3, 3)),
+                   defcx.Chain("def-lie", d).slice(4)]
+    assert any(type(c) is Fraction for sl in slices for x in sl.basis
+               for c in x.terms.values())
+    assert len(coeffs) > 1000
+    assert all(type(c) is int for c in coeffs)
 
 
 def test_chain_checks_square_zero(monkeypatch):
