@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, groupby
 
+from . import memo
+
 ZERO = 0
 
 
@@ -290,18 +292,66 @@ def canonicalize(g):
     return SignedCanonical(OrientedGraph(g.d, g.n_vertices, form), sign)
 
 
-def _components(n, edges):
-    """Number of connected components of a graph on vertices 1..n."""
+def _component_labels(n, edges):
+    """A label per vertex 0..n, equal on vertices of one component."""
     label = list(range(n + 1))
     for t, h in edges:
         a, b = label[t], label[h]
         if a != b:
             label = [a if x == b else x for x in label]
-    return len(set(label[1:]))
+    return label
+
+
+def _components(n, edges):
+    """Number of connected components of a graph on vertices 1..n."""
+    return len(set(_component_labels(n, edges)[1:]))
 
 
 def is_connected(g):
     return _components(g.n_vertices, g.edges) <= 1
+
+
+@memo
+def _layer(n, k, m, simple, need, connected):
+    """Unsigned classes of the k-edge graphs on n vertices with slack m,
+    as a frozenset of d = 1 canonical forms (simple graphs only when
+    `simple`).
+
+    A vertex lacks max(0, need - valence) edge ends.  The slack is the
+    least number of edges that can still take a graph into a slice: half
+    its missing ends, rounded up, and, when `connected`, its components
+    less one.  An edge lowers the slack by at most one and deleting one
+    never lowers it, so every class of slack m is a child of a class
+    with k - 1 edges and slack m or m + 1, and each child's slack is
+    read off its parent's valences and component labels.
+    """
+    if k == 0:
+        least = max((n * need + 1) // 2, n - 1 if connected else 0)
+        return frozenset([()] if least == m else [])
+    pairs = list(combinations(range(1, n + 1), 2))
+    out, tried = set(), set()
+    for edges in (_layer(n, k - 1, m, simple, need, connected)
+                  | _layer(n, k - 1, m + 1, simple, need, connected)):
+        val, comp = [0] * (n + 1), _component_labels(n, edges)
+        for t, h in edges:
+            val[t] += 1
+            val[h] += 1
+        lack = sum(max(0, need - x) for x in val[1:])
+        parts = len(set(comp[1:])) - 1 if connected else 0
+        for pair in pairs:
+            t, h = pair
+            if simple and pair in edges:
+                continue
+            ends = lack - (val[t] < need) - (val[h] < need)
+            joins = connected and comp[t] != comp[h]
+            if max((ends + 1) // 2, parts - joins) != m:
+                continue
+            child = tuple(sorted(edges + (pair,)))
+            # several classes can give the same labelled child
+            if child not in tried:
+                tried.add(child)
+                out.add(_canonical_form(1, n, child)[0])
+    return frozenset(out)
 
 
 def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
@@ -310,47 +360,22 @@ def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
     For d even only simple graphs occur (parallel edges are zero); for
     d odd parallel edges are kept, each directed low -> high.
 
-    The slice is built one edge at a time over isomorphism classes
-    (McKay, "Isomorph-free exhaustive generation", 1998): each class of
-    k-edge graphs is extended by every vertex pair, and each child is
-    reduced to its unsigned class, the canonical form of its underlying
-    multigraph (the d = 1 form, which ignores signs).  A graph is kept
-    only while it can still reach the slice: every vertex needs
-    min_valence edge ends (at least one when n_vertices > 1), and the
-    graph must be connected when asked; each edge left adds two ends
-    and joins at most two components.
+    The slice is the classes of slack 0 with e edges, built one edge at
+    a time over isomorphism classes (McKay, "Isomorph-free exhaustive
+    generation", 1998) by `_layer`: every vertex needs min_valence edge
+    ends (at least one when n_vertices > 1), and the graph must be
+    connected when asked.  Each layer (k edges, slack m) is memoised, so
+    the slices of one column share the layers with k + m below e and
+    build only the new ones.  The unsigned classes are then
+    canonicalized at d, and the zero graphs dropped.
     """
     if n_vertices > 8 or n_edges > 14:
         raise ValueError("out of desk-scale bounds (v <= 8, e <= 14)")
     if n_vertices < 0 or n_edges < 0:
         raise ValueError("negative vertex or edge count")
     n = n_vertices
-    pairs = list(combinations(range(1, n + 1), 2))
     need = max(min_valence, 1 if n > 1 else 0)
-
-    def viable(edges, left):
-        val = [0] * (n + 1)
-        for t, h in edges:
-            val[t] += 1
-            val[h] += 1
-        if sum(max(0, need - x) for x in val[1:]) > 2 * left:
-            return False
-        return not connected or _components(n, edges) - 1 <= left
-
-    level = {()} if viable((), n_edges) else set()
-    for left in range(n_edges - 1, -1, -1):
-        children, tried = set(), set()
-        for edges in level:
-            for pair in pairs:
-                if d % 2 == 0 and pair in edges:
-                    continue
-                child = tuple(sorted(edges + (pair,)))
-                # several classes can give the same labelled child
-                if child in tried or not viable(child, left):
-                    continue
-                tried.add(child)
-                children.add(_canonical_form(1, n, child)[0])
-        level = children
+    level = _layer(n, n_edges, 0, d % 2 == 0, need, connected)
     signed = [canonicalize(OrientedGraph(d, n, edges)) for edges in level]
     return sorted((sc.canonical for sc in signed if not sc.is_zero()),
                   key=lambda g: g.edges)

@@ -255,9 +255,9 @@ def test_enumerate_closed_under_canonicalize():
 
 
 def test_enumerate_canonicalizes_only_the_slice(monkeypatch):
-    """The edge-by-edge levels reduce children to their unsigned class
-    on raw edge tuples; canonicalize (the signed class at d) sees only
-    graphs of the slice itself."""
+    """The slack layers reduce children to their unsigned class on raw
+    edge tuples; canonicalize (the signed class at d) sees only graphs
+    of the slice itself."""
     seen = []
 
     def spy(g, _inner=graphs.canonicalize):
@@ -271,6 +271,74 @@ def test_enumerate_canonicalizes_only_the_slice(monkeypatch):
         assert out and len(seen) >= len(out)
         assert {(g.d, g.n_vertices, g.n_edges()) for g in seen} \
             == {(d, 5, 7)}
+
+
+def _slack(n, edges, need, connected):
+    """Edges a graph must still gain to reach a slice, computed from
+    scratch: half its missing edge ends, rounded up, and its components
+    less one when connected."""
+    val = [0] * (n + 1)
+    for t, h in edges:
+        val[t] += 1
+        val[h] += 1
+    lack = sum(max(0, need - x) for x in val[1:])
+    parts = graphs._components(n, edges) - 1 if connected else 0
+    return max((lack + 1) // 2, parts)
+
+
+def test_layers_match_all_subsets_grouped_by_slack():
+    """A layer is exactly the unsigned classes of every edge subset
+    (multiset when not simple) of K_n with its edge count and slack."""
+    for n in range(0, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for simple in (True, False):
+            subsets = combinations if simple else \
+                combinations_with_replacement
+            for k in range(0, 7):
+                classes = {graphs._canonical_form(1, n, edges)[0]
+                           for edges in subsets(pairs, k)}
+                for mv in (0, 1, 3):
+                    need = max(mv, 1 if n > 1 else 0)
+                    for connected in (True, False):
+                        want = {}
+                        for edges in classes:
+                            m = _slack(n, edges, need, connected)
+                            want.setdefault(m, set()).add(edges)
+                        for m in range(0, 10):
+                            got = graphs._layer(n, k, m, simple, need,
+                                                connected)
+                            assert got == want.get(m, set()), \
+                                (n, k, m, simple, mv, connected)
+
+
+def test_enumerate_does_not_depend_on_the_memo_state():
+    """One column enumerated with e ascending, with e descending, and
+    each slice from an empty memo gives the same lists."""
+    edges = range(3, 9)
+
+    def column(order, clear_each):
+        out = {}
+        for e in order:
+            if clear_each:
+                graphs._layer.cache_clear()
+            out[e] = enumerate_graphs(5, e, 1, min_valence=1)
+        return out
+
+    graphs._layer.cache_clear()
+    up = column(edges, False)
+    graphs._layer.cache_clear()
+    down = column(reversed(edges), False)
+    assert up == down == column(edges, True)
+
+
+def test_next_slice_of_a_column_builds_one_diagonal():
+    """After the slice (5, 7), the slice (5, 8) builds only its layers
+    with k + m = 8, k = 0..8: nine memo misses."""
+    graphs._layer.cache_clear()
+    enumerate_graphs(5, 7, 1, min_valence=3)
+    before = graphs._layer.cache_info().misses
+    enumerate_graphs(5, 8, 1, min_valence=3)
+    assert graphs._layer.cache_info().misses - before == 9
 
 
 def test_enumerate_bounds():

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 import liegraphs
-from liegraphs import MEMO_MAXSIZE, defcx, gutt, lie, poly
+from liegraphs import MEMO_MAXSIZE, defcx, graphs, gutt, lie, poly
 from liegraphs.graphs import OrientedGraph
 
-MEMOISED = (defcx._gc_differential, lie._word_action, poly.lyndon_tree,
+MEMOISED = (defcx._gc_differential, graphs._layer, lie._word_action,
+            poly.lyndon_tree,
             poly._basis_system, poly.component_normal_form,
             poly._term_action,
             gutt._straighten, gutt._sigma_basis, gutt._sigma_inv_basis,
@@ -81,5 +82,10 @@ def test_memo_results_are_read_only():
     with pytest.raises(TypeError):
         got[g] = 5
     assert defcx._gc_differential(g, 1) == want
+    # the one edge on two vertices, both of valence >= 1
+    layer = graphs._layer(2, 1, 0, False, 1, True)
+    assert layer == frozenset({((1, 2),)})
+    with pytest.raises(AttributeError):
+        layer.add(())
     words, _ = poly._basis_system((1, 1, 2), 1)
     assert words == ((1, 1, 2),)
