@@ -6,7 +6,12 @@ the two-letter BCH series), an internal node is a 2-tuple (left, right).
 The normal-form basis consists of left-normed words
 [[...[l1, l2], l3], ...], stored as plain tuples (l1, ..., lm), with the
 minimal label in the leading position; the multilinear arity-m span has
-dimension (m-1)!.
+dimension (m-1)!.  The expansion of such a word (m, l2, ..., lk) into
+the free associative algebra has exactly one monomial that starts with
+m, the word itself with coefficient 1.  So a tree's coordinates in the
+basis are the coefficients of the m-leading monomials of its expansion,
+and `normalize` computes only those; the full `assoc_expand` stays the
+oracle of the normal forms.
 
 Storage convention: words are kept unshifted, with the d = 1 sign rule
 [x, y] = -[y, x]; the suspension signs for even d enter only through
@@ -128,36 +133,18 @@ def assoc_expand(tree, p=0):
 
 # -- multilinear normal form ------------------------------------------
 
-def _expand_left(a, b):
-    """[a, b] for left-normed words with first(a) < first(b); the result
-    is a combination of left-normed words starting with first(a)."""
-    if len(b) == 1:
-        return {a + b: 1}
-    out = {}
-    for w, c in _expand_left(a, b[:-1]).items():
-        _add(out, w + b[-1:], c)
-    for w, c in _expand_left(a + b[-1:], b[:-1]).items():
-        _add(out, w, -c)
-    return out
-
-
-def _bracket_words(a, b):
-    """Bracket of two minimal-leading left-normed words on disjoint labels."""
-    if a[0] < b[0]:
-        return _expand_left(a, b)
-    return {w: -c for w, c in _expand_left(b, a).items()}
-
-
-def _normalize_tree(tree):
+def _leading(tree, m):
+    """The monomials of a multilinear tree's p = 0 expansion that start
+    with its least label m.  The two sides of a bracket share no label,
+    so no two products collide."""
     if not isinstance(tree, tuple):
         return {(tree,): 1}
-    left = _normalize_tree(tree[0])
-    right = _normalize_tree(tree[1])
-    out = {}
-    for wa, ca in left.items():
-        for wb, cb in right.items():
-            _axpy(out, ca * cb, _bracket_words(wa, wb))
-    return out
+    a, b = tree
+    if m in tree_leaves(a):
+        return {wa + wb: ca * cb for wa, ca in _leading(a, m).items()
+                for wb, cb in assoc_expand(b).items()}
+    return {wb + wa: -cb * ca for wb, cb in _leading(b, m).items()
+            for wa, ca in assoc_expand(a).items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +212,7 @@ def normalize(exprs, d=1):
             leafset = frozenset(leaves)
         elif frozenset(leaves) != leafset:
             raise ValueError("inconsistent leaf sets")
-        _axpy(out, _exact(coeff), _normalize_tree(tree))
+        _axpy(out, _exact(coeff), _leading(tree, min(leaves)))
     arity = len(leafset) if leafset is not None else 0
     return LieElement(arity, out, d)
 

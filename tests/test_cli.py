@@ -276,6 +276,27 @@ def test_compose_rejects_bad_operand(capsys, tmp_path, name):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+_COROLLA = poly.make_term(2, 1, [(1, 2)]).to_json()
+COMPOSE_ERROR_EXITS = {
+    "slot-0": ("0", {"format_version": FORMAT_VERSION,
+                     "a": _COROLLA, "b": _COROLLA}),
+    "slot-past-arity": ("4", {
+        "format_version": FORMAT_VERSION,
+        "a": poly.make_term(3, 1, [(1, 2, 3)]).to_json(), "b": _COROLLA}),
+    "missing-format-version": ("1", {"a": _COROLLA, "b": _COROLLA}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_ERROR_EXITS))
+def test_compose_error_exits(capsys, tmp_path, name):
+    i, rec = COMPOSE_ERROR_EXITS[name]
+    f = _write(tmp_path, "bad.json", rec)
+    code, out, err = run(["compose", f, "--op", "olie", "--i", i], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_compose_rejects_unknown_kind(capsys, tmp_path):
     a = dict(poly.make_term(2, 1, [(1, 2)]).to_json(), kind="foo")
     f = _write(tmp_path, "bad.json",

@@ -439,6 +439,12 @@ def test_chain_checks_square_zero(monkeypatch):
         return out
 
     cohomology_rank("fcgc", 1, (3, 4))  # the true differential passes
+    # the images of fcgc d=1 (3,3) are not in the span of the generators
+    # of fcgc d=2 (4,4), which does not follow it: the check fails at
+    # their coordinates, before any product
+    with pytest.raises(ArithmeticError):
+        defcx._check_square_zero(build_slice("fcgc", 1, (3, 3)),
+                                 build_slice("fcgc", 2, (4, 4)))
     monkeypatch.setattr(defcx, "_image", corrupted)
     with pytest.raises(ArithmeticError):
         cohomology_rank("fcgc", 1, (3, 4))

@@ -7,6 +7,7 @@ expansions of all bracketings with exact linear algebra.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -18,7 +19,7 @@ from liegraphs.lie import (BracketParseError, LieElement, _relabel_tree,
                            assoc_expand, basis_words, bch_truncated, dim_lie,
                            graft, image, left_normed_assoc_expansion,
                            normalize, parse_bracket, pretty_bracket,
-                           word_to_tree)
+                           tree_leaves, word_to_tree)
 from liegraphs.linalg import SparseMatrix, rank
 from liegraphs.poly import OElement, map_i
 
@@ -64,6 +65,14 @@ def test_parse_errors_carry_location():
     with pytest.raises(BracketParseError) as exc:
         parse_bracket("[1,\n[2 3]]")
     assert exc.value.line == 2
+    for text, message, column in [
+            ("", "unexpected end of input", 1),
+            ("[1,", "unexpected end of input", 4),
+            ("[x, 1]", "expected integer or '['", 2),
+            ("[1, 2]]", "trailing input", 7)]:
+        with pytest.raises(BracketParseError, match=re.escape(message)) as exc:
+            parse_bracket(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
 
 
 # -- normalize --------------------------------------------------------
@@ -81,15 +90,33 @@ def test_jacobi_relator_is_zero():
     assert normalize(relator).is_zero()
 
 
+def random_tree(labels, rng):
+    """A uniformly cut random bracketing of the label sequence."""
+    if len(labels) == 1:
+        return labels[0]
+    cut = rng.randint(1, len(labels) - 1)
+    return (random_tree(labels[:cut], rng), random_tree(labels[cut:], rng))
+
+
 def test_normalize_faithful_against_assoc_oracle():
+    # Expansion is injective on Lie elements, so agreement of the full
+    # expansions fixes every coordinate in the basis.
     rng = random.Random(3)
+    trees = [t for m in range(1, 6) for t in all_trees(m)]
     for _ in range(80):
         m = rng.randint(2, 5)
-        tree = rng.choice(list(all_bracketings(
-            tuple(rng.sample(range(1, m + 1), m)))))
+        trees.append(rng.choice(list(all_bracketings(
+            tuple(rng.sample(range(1, m + 1), m))))))
+    for _ in range(40):
+        m = rng.randint(6, 9)
+        labels = list(range(3, m + 3))
+        rng.shuffle(labels)
+        trees.append(random_tree(labels, rng))
+    for tree in trees:
         elem = normalize(tree)
         assert elem.assoc_expansion() == assoc_expand(tree)
-        assert all(w[0] == 1 for w in elem.terms)
+        least = min(tree_leaves(tree))
+        assert all(w[0] == least for w in elem.terms)
 
 
 def test_normalize_idempotent():
@@ -124,6 +151,8 @@ def test_dim_lie_small():
     assert dim_lie(1) == 1
     assert dim_lie(2) == 1
     assert dim_lie(4) == 6
+    with pytest.raises(ValueError):
+        dim_lie(0)
 
 
 def test_dim_lie_matches_span_oracle():
@@ -308,6 +337,8 @@ def test_graft_parallel_compatibility():
 
 def test_bch_order_1():
     assert bch_truncated(1)[1] == {("X",): Fraction(1), ("Y",): Fraction(1)}
+    with pytest.raises(ValueError):
+        bch_truncated(0)
 
 
 def test_bch_order_2():
