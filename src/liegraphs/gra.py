@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .graphs import OrientedGraph, _as_permutation, _check_slot, _normal_form
+from .graphs import (OrientedGraph, _as_permutation, _check_ints, _check_slot,
+                     _graph, _normal_form)
 from .lie import LieElement, image
-from .linalg import Combination, _add, _exact
+from .linalg import Combination, _add, _exact, _json_coeff
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,6 +26,7 @@ class GraElement(Combination):
     terms: dict  # canonical OrientedGraph -> exact coefficient
 
     def __post_init__(self):
+        _check_ints(arity=self.arity, d=self.d)
         super().__post_init__()
         for g in self.terms:
             if g.n_vertices != self.arity:
@@ -70,7 +72,7 @@ class GraElement(Combination):
             if (g.n_vertices, g.d) != (arity, d):
                 raise ValueError(f"graph of shape {(g.n_vertices, g.d)} in"
                                  f" an element of shape {(arity, d)}")
-            _add_graph(terms, d, arity, g.edges, _exact(t["coeff"]))
+            _add_graph(terms, d, arity, g.edges, _json_coeff(t["coeff"]))
         return cls(arity, d, terms)
 
 
@@ -78,7 +80,7 @@ def _add_graph(terms, d, n, edges, coeff):
     """Add coeff times the graph with these raw labelled edges."""
     form, sign = _normal_form(d, edges)
     if sign:
-        _add(terms, OrientedGraph(d, n, form), sign * coeff)
+        _add(terms, _graph(d, n, form), sign * coeff)
 
 
 def element(graph, coeff=1):
@@ -108,7 +110,7 @@ def compose(g1, i, g2):
     def relabel1(v):
         return v if v < i else v + v2 - 1
 
-    terms = {}
+    forms = {}  # normal edge tuple -> coefficient
     for G1, c1 in g1.terms.items():
         # g1's edges relabelled, the end at i left as None
         outer = [(None if t == i else relabel1(t),
@@ -123,8 +125,11 @@ def compose(g1, i, g2):
                 for k, x in zip(incident, targets):
                     t, h = edges[k]
                     edges[k] = (x, h) if t is None else (t, x)
-                _add_graph(terms, d, new_arity, edges, coeff)
-    return GraElement(new_arity, d, terms)
+                form, sign = _normal_form(d, edges)
+                if sign:
+                    forms[form] = forms.get(form, 0) + sign * coeff
+    return GraElement(new_arity, d, {_graph(d, new_arity, form): c
+                                     for form, c in forms.items() if c})
 
 
 def s_action(g, sigma):

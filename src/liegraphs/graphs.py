@@ -21,6 +21,7 @@ vertex ordering is part of the orientation.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations, groupby
 
@@ -29,19 +30,26 @@ from . import memo
 ZERO = 0
 
 
-# ordered by (d, n_vertices, edges): within one slice, the order in
-# which enumerate_graphs lists its canonical graphs
-@dataclass(frozen=True, order=True)
-class OrientedGraph:
-    d: int
-    n_vertices: int
-    edges: tuple
+def _check_ints(**values):
+    """TypeError unless every value is an int (a bool is not)."""
+    for name, x in values.items():
+        if type(x) is not int:
+            raise TypeError(f"{name} {x!r} is not an int")
 
-    def __post_init__(self):
-        n = self.n_vertices
+
+# A tuple ordered by (d, n_vertices, edges): within one slice, the order
+# in which enumerate_graphs lists its canonical graphs.  Hash and
+# equality are the tuple's own, so a graph keys a dict without a Python
+# call.
+class OrientedGraph(namedtuple("OrientedGraph", ("d", "n_vertices", "edges"))):
+    __slots__ = ()
+
+    def __new__(cls, d, n_vertices, edges):
+        _check_ints(d=d, n_vertices=n_vertices)
+        n = n_vertices
         if n < 0:
             raise ValueError("negative vertex count")
-        edges = tuple(map(tuple, self.edges))
+        edges = tuple(map(tuple, edges))
         for t, h in edges:
             if type(t) is not int or type(h) is not int:
                 raise TypeError(f"vertex label not an int in {(t, h)!r}")
@@ -49,7 +57,7 @@ class OrientedGraph:
                 raise ValueError("tadpole edge")
             if not (0 < t <= n and 0 < h <= n):
                 raise ValueError("vertex label out of range")
-        object.__setattr__(self, "edges", edges)
+        return tuple.__new__(cls, (d, n, edges))
 
     def n_edges(self):
         return len(self.edges)
@@ -69,6 +77,13 @@ class OrientedGraph:
     def from_json(cls, rec):
         return cls(rec["d"], rec["vertices"],
                    tuple((t, h) for t, h in rec["edges"]))
+
+
+def _graph(d, n, form):
+    """The OrientedGraph of a form that `_normal_form` or
+    `_canonical_form` derived from a valid graph on n vertices, wrapped
+    without checking it again."""
+    return tuple.__new__(OrientedGraph, (d, n, form))
 
 
 @dataclass(frozen=True)
@@ -289,7 +304,7 @@ def canonicalize(g):
     quotient, with the vertices unlabelled.
     """
     form, sign = _canonical_form(g.d, g.n_vertices, g.edges)
-    return SignedCanonical(OrientedGraph(g.d, g.n_vertices, form), sign)
+    return SignedCanonical(_graph(g.d, g.n_vertices, form), sign)
 
 
 def _component_labels(n, edges):

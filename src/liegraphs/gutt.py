@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
 from types import MappingProxyType
 
 from . import memo
@@ -184,15 +183,27 @@ def u_mul(alg, u, v):
     return _bilinear(u, v, lambda m1, m2: straighten(alg, m1 + m2))
 
 
+def _orderings(m):
+    """The distinct orderings of the letters of m, in lexicographic
+    order: each ordering of a multiset once."""
+    if not m:
+        yield ()
+    for x in sorted(set(m)):
+        rest = list(m)
+        rest.remove(x)
+        for w in _orderings(rest):
+            yield (x, *w)
+
+
 @memo
 def _sigma_basis(alg, m):
+    """sigma of a monomial: the mean of straighten over its k!
+    orderings, each distinct ordering taken once."""
+    words = list(_orderings(m))
+    scale = Fraction(1, len(words))
     base = {}
-    perms = set(permutations(m))
-    scale = Fraction(1, math.factorial(len(m)))
-    # multiset permutations are repeated in the full sum
-    rep = math.factorial(len(m)) // (len(perms) or 1) if m else 1
-    for w in perms:
-        for key, cv in straighten(alg, w, 0, scale * rep).items():
+    for w in words:
+        for key, cv in straighten(alg, w, 0, scale).items():
             _add(base, key, cv)
     return MappingProxyType(_exact_poly(base))
 

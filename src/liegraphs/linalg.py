@@ -28,6 +28,15 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _json_coeff(c):
+    """A coefficient read from JSON as an exact one; ValueError naming
+    it when it divides by zero."""
+    try:
+        return _exact(c)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {c!r} divides by zero") from None
+
+
 class SparseMatrix:
     """Immutable sparse matrix with rows of sorted (column, value) pairs."""
 

@@ -23,8 +23,8 @@ right operand's components attach injectively to the slot occurrences
 formerly pointing at the erased white vertex (grafting trees) or to the
 global output; uncovered occurrences then sum over the right operand's
 white vertices.  The occurrences are negative marker leaves -1, -2, ...
-of the left operand's bracket trees, so every substitution is one
-`lie._relabel_tree` with a total leaf map.
+of the left operand's components, so every substitution refills a
+component's tree shape with one flat list of leaves (`_substituted`).
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ from types import MappingProxyType
 
 from . import memo
 from .gra import GraElement, _add_graph
-from .graphs import _as_permutation, _check_slot, _components, perm_sign
+from .graphs import (_as_permutation, _check_ints, _check_slot, _components,
+                     perm_sign)
 from .lie import LieElement, _relabel_tree, assoc_expand, image
 from .lie import parse_bracket, pretty_bracket, tree_leaves, word_to_tree
-from .linalg import Combination, Echelon, _add, _exact
+from .linalg import Combination, Echelon, _add, _exact, _json_coeff
 
 
 # -- free (super) Lie normal forms on repeated letters ----------------
@@ -174,6 +175,7 @@ class OElement(Combination):
     kind: str = "lie"
 
     def __post_init__(self):
+        _check_ints(arity=self.arity, d=self.d)
         super().__post_init__()
         if self.kind not in ("lie", "ass"):
             raise ValueError(f"unknown kind {self.kind!r}")
@@ -221,7 +223,7 @@ class OElement(Combination):
         p = _gen_parity(d, kind)
         terms = {}
         for t in rec["terms"]:
-            coeff = _exact(t["coeff"])
+            coeff = _json_coeff(t["coeff"])
             combos = [_component_from_json(comp, kind, p, arity)
                       for comp in t["components"]]
             _expand_product(terms, combos, [], coeff, p)
@@ -258,7 +260,8 @@ def _component_from_json(comp, kind, p, arity):
                          f" outside 1..{arity}: {attach}")
     if kind == "ass":
         slot_tree = word_to_tree(slots)
-    return _substituted(slot_tree, dict(enumerate(attach, 1)), kind, p)
+    return _substituted(slot_tree, tuple([attach[s - 1] for s in slots]),
+                        kind, p)
 
 
 def _add_term(terms, words, coeff, p):
@@ -308,22 +311,22 @@ def _refill(tree, leaves):
     return next(leaves)
 
 
-def _tree_with_markers(word, i, shift, kind, after):
-    """Bracket tree of a component word (see _word_tree) with whites
-    above i shifted by `shift` and each occurrence of white i replaced
-    by the next negative marker -1, -2, ... (numbered across the calls
-    sharing `after`).  Appends to `after` each marker's count of leaves
-    to its right in reading order: the Koszul crossings a grafted
-    component makes for even d."""
+def _marked_leaves(word, i, shift, after):
+    """The leaves of a component word's tree (its letters, in reading
+    order) with whites above i shifted by `shift` and the k-th
+    occurrence of white i, counted across the calls sharing `after`,
+    replaced by the marker ~k = -k - 1.  Appends to `after` each
+    marker's count of leaves to its right: the Koszul crossings a
+    grafted component makes for even d."""
     leaves = []
     for pos, x in enumerate(word):
         if x == i:
+            x = ~len(after)
             after.append(len(word) - 1 - pos)
-            x = -len(after)
         elif x > i:
             x += shift
         leaves.append(x)
-    return _refill(_word_tree(word, kind), iter(leaves))
+    return leaves
 
 
 def _injective_assignments(n_items, slots):
@@ -335,24 +338,28 @@ def _injective_assignments(n_items, slots):
             yield choice
 
 
-def _substituted(tree, mapping, kind, p):
-    """Normal form of a component tree relabelled by mapping: its
-    basis expansion, or the leaf word for the ass kind."""
-    st = _relabel_tree(tree, mapping)
+@memo
+def _substituted(shape, leaves, kind, p):
+    """Normal form of a component tree shape refilled with the tuple
+    `leaves`, in reading order (whites, or grafted trees): its basis
+    expansion, or the leaf word for the ass kind, as a read-only
+    mapping.  Memoised on the flat leaves, so a repeated substitution
+    builds no tree."""
+    tree = _refill(shape, iter(leaves))
     if kind == "ass":
-        return {tree_leaves(st): 1}
-    return component_normal_form(st, p)
+        return MappingProxyType({tree_leaves(tree): 1})
+    return component_normal_form(tree, p)
 
 
 def o_compose(a, i, b):
     """Operadic partial composition a o_i b.
 
-    Each a-component becomes a bracket tree whose occurrences of white
-    i are negative markers; every substitution relabels those trees
-    with one total leaf map: the identity on a's whites, b's trees on
-    the markers its components graft onto, and b's whites on the
-    markers left free.  Components with no free marker are normalized
-    once per assignment; only the others vary with the free whites."""
+    Each a-component is its tree shape and its leaves, in which the
+    occurrences of white i are negative markers; a substitution fills
+    the markers, b's trees on those its components graft onto and b's
+    whites on those left free, and refills the shape with the leaves.
+    Components with no free marker are normalized once per assignment;
+    only the others vary with the free whites."""
     _check_slot(i, a.arity)
     if (a.d, a.kind) != (b.d, b.kind):
         raise ValueError("d/kind mismatch")
@@ -361,15 +368,22 @@ def o_compose(a, i, b):
     n2 = b.arity
     new_arity = a.arity + n2 - 1
     b_whites = range(i, i + n2)
-    base = {x: x for x in range(1, new_arity + 1) if x not in b_whites}
+
+    def filled(shape, leaves):
+        """Normal form of a component with each marker ~k replaced by
+        fill[k]."""
+        return _substituted(shape, tuple([fill[~x] if x < 0 else x
+                                          for x in leaves]), kind, p)
+
     out_terms = {}
     for ta, ca in a.terms.items():
-        trees, after, comp_markers = [], [], []
+        comps, after = [], []
         for w in ta:
             first = len(after)
-            trees.append(_tree_with_markers(w, i, n2 - 1, kind, after))
-            comp_markers.append(range(-first - 1, -len(after) - 1, -1))
-        markers = range(-1, -len(after) - 1, -1)
+            leaves = _marked_leaves(w, i, n2 - 1, after)
+            comps.append((_word_tree(w, kind), leaves,
+                          range(first, len(after))))
+        markers = range(len(after))
         pa = [_parity(w, p) for w in ta]
         for tb, cb in b.terms.items():
             b_words = [tuple(x + i - 1 for x in w) for w in tb]
@@ -380,16 +394,19 @@ def o_compose(a, i, b):
             for assignment in _injective_assignments(q, markers):
                 covered = {m: u for u, m in enumerate(assignment)
                            if m is not None}
-                mapping = base | {m: b_trees[u] for m, u in covered.items()}
+                # fill[k] is what marker k becomes: the tree grafted
+                # there, or a white set for each choice below
+                fill = [b_trees[covered[m]] if m in covered else None
+                        for m in markers]
                 # components without a free marker are fixed by the
                 # assignment; a zero one kills it
                 combos, loose = [], []
-                for k, (tree, own) in enumerate(zip(trees, comp_markers)):
+                for k, (shape, leaves, own) in enumerate(comps):
                     if any(m not in covered for m in own):
                         combos.append(None)
-                        loose.append((k, tree))
+                        loose.append((k, shape, leaves))
                         continue
-                    nf = _substituted(tree, mapping, kind, p)
+                    nf = filled(shape, leaves)
                     if not nf:
                         break
                     combos.append(nf)
@@ -404,7 +421,7 @@ def o_compose(a, i, b):
                         # sits right after its target a-component,
                         # unconsumed ones at the end
                         final = []
-                        for t_idx, own in enumerate(comp_markers):
+                        for t_idx, (_, _, own) in enumerate(comps):
                             final.append(t_idx)
                             final.extend(len(ta) + covered[m] for m in own
                                          if m in covered)
@@ -413,14 +430,15 @@ def o_compose(a, i, b):
                         # graft crossing sign: an odd grafted component
                         # passes the leaves right of its marker
                         for m, u in covered.items():
-                            if pb[u] and after[-m - 1] % 2 == 1:
+                            if pb[u] and after[m] % 2 == 1:
                                 sign = -sign
                     coeff = ca * cb * sign
                     tail = [b_words[u] for u in unconsumed]
                     for g in product(b_whites, repeat=len(free_markers)):
-                        mapping.update(zip(free_markers, g))
-                        for k, tree in loose:
-                            nf = _substituted(tree, mapping, kind, p)
+                        for m, white in zip(free_markers, g):
+                            fill[m] = white
+                        for k, shape, leaves in loose:
+                            nf = filled(shape, leaves)
                             if not nf:
                                 break
                             combos[k] = nf
@@ -430,10 +448,25 @@ def o_compose(a, i, b):
 
 
 def _expand_product(out_terms, combos, tail, coeff, p):
-    """Multilinear expansion of a product of component combinations."""
-    if len(combos) == 1:
+    """Multilinear expansion of a product of component combinations.
+    A product of one or two components is keyed directly: two odd ones
+    swap with sign -1 and are zero when equal."""
+    if len(combos) == 1 and not tail:
         for w, c in combos[0].items():
-            _add_term(out_terms, [w, *tail], coeff * c, p)
+            _add(out_terms, (w,), coeff * c)
+        return
+    if len(combos) == 1 and len(tail) == 1:
+        v = tail[0]
+        v_key, v_odd = _word_key(v), _parity(v, p)
+        for w, c in combos[0].items():
+            if _word_key(w) <= v_key:
+                if w == v and v_odd:
+                    continue
+                _add(out_terms, (w, v), coeff * c)
+            elif v_odd and _parity(w, p):
+                _add(out_terms, (v, w), -coeff * c)
+            else:
+                _add(out_terms, (v, w), coeff * c)
         return
     for choice in product(*(nf.items() for nf in combos)):
         c = coeff
@@ -448,8 +481,8 @@ def _expand_product(out_terms, combos, tail, coeff, p):
 def _term_action(term, sigma, kind, p):
     """Image of one term with coefficient 1 under sigma, as (term,
     coeff) items: each component's tree relabelled by sigma."""
-    mapping = dict(enumerate(sigma, 1))
-    combos = [_substituted(_word_tree(w, kind), mapping, kind, p)
+    combos = [_substituted(_word_tree(w, kind),
+                           tuple([sigma[x - 1] for x in w]), kind, p)
               for w in term]
     out = {}
     _expand_product(out, combos, [], 1, p)

@@ -306,6 +306,47 @@ def test_compose_rejects_unknown_kind(capsys, tmp_path):
     assert err.startswith("error:") and "kind" in err
 
 
+def _edge_json(d=1, vertices=2, arity=2, coeff="1"):
+    """The JSON of the one-edge Gra element with these fields."""
+    return {"arity": arity, "d": d,
+            "terms": [{"coeff": coeff, "graph": {
+                "d": d, "vertices": vertices, "edges": [[1, 2]]}}]}
+
+
+def _corolla_with(coeff="1", **fields):
+    """The d=1 corolla's JSON with these fields and coefficient."""
+    return dict(_COROLLA, **fields,
+                terms=[dict(_COROLLA["terms"][0], coeff=coeff)])
+
+
+# (op, operand a, text the error line must hold)
+COMPOSE_BAD_INPUTS = {
+    "gra-d-float": ("gra", _edge_json(d=1.5), "1.5"),
+    "gra-d-bool": ("gra", _edge_json(d=True), "True"),
+    "gra-arity-float": ("gra", _edge_json(vertices=2.5, arity=2.5), "2.5"),
+    "gra-coeff-1/0": ("gra", _edge_json(coeff="1/0"), "'1/0'"),
+    "olie-d-float": ("olie", _corolla_with(d=1.5), "1.5"),
+    "olie-d-bool": ("olie", _corolla_with(d=True), "True"),
+    "olie-arity-float": ("olie", _corolla_with(arity=2.5), "2.5"),
+    "olie-coeff-1/0": ("olie", _corolla_with(coeff="1/0"), "'1/0'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_BAD_INPUTS))
+def test_compose_rejects_non_int_shape_and_zero_denominator(
+        capsys, tmp_path, name):
+    """A d, vertex count or arity that is not an int, and a coefficient
+    that divides by zero, end in one error line and exit status 1."""
+    op, a, why = COMPOSE_BAD_INPUTS[name]
+    b = _edge_json() if op == "gra" else _COROLLA
+    f = _write(tmp_path, "bad.json",
+               {"format_version": FORMAT_VERSION, "a": a, "b": b})
+    code, out, err = run(["compose", f, "--op", op, "--i", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert why in err and "Traceback" not in err
+
+
 # sha256 of the `compose` stdout for an olie d=2 input whose white 2
 # occurs twice in some terms, and for an ass input, both at --i 2;
 # computed at commit 4a76473, before markers became negative leaves.

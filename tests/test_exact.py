@@ -22,7 +22,8 @@ from test_linalg import dense_rank, is_exact
 THIRD = Fraction(1, 3)
 
 # every memo whose entries hold coefficients
-MEMOS = [(poly, "component_normal_form"), (poly, "_term_action"),
+MEMOS = [(poly, "component_normal_form"), (poly, "_substituted"),
+         (poly, "_term_action"),
          (poly, "_basis_system"),
          (lie, "_word_action"), (defcx, "_gc_differential"),
          (gutt, "_straighten"), (gutt, "_sigma_basis"),

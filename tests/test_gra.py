@@ -95,6 +95,10 @@ def test_compose_matches_canonicalize_oracle():
         got = compose(a, i, b)
         assert got == GraElement(n, d, want)
         assert got.to_json() == GraElement(n, d, want).to_json()
+        # the result keys, wrapped without a check, are valid graphs
+        for g in got.terms:
+            assert type(g) is OrientedGraph
+            assert g == OrientedGraph(g.d, g.n_vertices, g.edges)
         zero_cases += zero and d == 2
     assert zero_cases >= 20
 

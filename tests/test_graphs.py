@@ -9,9 +9,11 @@ from itertools import (combinations, combinations_with_replacement,
 import pytest
 
 from liegraphs import graphs
+from liegraphs.gra import GraElement
 from liegraphs.graphs import (OrientedGraph, SignedCanonical, _normal_form,
                               canonicalize, enumerate_graphs, is_connected,
                               perm_sign)
+from liegraphs.poly import OElement
 
 
 def test_no_tadpoles():
@@ -28,6 +30,18 @@ def test_labels_are_ints_and_vertex_count_is_not_negative():
     with pytest.raises(ValueError):
         OrientedGraph(1, -1, ())
     assert OrientedGraph(1, 2, ([2, 1],)).edges == ((2, 1),)
+    # d, the vertex count and an element's arity are ints, and a bool
+    # is not one
+    for bad in (1.5, 2.0, True, "1", None):
+        with pytest.raises(TypeError):
+            OrientedGraph(bad, 2, ())
+        with pytest.raises(TypeError):
+            OrientedGraph(1, bad, ())
+        for cls in (GraElement, OElement):
+            with pytest.raises(TypeError):
+                cls(2, bad, {})
+            with pytest.raises(TypeError):
+                cls(bad, 1, {})
 
 
 def fixed_labels(g):

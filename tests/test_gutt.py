@@ -1,6 +1,7 @@
 """PBW star product: straightening, symmetrization, graph series."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,21 @@ def test_sigma_roundtrip():
                               monomial([1] * 4, coeff=Fraction(2, 3))),
                      monomial([2], h=1, coeff=Fraction(-1)))
         assert sigma_inv(alg, sigma(alg, p)) == p
+
+
+def test_sigma_is_the_mean_over_all_orderings():
+    """sigma walks each distinct ordering of a monomial once; the
+    definition sums straighten over all k! orderings, repeats
+    included, and divides by k!."""
+    for alg in (heisenberg(), two_dim()):
+        for m in [(), (1,), (1, 1), (1, 2, 2), (1, 1, 2, 2), (1, 1, 1, 2),
+                  (1, 2, 2, 2, 3)]:
+            m = tuple(x for x in m if x <= alg.dim)
+            want = {}
+            for w in itertools.permutations(m):
+                want = poly_add(want, straighten(alg, w, 0, Fraction(
+                    1, math.factorial(len(m)))))
+            assert sigma(alg, monomial(m)) == want, m
 
 
 def test_star_associative_heisenberg():

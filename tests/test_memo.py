@@ -13,7 +13,7 @@ from liegraphs.graphs import OrientedGraph
 MEMOISED = (defcx._gc_differential, graphs._layer, lie._word_action,
             poly.lyndon_tree,
             poly._basis_system, poly.component_normal_form,
-            poly._term_action,
+            poly._substituted, poly._term_action,
             gutt._straighten, gutt._sigma_basis, gutt._sigma_inv_basis,
             gutt._star_basis)
 
@@ -62,6 +62,10 @@ def test_memo_results_are_read_only():
         (poly.component_normal_form, ((2, 1), 0), {(1, 2): Fraction(-1)}),
         # through the label-rank pattern
         (poly.component_normal_form, ((5, 3), 0), {(3, 5): Fraction(-1)}),
+        # the shape [1, 2] refilled with the leaves 2, 1
+        (poly._substituted, ((1, 2), (2, 1), "lie", 0),
+         {(1, 2): Fraction(-1)}),
+        (poly._substituted, ((1, 2), (2, 1), "ass", 0), {(2, 1): 1}),
         (gutt._straighten, (h, (2, 1)), {xy: 1, z: Fraction(-1)}),
         (gutt._sigma_basis, (h, (1, 2)), {xy: 1, z: Fraction(-1, 2)}),
         (gutt._sigma_inv_basis, (h, (1, 2)), {xy: 1, z: Fraction(1, 2)}),

@@ -245,21 +245,50 @@ def _oracle_assignments(n_items, slots):
     yield from rec(0, frozenset())
 
 
+# component words with odd and even components at both parities
+SORT_TERM_POOL = [(1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 3), (1, 3, 2),
+                  (1, 2, 3, 4), (3, 3)]
+
+
 def test_sort_term_matches_oracle():
     """Every tuple of up to four words from a pool with odd and even
     components at both parities; (1, 2) and (1, 2, 3, 4) repeated are
     odd at d = 2 and give sign 0."""
-    pool = [(1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 3), (1, 3, 2),
-            (1, 2, 3, 4), (3, 3)]
     zeros = 0
     for d, kind in ((1, "lie"), (2, "lie"), (1, "ass"), (2, "ass")):
         for n in range(5):
-            for words in product(pool, repeat=n):
+            for words in product(SORT_TERM_POOL, repeat=n):
                 want = _oracle_sort_term(list(words), d, kind)
                 p = poly._gen_parity(d, kind)
                 assert poly._sort_term(list(words), p) == want
                 zeros += want[1] == 0
     assert zeros >= 100
+
+
+def test_expand_product_fast_paths_match_oracle():
+    """One normal-form combination times a tail of 0 or 1 word, keyed
+    directly by _expand_product, against the recursive oracle: every
+    combination of one or two words of the sort-term pool, with every
+    tail.  At d = 2 the odd (1, 2) repeated is zero, and an odd pair in
+    the wrong order swaps with sign -1."""
+    pool = SORT_TERM_POOL
+    combos = [{w: Fraction(-2, 3)} for w in pool]
+    combos += [{w: 3, v: Fraction(1, 2)} for w, v in product(pool, pool)
+               if w != v]
+    zeros = swaps = 0
+    for d, kind in ((1, "lie"), (2, "lie"), (1, "ass"), (2, "ass")):
+        p = poly._gen_parity(d, kind)
+        for nf in combos:
+            for tail in [[]] + [[v] for v in pool]:
+                got, want = {}, {}
+                poly._expand_product(got, [nf], tail, 5, p)
+                _oracle_expand_product(want, [nf], tail, 5, d, kind)
+                assert got == {t: c for t, c in want.items() if c}
+                for w in nf:
+                    sign = _oracle_sort_term([w] + tail, d, kind)[1]
+                    zeros += sign == 0
+                    swaps += sign == -1
+    assert zeros >= 10 and swaps >= 100
 
 
 def _reference_s_action(x, sigma):
