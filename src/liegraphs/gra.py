@@ -16,7 +16,7 @@ from itertools import product
 from .graphs import (OrientedGraph, _as_permutation, _check_ints, _check_slot,
                      _graph, _normal_form)
 from .lie import LieElement, image
-from .linalg import Combination, _add, _exact, _json_coeff
+from .linalg import Combination, _exact, _json_coeff
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,28 +66,36 @@ class GraElement(Combination):
     @classmethod
     def from_json(cls, rec):
         arity, d = rec["arity"], rec["d"]
-        terms = {}
+        forms = {}
         for t in rec["terms"]:
             g = OrientedGraph.from_json(t["graph"])
             if (g.n_vertices, g.d) != (arity, d):
                 raise ValueError(f"graph of shape {(g.n_vertices, g.d)} in"
                                  f" an element of shape {(arity, d)}")
-            _add_graph(terms, d, arity, g.edges, _json_coeff(t["coeff"]))
-        return cls(arity, d, terms)
+            _add_graph(forms, d, g.edges, _json_coeff(t["coeff"]))
+        return _element(arity, d, forms)
 
 
-def _add_graph(terms, d, n, edges, coeff):
-    """Add coeff times the graph with these raw labelled edges."""
+def _add_graph(forms, d, edges, coeff):
+    """Add coeff times the graph with these raw labelled edges to
+    `forms`, a dict from normal edge tuples to coefficients."""
     form, sign = _normal_form(d, edges)
     if sign:
-        _add(terms, _graph(d, n, form), sign * coeff)
+        forms[form] = forms.get(form, 0) + sign * coeff
+
+
+def _element(n, d, forms):
+    """The GraElement of `_add_graph`'s forms, each derived from a valid
+    graph on n vertices, wrapped once; zero sums are dropped."""
+    return GraElement(n, d, {_graph(d, n, form): c
+                             for form, c in forms.items() if c})
 
 
 def element(graph, coeff=1):
     """GraElement with a single (canonicalized) graph term."""
-    terms = {}
-    _add_graph(terms, graph.d, graph.n_vertices, graph.edges, _exact(coeff))
-    return GraElement(graph.n_vertices, graph.d, terms)
+    forms = {}
+    _add_graph(forms, graph.d, graph.edges, _exact(coeff))
+    return _element(graph.n_vertices, graph.d, forms)
 
 
 def unit(d):
@@ -110,7 +118,7 @@ def compose(g1, i, g2):
     def relabel1(v):
         return v if v < i else v + v2 - 1
 
-    forms = {}  # normal edge tuple -> coefficient
+    forms = {}
     for G1, c1 in g1.terms.items():
         # g1's edges relabelled, the end at i left as None
         outer = [(None if t == i else relabel1(t),
@@ -125,22 +133,19 @@ def compose(g1, i, g2):
                 for k, x in zip(incident, targets):
                     t, h = edges[k]
                     edges[k] = (x, h) if t is None else (t, x)
-                form, sign = _normal_form(d, edges)
-                if sign:
-                    forms[form] = forms.get(form, 0) + sign * coeff
-    return GraElement(new_arity, d, {_graph(d, new_arity, form): c
-                                     for form, c in forms.items() if c})
+                _add_graph(forms, d, edges, coeff)
+    return _element(new_arity, d, forms)
 
 
 def s_action(g, sigma):
     """Relabel vertices by the permutation sigma (sequence of images)."""
     sigma = _as_permutation(sigma, g.arity)
     mapping = {v: sigma[v - 1] for v in range(1, g.arity + 1)}
-    terms = {}
+    forms = {}
     for G, c in g.terms.items():
         edges = [(mapping[t], mapping[h]) for t, h in G.edges]
-        _add_graph(terms, G.d, G.n_vertices, edges, c)
-    return GraElement(g.arity, g.d, terms)
+        _add_graph(forms, G.d, edges, c)
+    return _element(g.arity, g.d, forms)
 
 
 def gra_image(x: LieElement):

@@ -20,7 +20,7 @@ from functools import partial
 from types import MappingProxyType
 
 from . import memo
-from .gra import GraElement, _add_graph, s_action
+from .gra import GraElement, _add_graph, _element, s_action
 from .graphs import OrientedGraph
 from .linalg import _add, _exact
 
@@ -253,11 +253,10 @@ def gutt_mod_I_series(max_edges, d=1):
     two slots; the k = 0 term is the edgeless product graph."""
     if max_edges > 8:
         raise ValueError("max_edges <= 8")
-    terms = {}
+    forms = {}
     for k in range(max_edges + 1):
-        _add_graph(terms, d, 2, ((1, 2),) * k,
-                   Fraction(1, math.factorial(k)))
-    return GraElement(2, d, terms)
+        _add_graph(forms, d, ((1, 2),) * k, Fraction(1, math.factorial(k)))
+    return _element(2, d, forms)
 
 
 def skew_symmetrize_series(s: GraElement) -> GraElement:

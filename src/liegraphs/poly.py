@@ -34,9 +34,9 @@ from itertools import permutations, product
 from types import MappingProxyType
 
 from . import memo
-from .gra import GraElement, _add_graph
-from .graphs import (_as_permutation, _check_ints, _check_slot, _components,
-                     perm_sign)
+from .gra import GraElement, _add_graph, _element
+from .graphs import (OrientedGraph, _as_permutation, _check_ints,
+                     _check_slot, _components, perm_sign)
 from .lie import LieElement, _relabel_tree, assoc_expand, image
 from .lie import parse_bracket, pretty_bracket, tree_leaves, word_to_tree
 from .linalg import Combination, Echelon, _add, _exact, _json_coeff
@@ -157,6 +157,12 @@ def _sort_term(words, p):
     """
     if len(words) < 2:
         return tuple(words), 1
+    if len(words) == 2:
+        # the common case of composition results, without a sort
+        a, b = words
+        if _word_key(b) < _word_key(a):
+            return (b, a), -1 if _parity(a, p) and _parity(b, p) else 1
+        return (a, b), 0 if a == b and _parity(a, p) else 1
     if not p:
         return tuple(sorted(words, key=_word_key)), 1
     keyed = sorted(range(len(words)), key=lambda i: _word_key(words[i]))
@@ -448,25 +454,10 @@ def o_compose(a, i, b):
 
 
 def _expand_product(out_terms, combos, tail, coeff, p):
-    """Multilinear expansion of a product of component combinations.
-    A product of one or two components is keyed directly: two odd ones
-    swap with sign -1 and are zero when equal."""
-    if len(combos) == 1 and not tail:
+    """Multilinear expansion of a product of component combinations."""
+    if len(combos) == 1:
         for w, c in combos[0].items():
-            _add(out_terms, (w,), coeff * c)
-        return
-    if len(combos) == 1 and len(tail) == 1:
-        v = tail[0]
-        v_key, v_odd = _word_key(v), _parity(v, p)
-        for w, c in combos[0].items():
-            if _word_key(w) <= v_key:
-                if w == v and v_odd:
-                    continue
-                _add(out_terms, (w, v), coeff * c)
-            elif v_odd and _parity(w, p):
-                _add(out_terms, (v, w), -coeff * c)
-            else:
-                _add(out_terms, (v, w), coeff * c)
+            _add_term(out_terms, [w, *tail], coeff * c, p)
         return
     for choice in product(*(nf.items() for nf in combos)):
         c = coeff
@@ -533,12 +524,14 @@ def quotient_to_gra(x: OElement) -> GraElement:
     the term's component order (d even)."""
     if x.kind != "lie":
         raise ValueError("quotient defined on the Lie kind")
-    terms = {}
+    forms = {}
     for t, c in x.terms.items():
         if any(len(w) != 2 or w[0] == w[1] for w in t):
             continue  # >2 slots or a tadpole: in the ideal
-        _add_graph(terms, x.d, x.arity, t, c)
-    return GraElement(x.arity, x.d, terms)
+        # the words are not checked by OElement: the graph checks them
+        g = OrientedGraph(x.d, x.arity, t)
+        _add_graph(forms, x.d, g.edges, c)
+    return _element(x.arity, x.d, forms)
 
 
 def ass_remark_check():

@@ -265,12 +265,12 @@ def test_sort_term_matches_oracle():
     assert zeros >= 100
 
 
-def test_expand_product_fast_paths_match_oracle():
-    """One normal-form combination times a tail of 0 or 1 word, keyed
-    directly by _expand_product, against the recursive oracle: every
-    combination of one or two words of the sort-term pool, with every
-    tail.  At d = 2 the odd (1, 2) repeated is zero, and an odd pair in
-    the wrong order swaps with sign -1."""
+def test_expand_product_of_one_combination_matches_oracle():
+    """One normal-form combination times a tail of 0 or 1 word, the
+    products composition makes most, against the recursive oracle:
+    every combination of one or two words of the sort-term pool, with
+    every tail.  At d = 2 the odd (1, 2) repeated is zero, and an odd
+    pair in the wrong order swaps with sign -1."""
     pool = SORT_TERM_POOL
     combos = [{w: Fraction(-2, 3)} for w in pool]
     combos += [{w: 3, v: Fraction(1, 2)} for w, v in product(pool, pool)
@@ -645,6 +645,13 @@ def test_quotient_to_gra_generators():
             == GraElement.bracket(d)
     # a 3-slot component lies in the ideal
     assert quotient_to_gra(make_term(3, 1, [(1, 2, 3)])).is_zero()
+
+
+def test_quotient_to_gra_checks_labels():
+    """OElement does not check its words' labels, so the projection
+    builds each graph through OrientedGraph's checks."""
+    with pytest.raises(ValueError, match="out of range"):
+        quotient_to_gra(OElement(2, 1, {((1, 3),): 1}))
 
 
 def test_quotient_is_morphism():
