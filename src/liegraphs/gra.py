@@ -28,9 +28,11 @@ class GraElement(Combination):
     def __post_init__(self):
         _check_ints(arity=self.arity, d=self.d)
         super().__post_init__()
+        shape = self._shape()
         for g in self.terms:
-            if g.n_vertices != self.arity:
-                raise ValueError("term arity mismatch")
+            if (g.n_vertices, g.d) != shape:
+                raise ValueError(f"graph of shape {(g.n_vertices, g.d)} in"
+                                 f" an element of shape {shape}")
 
     def _shape(self):
         return (self.arity, self.d)

@@ -161,6 +161,8 @@ def _bilinear(p, q, image):
 
 @memo
 def _straighten(alg, word):
+    if not all(1 <= x <= alg.dim for x in word):
+        raise ValueError(f"generator index outside 1..{alg.dim} in {word}")
     base = {}
     stack = [(word, 0, 1)]
     while stack:

@@ -163,8 +163,6 @@ def _sort_term(words, p):
         if _word_key(b) < _word_key(a):
             return (b, a), -1 if _parity(a, p) and _parity(b, p) else 1
         return (a, b), 0 if a == b and _parity(a, p) else 1
-    if not p:
-        return tuple(sorted(words, key=_word_key)), 1
     keyed = sorted(range(len(words)), key=lambda i: _word_key(words[i]))
     out = tuple(words[i] for i in keyed)
     for a, b in zip(out, out[1:]):
@@ -363,9 +361,7 @@ def o_compose(a, i, b):
     Each a-component is its tree shape and its leaves, in which the
     occurrences of white i are negative markers; a substitution fills
     the markers, b's trees on those its components graft onto and b's
-    whites on those left free, and refills the shape with the leaves.
-    Components with no free marker are normalized once per assignment;
-    only the others vary with the free whites."""
+    whites on those left free, and refills the shape with the leaves."""
     _check_slot(i, a.arity)
     if (a.d, a.kind) != (b.d, b.kind):
         raise ValueError("d/kind mismatch")
@@ -374,12 +370,6 @@ def o_compose(a, i, b):
     n2 = b.arity
     new_arity = a.arity + n2 - 1
     b_whites = range(i, i + n2)
-
-    def filled(shape, leaves):
-        """Normal form of a component with each marker ~k replaced by
-        fill[k]."""
-        return _substituted(shape, tuple([fill[~x] if x < 0 else x
-                                          for x in leaves]), kind, p)
 
     out_terms = {}
     for ta, ca in a.terms.items():
@@ -400,62 +390,47 @@ def o_compose(a, i, b):
             for assignment in _injective_assignments(q, markers):
                 covered = {m: u for u, m in enumerate(assignment)
                            if m is not None}
-                # fill[k] is what marker k becomes: the tree grafted
-                # there, or a white set for each choice below
-                fill = [b_trees[covered[m]] if m in covered else None
-                        for m in markers]
-                # components without a free marker are fixed by the
-                # assignment; a zero one kills it
-                combos, loose = [], []
-                for k, (shape, leaves, own) in enumerate(comps):
-                    if any(m not in covered for m in own):
-                        combos.append(None)
-                        loose.append((k, shape, leaves))
-                        continue
-                    nf = filled(shape, leaves)
-                    if not nf:
-                        break
-                    combos.append(nf)
-                else:
-                    free_markers = [m for m in markers if m not in covered]
-                    unconsumed = [u for u in range(q)
-                                  if assignment[u] is None]
-                    sign = 1
-                    if any(parities):
-                        # Koszul sign: reorder [a-components,
-                        # b-components] so that each consumed b-component
-                        # sits right after its target a-component,
-                        # unconsumed ones at the end
-                        final = []
-                        for t_idx, (_, _, own) in enumerate(comps):
-                            final.append(t_idx)
-                            final.extend(len(ta) + covered[m] for m in own
-                                         if m in covered)
-                        final.extend(len(ta) + u for u in unconsumed)
-                        sign = perm_sign([x for x in final if parities[x]])
-                        # graft crossing sign: an odd grafted component
-                        # passes the leaves right of its marker
-                        for m, u in covered.items():
-                            if pb[u] and after[m] % 2 == 1:
-                                sign = -sign
-                    coeff = ca * cb * sign
-                    tail = [b_words[u] for u in unconsumed]
-                    for g in product(b_whites, repeat=len(free_markers)):
-                        for m, white in zip(free_markers, g):
-                            fill[m] = white
-                        for k, shape, leaves in loose:
-                            nf = filled(shape, leaves)
-                            if not nf:
-                                break
-                            combos[k] = nf
-                        else:
-                            _expand_product(out_terms, combos, tail, coeff, p)
+                unconsumed = [u for u in range(q) if assignment[u] is None]
+                sign = 1
+                if any(parities):
+                    # Koszul sign: reorder [a-components, b-components]
+                    # so that each consumed b-component sits right after
+                    # its target a-component, unconsumed ones at the end
+                    final = []
+                    for t_idx, (_, _, own) in enumerate(comps):
+                        final.append(t_idx)
+                        final.extend(len(ta) + covered[m] for m in own
+                                     if m in covered)
+                    final.extend(len(ta) + u for u in unconsumed)
+                    sign = perm_sign([x for x in final if parities[x]])
+                    # graft crossing sign: an odd grafted component
+                    # passes the leaves right of its marker
+                    for m, u in covered.items():
+                        if pb[u] and after[m] % 2 == 1:
+                            sign = -sign
+                coeff = ca * cb * sign
+                tail = [b_words[u] for u in unconsumed]
+                # fill[k] is what marker ~k becomes: the tree grafted
+                # there, or each of b's whites in turn
+                for fill in product(*([b_trees[covered[m]]] if m in covered
+                                      else b_whites for m in markers)):
+                    combos = []
+                    for shape, leaves, _ in comps:
+                        nf = _substituted(shape, tuple([
+                            fill[~x] if x < 0 else x for x in leaves]),
+                            kind, p)
+                        if not nf:
+                            break
+                        combos.append(nf)
+                    else:
+                        _expand_product(out_terms, combos, tail, coeff, p)
     return OElement(new_arity, d, out_terms, kind)
 
 
 def _expand_product(out_terms, combos, tail, coeff, p):
     """Multilinear expansion of a product of component combinations."""
     if len(combos) == 1:
+        # the common one-component case, without product()'s tuples
         for w, c in combos[0].items():
             _add_term(out_terms, [w, *tail], coeff * c, p)
         return

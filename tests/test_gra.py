@@ -282,3 +282,12 @@ def test_json_refuses_graph_of_other_shape():
         rec = dict(g.to_json(), **{key: value})
         with pytest.raises(ValueError):
             GraElement.from_json(rec)
+
+
+def test_element_refuses_graph_of_other_shape():
+    """The constructor checks each graph's d as well as its vertex
+    count, as from_json does."""
+    for g in (OrientedGraph(2, 2, ((1, 2),)), OrientedGraph(1, 3, ((1, 2),))):
+        with pytest.raises(ValueError, match="shape"):
+            GraElement(2, 1, {g: 1})
+    assert GraElement(2, 2, {OrientedGraph(2, 2, ((1, 2),)): 1}).d == 2

@@ -43,6 +43,21 @@ def test_straighten():
     assert straighten(a, (4, 2, 3, 1)) == {((1, 2, 3, 4), 0): Fraction(1)}
 
 
+def test_generator_indices_checked():
+    """A generator index outside 1..dim is refused by every map that
+    straightens, whatever its position in the word."""
+    h = heisenberg()
+    for bad in (0, h.dim + 1):
+        with pytest.raises(ValueError, match="outside"):
+            star(h, monomial([bad]), monomial([1]))
+        with pytest.raises(ValueError, match="outside"):
+            star(h, monomial([1]), monomial([2, bad]))
+        with pytest.raises(ValueError, match="outside"):
+            straighten(h, (bad, 1))
+        with pytest.raises(ValueError, match="outside"):
+            sigma(h, monomial([bad]))
+
+
 def test_straighten_order_independent():
     """Same normal form whichever descent is rewritten first: check by
     comparing products u(vw) and (uv)w in the enveloping algebra."""

@@ -229,6 +229,15 @@ def test_lie_elements_of_different_d_do_not_mix():
             a - b
 
 
+def test_element_refuses_non_int_arity_and_d():
+    """As OrientedGraph, GraElement and OElement do, LieElement refuses
+    an arity or d that is not an int (a bool included)."""
+    for arity, terms, d in ((1.5, {(1,): 1}, 1), (2, {(1, 2): 1}, True),
+                            (2, {(1, 2): 1}, 1.0)):
+        with pytest.raises(TypeError):
+            LieElement(arity, terms, d)
+
+
 def test_graft_slot_range():
     with pytest.raises(ValueError):
         graft(normalize((1, 2)), 3, unit())

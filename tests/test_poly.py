@@ -581,7 +581,7 @@ def _random_with_repeats(rng, d, arity, kind):
 
 def test_o_compose_matches_marker_oracle():
     rng = random.Random(10)
-    repeated = multi = 0
+    repeated = multi = mixed = 0
     for _ in range(150):
         kind = rng.choice(["lie", "lie", "ass"])
         d = rng.choice([1, 2]) if kind == "lie" else 1
@@ -590,8 +590,10 @@ def test_o_compose_matches_marker_oracle():
         i = rng.randint(1, a.arity)
         repeated += any(sum(w.count(i) for w in t) > 1 for t in a.terms)
         multi += any(len(t) > 1 for t in a.terms)
+        # a marker-free component beside one that holds white i
+        mixed += any(len({i in w for w in t}) == 2 for t in a.terms)
         assert o_compose(a, i, b) == _marker_o_compose(a, i, b)
-    assert repeated >= 30 and multi >= 30
+    assert repeated >= 30 and multi >= 30 and mixed >= 10
 
 
 def test_ass_remark_residue():
