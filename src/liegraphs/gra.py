@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .graphs import (OrientedGraph, _as_permutation, _check_ints, _check_slot,
+from .graphs import (OrientedGraph, _as_permutation, _check_arity, _check_slot,
                      _graph, _normal_form)
 from .lie import LieElement, image
 from .linalg import Combination, _exact, _json_coeff
@@ -26,7 +26,7 @@ class GraElement(Combination):
     terms: dict  # canonical OrientedGraph -> exact coefficient
 
     def __post_init__(self):
-        _check_ints(arity=self.arity, d=self.d)
+        _check_arity(self.arity, self.d)
         super().__post_init__()
         shape = self._shape()
         for g in self.terms:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations, groupby
+from types import MappingProxyType
 
 from . import memo
 
@@ -35,6 +36,14 @@ def _check_ints(**values):
     for name, x in values.items():
         if type(x) is not int:
             raise TypeError(f"{name} {x!r} is not an int")
+
+
+def _check_arity(arity, d):
+    """The shape check of an operad element: TypeError unless arity
+    and d are ints, ValueError for a negative arity."""
+    _check_ints(arity=arity, d=d)
+    if arity < 0:
+        raise ValueError(f"negative arity {arity}")
 
 
 # A tuple ordered by (d, n_vertices, edges): within one slice, the order
@@ -139,8 +148,9 @@ def _normal_form(d, edges):
     return form, perm_sign(norm)
 
 
-def _canonical_form(d, n, edges):
-    """Orbit-minimal edge tuple of an unlabelled graph, and its sign.
+def _canonical_form(d, n, edges, auts=False):
+    """Orbit-minimal edge tuple of an unlabelled graph, and its sign;
+    with `auts`, also the automorphisms the search found.
 
     The relabelings in play send the k-th coarse vertex class (vertices
     keyed by valence and the valences of their neighbours; classes in
@@ -165,6 +175,12 @@ def _canonical_form(d, n, edges):
     (McKay, "Practical graph isomorphism", 1981).  The automorphisms
     found this way generate the whole group, so the graph is zero
     exactly when one of them reverses the orientation.
+
+    With `auts` the result is (form, sign, automorphisms): each found
+    automorphism, carried to the form's labels, as a tuple a with
+    a[0] = 0 and a[v] the image of label v; every one maps the form's
+    edges onto themselves.  `_layer` asks for them to try one new edge
+    per orbit; `canonicalize` does not, and pays nothing for them.
     """
     nbrs = [[] for _ in range(n + 1)]
     for t, h in edges:
@@ -192,7 +208,7 @@ def _canonical_form(d, n, edges):
         for p, v in enumerate(base):
             lab[v] = p + 1
         form, sign = _normal_form(d, [(lab[t], lab[h]) for t, h in edges])
-        return form, sign * vsign
+        return (form, sign * vsign, ()) if auts else (form, sign * vsign)
     nodes.append((n, None))
     order = base[:]  # order[p]: the vertex labelled p + 1
     path = [None] * n  # keys along the current path, by depth
@@ -281,7 +297,14 @@ def _canonical_form(d, n, edges):
         return p
 
     search(0, 0)
-    return best[0], ZERO if zero else best[1] * vsign
+    form, sign = best[0], ZERO if zero else best[1] * vsign
+    if not auts:
+        return form, sign
+    # label p + 1 went to vertex best[2][p]
+    for p, v in enumerate(best[2]):
+        lab[v] = p + 1
+    return form, sign, tuple(
+        (0, *[lab[g[v]] for v in best[2]]) for g in gens)
 
 
 def _orbit(points, gens, fixed):
@@ -326,11 +349,45 @@ def is_connected(g):
     return _components(g.n_vertices, g.edges) <= 1
 
 
+class _Layer(frozenset):
+    """The classes of a layer, a frozenset of forms; `auts` maps each
+    form to the automorphisms `_canonical_form` found for it."""
+    __slots__ = ("auts",)
+
+    def __new__(cls, auts):
+        layer = super().__new__(cls, auts)
+        layer.auts = MappingProxyType(auts)
+        return layer
+
+
+def _pair_orbits(pairs, auts):
+    """One pair of each orbit that the group generated by auts makes of
+    pairs (a set it maps onto itself), the least one first met."""
+    if not auts:
+        return pairs
+    reps, seen = [], set()
+    for pair in pairs:
+        if pair in seen:
+            continue
+        reps.append(pair)
+        seen.add(pair)
+        todo = [pair]
+        while todo:
+            t, h = todo.pop()
+            for a in auts:
+                x, y = a[t], a[h]
+                image = (x, y) if x < y else (y, x)
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+    return reps
+
+
 @memo
 def _layer(n, k, m, simple, need, connected):
     """Unsigned classes of the k-edge graphs on n vertices with slack m,
     as a frozenset of d = 1 canonical forms (simple graphs only when
-    `simple`).
+    `simple`), each with the automorphisms found for it (`_Layer`).
 
     A vertex lacks max(0, need - valence) edge ends.  The slack is the
     least number of edges that can still take a graph into a slice: half
@@ -339,34 +396,60 @@ def _layer(n, k, m, simple, need, connected):
     never lowers it, so every class of slack m is a child of a class
     with k - 1 edges and slack m or m + 1, and each child's slack is
     read off its parent's valences and component labels.
+
+    Two prunings keep most children from a canonical search (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    A parent tries one pair of each orbit of its automorphisms, since
+    pairs of one orbit give isomorphic children.  A child is kept only
+    when its new edge carries the largest valence pair (the sorted
+    valences of its ends) among its edges.  No class C is lost: take an
+    edge e of C with the largest pair; C - e has slack m or m + 1, so
+    its class is a parent, and that parent plus the image of e, or of
+    another pair in its orbit, is a child isomorphic to C whose new
+    edge has the largest pair.  Isomorphic children of several parents
+    still meet in the set of forms.
     """
     if k == 0:
         least = max((n * need + 1) // 2, n - 1 if connected else 0)
-        return frozenset([()] if least == m else [])
+        return _Layer({(): _canonical_form(1, n, (), auts=True)[2]}
+                      if least == m else {})
     pairs = list(combinations(range(1, n + 1), 2))
-    out, tried = set(), set()
-    for edges in (_layer(n, k - 1, m, simple, need, connected)
-                  | _layer(n, k - 1, m + 1, simple, need, connected)):
-        val, comp = [0] * (n + 1), _component_labels(n, edges)
-        for t, h in edges:
-            val[t] += 1
-            val[h] += 1
-        lack = sum(max(0, need - x) for x in val[1:])
-        parts = len(set(comp[1:])) - 1 if connected else 0
-        for pair in pairs:
-            t, h = pair
-            if simple and pair in edges:
-                continue
-            ends = lack - (val[t] < need) - (val[h] < need)
-            joins = connected and comp[t] != comp[h]
-            if max((ends + 1) // 2, parts - joins) != m:
-                continue
-            child = tuple(sorted(edges + (pair,)))
-            # several classes can give the same labelled child
-            if child not in tried:
-                tried.add(child)
-                out.add(_canonical_form(1, n, child)[0])
-    return frozenset(out)
+    out, tried = {}, set()
+    for parents in (_layer(n, k - 1, m, simple, need, connected),
+                    _layer(n, k - 1, m + 1, simple, need, connected)):
+        for edges, auts in parents.auts.items():
+            val, comp = [0] * (n + 1), _component_labels(n, edges)
+            for t, h in edges:
+                val[t] += 1
+                val[h] += 1
+            lack = sum(max(0, need - x) for x in val[1:])
+            parts = len(set(comp[1:])) - 1 if connected else 0
+            for pair in _pair_orbits(pairs, auts):
+                t, h = pair
+                if simple and pair in edges:
+                    continue
+                ends = lack - (val[t] < need) - (val[h] < need)
+                joins = connected and comp[t] != comp[h]
+                if max((ends + 1) // 2, parts - joins) != m:
+                    continue
+                val[t] += 1
+                val[h] += 1
+                top = (val[t], val[h]) if val[t] < val[h] else \
+                    (val[h], val[t])
+                beaten = any(
+                    (val[a], val[b]) > top if val[a] < val[b]
+                    else (val[b], val[a]) > top for a, b in edges)
+                val[t] -= 1
+                val[h] -= 1
+                if beaten:
+                    continue
+                child = tuple(sorted(edges + (pair,)))
+                # several parents can give the same labelled child
+                if child not in tried:
+                    tried.add(child)
+                    form, _, found = _canonical_form(1, n, child, auts=True)
+                    out.setdefault(form, found)
+    return _Layer(out)
 
 
 def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
@@ -379,10 +462,15 @@ def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
     a time over isomorphism classes (McKay, "Isomorph-free exhaustive
     generation", 1998) by `_layer`: every vertex needs min_valence edge
     ends (at least one when n_vertices > 1), and the graph must be
-    connected when asked.  Each layer (k edges, slack m) is memoised, so
-    the slices of one column share the layers with k + m below e and
-    build only the new ones.  The unsigned classes are then
-    canonicalized at d, and the zero graphs dropped.
+    connected when asked.  A class of one layer adds one edge of each
+    orbit of its automorphisms, and a child is searched only when its
+    new edge has the largest valence pair of its edges; every class
+    still arises, since deleting such an edge from it gives a class of
+    the layer below (the argument is in `_layer`).  Each layer (k
+    edges, slack m) is memoised, so the slices of one column share the
+    layers with k + m below e and build only the new ones.  The
+    unsigned classes are then canonicalized at d, and the zero graphs
+    dropped.
     """
     if n_vertices > 8 or n_edges > 14:
         raise ValueError("out of desk-scale bounds (v <= 8, e <= 14)")

@@ -161,22 +161,29 @@ def _bilinear(p, q, image):
 
 @memo
 def _straighten(alg, word):
+    """PBW normal form of a word.  Its first letter out of order moves
+    left past the larger letters before it, one rewrite
+    t_j t_i -> t_i t_j + h [t_j, t_i] (j > i) at a time; the word it
+    leaves and every bracket term are straightened through this memo,
+    so a word that several rewrites reach (the orderings of one
+    monomial, say) is straightened once.  Each recursion sorts one more
+    letter of its word or shortens it by one, so a reversed word of an
+    abelian algebra recurses once per letter, not once per inversion."""
     if not all(1 <= x <= alg.dim for x in word):
         raise ValueError(f"generator index outside 1..{alg.dim} in {word}")
-    base = {}
-    stack = [(word, 0, 1)]
-    while stack:
-        w, hh, c = stack.pop()
-        for p in range(len(w) - 1):
-            if w[p] > w[p + 1]:
-                swapped = w[:p] + (w[p + 1], w[p]) + w[p + 2:]
-                stack.append((swapped, hh, c))
-                for k, ck in alg.bracket(w[p], w[p + 1]).items():
-                    stack.append((w[:p] + (k,) + w[p + 2:],
-                                  hh + 1, c * ck))
-                break
-        else:
-            _add(base, (w, hh), c)
+    p = next((p for p in range(1, len(word)) if word[p - 1] > word[p]), 0)
+    if not p:
+        return MappingProxyType({(word, 0): 1})
+    x, base = word[p], {}
+    while p and word[p - 1] > x:
+        y, head, tail = word[p - 1], word[:p - 1], word[p + 1:]
+        for k, ck in alg.bracket(y, x).items():
+            for (w, hh), c in _straighten(alg, head + (k,) + tail).items():
+                _add(base, (w, hh + 1), ck * c)
+        word = head + (x, y) + tail
+        p -= 1
+    for key, c in _straighten(alg, word).items():
+        _add(base, key, c)
     return MappingProxyType(_exact_poly(base))
 
 
@@ -200,14 +207,16 @@ def _orderings(m):
 @memo
 def _sigma_basis(alg, m):
     """sigma of a monomial: the mean of straighten over its k!
-    orderings, each distinct ordering taken once."""
+    orderings, each distinct ordering taken once.  The straightenings
+    are summed as they come (integers when the structure constants
+    are) and divided once."""
     words = list(_orderings(m))
-    scale = Fraction(1, len(words))
     base = {}
     for w in words:
-        for key, cv in straighten(alg, w, 0, scale).items():
+        for key, cv in _straighten(alg, w).items():
             _add(base, key, cv)
-    return MappingProxyType(_exact_poly(base))
+    return MappingProxyType({key: _exact(Fraction(c, len(words)))
+                             for key, c in base.items()})
 
 
 def sigma(alg, p):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import memo
-from .graphs import _as_permutation, _check_ints, _check_slot, perm_sign
+from .graphs import _as_permutation, _check_arity, _check_slot, perm_sign
 from .linalg import Combination, _add, _axpy, _exact
 
 
@@ -157,7 +157,7 @@ class LieElement(Combination):
     d: int = 1
 
     def __post_init__(self):
-        _check_ints(arity=self.arity, d=self.d)
+        _check_arity(self.arity, self.d)
         super().__post_init__()
 
     def _shape(self):

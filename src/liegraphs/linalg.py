@@ -160,17 +160,22 @@ class Combination:
     def scaled(self, c):
         return self.with_terms({t: v * c for t, v in self.terms.items()})
 
-    def __add__(self, other):
+    def _plus(self, c, other):
+        """self + c * other; ValueError unless other is an element of
+        the same class and shape."""
         if type(other) is not type(self) or other._shape() != self._shape():
             raise ValueError(f"cannot add a {type(other).__name__} to"
                              f" a {type(self).__name__} of shape"
                              f" {self._shape()}")
         out = dict(self.terms)
-        _axpy(out, 1, other.terms)
+        _axpy(out, c, other.terms)
         return self.with_terms(out)
 
+    def __add__(self, other):
+        return self._plus(1, other)
+
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return self._plus(-1, other)
 
     def __eq__(self, other):
         return (type(other) is type(self) and other._shape() == self._shape()

@@ -35,7 +35,7 @@ from types import MappingProxyType
 
 from . import memo
 from .gra import GraElement, _add_graph, _element
-from .graphs import (OrientedGraph, _as_permutation, _check_ints,
+from .graphs import (OrientedGraph, _as_permutation, _check_arity,
                      _check_slot, _components, perm_sign)
 from .lie import LieElement, _relabel_tree, assoc_expand, image
 from .lie import parse_bracket, pretty_bracket, tree_leaves, word_to_tree
@@ -179,12 +179,10 @@ class OElement(Combination):
     kind: str = "lie"
 
     def __post_init__(self):
-        _check_ints(arity=self.arity, d=self.d)
+        _check_arity(self.arity, self.d)
         super().__post_init__()
         if self.kind not in ("lie", "ass"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.arity < 0:
-            raise ValueError(f"negative arity {self.arity}")
 
     def _shape(self):
         return (self.arity, self.d, self.kind)

@@ -43,6 +43,41 @@ def test_straighten():
     assert straighten(a, (4, 2, 3, 1)) == {((1, 2, 3, 4), 0): Fraction(1)}
 
 
+def _rewrite_oracle(alg, word):
+    """PBW normal form by rewriting every path apart, with no memo: the
+    first descent of each word on a stack is rewritten."""
+    out, stack = {}, [(tuple(word), 0, 1)]
+    while stack:
+        w, hh, c = stack.pop()
+        p = next((p for p in range(len(w) - 1) if w[p] > w[p + 1]), None)
+        if p is None:
+            out[(w, hh)] = out.get((w, hh), 0) + c
+            continue
+        stack.append((w[:p] + (w[p + 1], w[p]) + w[p + 2:], hh, c))
+        for k, ck in alg.bracket(w[p], w[p + 1]).items():
+            stack.append((w[:p] + (k,) + w[p + 2:], hh + 1, c * ck))
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def test_straighten_matches_rewrite_oracle_and_takes_long_words():
+    """The memoised straightening equals the path-by-path rewriting on
+    every word of length <= 5 over sl2, the Heisenberg and the
+    2-dimensional algebra, and takes words far longer than the
+    interpreter's recursion limit would allow one frame per rewrite."""
+    sl2 = FPLieAlgebra(3, {(1, 2): {3: 1}, (1, 3): {1: -2},
+                           (2, 3): {2: 2}})
+    for alg in (sl2, heisenberg(), two_dim()):
+        for k in range(6):
+            for w in itertools.product(range(1, alg.dim + 1), repeat=k):
+                assert straighten(alg, w) == _rewrite_oracle(alg, w), w
+    n = 60
+    assert straighten(abelian(n), tuple(range(n, 0, -1))) == \
+        {(tuple(range(1, n + 1)), 0): 1}
+    long = straighten(heisenberg(), (2, 1) * 30)
+    assert all(list(w) == sorted(w) for w, _ in long)
+    assert long[((1,) * 30 + (2,) * 30, 0)] == 1
+
+
 def test_generator_indices_checked():
     """A generator index outside 1..dim is refused by every map that
     straightens, whatever its position in the word."""

@@ -282,14 +282,34 @@ def test_combination_arithmetic(name):
     assert list(st_.terms) != list(ts.terms)
     assert st_ == ts and hash(st_) == hash(ts)
     assert a + b == st_ and hash(a + b) == hash(ts)
-    others = [other_shape] + [mk({u: 1}) for key, (mk, (u, _), _)
-                              in COMBINATIONS.items() if key != name]
+    # an int is not an element: + and - refuse it alike
+    others = [other_shape, 3] + [mk({u: 1}) for key, (mk, (u, _), _)
+                                 in COMBINATIONS.items() if key != name]
     for other in others:
         assert a != other
         with pytest.raises(ValueError):
             a + other
         with pytest.raises(ValueError):
             a - other
+
+
+# each element class with its arguments around (arity, d)
+ELEMENT_CLASSES = {
+    "lie": lambda arity, d: LieElement(arity, {}, d),
+    "gra": lambda arity, d: GraElement(arity, d, {}),
+    "olie": lambda arity, d: OElement(arity, d, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_CLASSES))
+def test_negative_arity_is_refused(name):
+    """Every element class refuses a negative arity with one message,
+    and takes arity 0."""
+    make = ELEMENT_CLASSES[name]
+    for d in (1, 2):
+        assert make(0, d).is_zero()
+        with pytest.raises(ValueError, match="negative arity -1"):
+            make(-1, d)
 
 
 def test_mixed_element_sums_raise():
