@@ -148,9 +148,9 @@ def _normal_form(d, edges):
     return form, perm_sign(norm)
 
 
-def _canonical_form(d, n, edges, auts=False):
-    """Orbit-minimal edge tuple of an unlabelled graph, and its sign;
-    with `auts`, also the automorphisms the search found.
+def _canonical_form(d, n, edges):
+    """Orbit-minimal edge tuple of an unlabelled graph, its sign, and
+    the automorphisms the search found.
 
     The relabelings in play send the k-th coarse vertex class (vertices
     keyed by valence and the valences of their neighbours; classes in
@@ -176,11 +176,10 @@ def _canonical_form(d, n, edges, auts=False):
     found this way generate the whole group, so the graph is zero
     exactly when one of them reverses the orientation.
 
-    With `auts` the result is (form, sign, automorphisms): each found
-    automorphism, carried to the form's labels, as a tuple a with
-    a[0] = 0 and a[v] the image of label v; every one maps the form's
-    edges onto themselves.  `_layer` asks for them to try one new edge
-    per orbit; `canonicalize` does not, and pays nothing for them.
+    The result is (form, sign, automorphisms): each found automorphism,
+    carried to the form's labels, as a tuple a with a[0] = 0 and a[v]
+    the image of label v; every one maps the form's edges onto
+    themselves.  `_layer` uses them to try one new edge per orbit.
     """
     nbrs = [[] for _ in range(n + 1)]
     for t, h in edges:
@@ -208,7 +207,7 @@ def _canonical_form(d, n, edges, auts=False):
         for p, v in enumerate(base):
             lab[v] = p + 1
         form, sign = _normal_form(d, [(lab[t], lab[h]) for t, h in edges])
-        return (form, sign * vsign, ()) if auts else (form, sign * vsign)
+        return form, sign * vsign, ()
     nodes.append((n, None))
     order = base[:]  # order[p]: the vertex labelled p + 1
     path = [None] * n  # keys along the current path, by depth
@@ -298,8 +297,6 @@ def _canonical_form(d, n, edges, auts=False):
 
     search(0, 0)
     form, sign = best[0], ZERO if zero else best[1] * vsign
-    if not auts:
-        return form, sign
     # label p + 1 went to vertex best[2][p]
     for p, v in enumerate(best[2]):
         lab[v] = p + 1
@@ -326,7 +323,7 @@ def canonicalize(g):
     The input equals sign * canonical as elements of the orientation
     quotient, with the vertices unlabelled.
     """
-    form, sign = _canonical_form(g.d, g.n_vertices, g.edges)
+    form, sign, _ = _canonical_form(g.d, g.n_vertices, g.edges)
     return SignedCanonical(_graph(g.d, g.n_vertices, form), sign)
 
 
@@ -350,14 +347,19 @@ def is_connected(g):
 
 
 class _Layer(frozenset):
-    """The classes of a layer, a frozenset of forms; `auts` maps each
-    form to the automorphisms `_canonical_form` found for it."""
-    __slots__ = ("auts",)
+    """The classes of a layer, a frozenset of forms; `auts`, read-only
+    like the set, maps each form to the automorphisms `_canonical_form`
+    found for it."""
+    __slots__ = ("_auts",)
 
     def __new__(cls, auts):
         layer = super().__new__(cls, auts)
-        layer.auts = MappingProxyType(auts)
+        layer._auts = MappingProxyType(auts)
         return layer
+
+    @property
+    def auts(self):
+        return self._auts
 
 
 def _pair_orbits(pairs, auts):
@@ -411,7 +413,7 @@ def _layer(n, k, m, simple, need, connected):
     """
     if k == 0:
         least = max((n * need + 1) // 2, n - 1 if connected else 0)
-        return _Layer({(): _canonical_form(1, n, (), auts=True)[2]}
+        return _Layer({(): _canonical_form(1, n, ())[2]}
                       if least == m else {})
     pairs = list(combinations(range(1, n + 1), 2))
     out, tried = {}, set()
@@ -447,7 +449,7 @@ def _layer(n, k, m, simple, need, connected):
                 # several parents can give the same labelled child
                 if child not in tried:
                     tried.add(child)
-                    form, _, found = _canonical_form(1, n, child, auts=True)
+                    form, _, found = _canonical_form(1, n, child)
                     out.setdefault(form, found)
     return _Layer(out)
 

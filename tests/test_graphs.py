@@ -386,9 +386,9 @@ def test_layers_search_few_children(monkeypatch):
     child is searched)."""
     calls = []
 
-    def spy(*args, _inner=graphs._canonical_form, **kwargs):
+    def spy(*args, _inner=graphs._canonical_form):
         calls.append(args[:2])
-        return _inner(*args, **kwargs)
+        return _inner(*args)
 
     graphs._layer.cache_clear()
     monkeypatch.setattr(graphs, "_canonical_form", spy)

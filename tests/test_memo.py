@@ -91,5 +91,9 @@ def test_memo_results_are_read_only():
     assert layer == frozenset({((1, 2),)})
     with pytest.raises(AttributeError):
         layer.add(())
+    with pytest.raises(AttributeError):
+        layer.auts = {}
+    with pytest.raises(TypeError):
+        layer.auts[()] = ()
     words, _ = poly._basis_system((1, 1, 2), 1)
     assert words == ((1, 1, 2),)
