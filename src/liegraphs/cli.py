@@ -402,15 +402,18 @@ def cmd_cohomology(args):
     writer.writerows(table)
     csv_text = buf.getvalue()
 
-    json_rows = []
-    for bid, sl, k, im, coh in rows:
-        rec = {"complex": args.complex, "d": args.d, "bidegree": bid,
-               "basis_dim": len(sl.basis), "kernel_dim": k, "image_dim": im,
-               "cohomology_dim": coh}
-        if coh > 0:
-            rec["witness"] = _slice_witness(chain, sl, im)
-        json_rows.append(rec)
-    json_obj = {"format_version": FORMAT_VERSION, "rows": json_rows}
+    # the JSON rows, each witness a kernel basis and an image test, only
+    # for the outputs that print them
+    if args.out or args.format == "json":
+        json_rows = []
+        for bid, sl, k, im, coh in rows:
+            rec = {"complex": args.complex, "d": args.d, "bidegree": bid,
+                   "basis_dim": len(sl.basis), "kernel_dim": k,
+                   "image_dim": im, "cohomology_dim": coh}
+            if coh > 0:
+                rec["witness"] = _slice_witness(chain, sl, im)
+            json_rows.append(rec)
+        json_obj = {"format_version": FORMAT_VERSION, "rows": json_rows}
 
     if args.out:
         with open(args.out + ".csv", "w") as fh:

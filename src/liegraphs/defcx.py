@@ -39,7 +39,8 @@ from types import MappingProxyType
 
 from . import linalg, memo, poly
 from .gra import GraElement, element as gra_element
-from .graphs import OrientedGraph, canonicalize, enumerate_graphs
+from .graphs import (OrientedGraph, _canonical_form, _coarse_form, _graph,
+                     canonicalize, enumerate_graphs)
 from .lie import LieElement, basis_words
 from .linalg import SparseMatrix, _add, _axpy, _exact
 from .poly import OElement, make_term
@@ -153,12 +154,25 @@ def gc_differential(g: OrientedGraph, min_valence=1):
 
 @memo
 def _gc_differential(g, min_valence):
-    out = {}
+    """The labelled terms of the bracket with mu, summed by coarse form
+    (`graphs._coarse_form`): terms with one coarse form are one graph,
+    up to the coarse sign.  Each coarse form whose sum is nonzero is
+    then reduced to its class with one canonical search.  Valences
+    survive relabelling, so a term with a vertex of valence below
+    min_valence is dropped before either step."""
     image, w = _bracket_mu(gra_element(g))
+    d, n = image.d, image.arity
+    coarse, sizes = {}, {}
     for G, c in image.terms.items():
-        # valences survive relabelling: drop a term before reducing it
         if min_valence <= 1 or min(G.valences()) >= min_valence:
-            _add_class(out, G, c)
+            form, sign, sizes[form] = _coarse_form(d, n, G.edges)
+            if sign:
+                _add(coarse, form, sign * c)
+    out = {}
+    for form, c in coarse.items():
+        form, sign, _ = _canonical_form(d, n, form, sizes[form])
+        if sign:
+            _add(out, _graph(d, n, form), sign * c)
     return MappingProxyType({G: _exact(Fraction(c, w))
                              for G, c in out.items()})
 

@@ -89,9 +89,9 @@ class OrientedGraph(namedtuple("OrientedGraph", ("d", "n_vertices", "edges"))):
 
 
 def _graph(d, n, form):
-    """The OrientedGraph of a form that `_normal_form` or
-    `_canonical_form` derived from a valid graph on n vertices, wrapped
-    without checking it again."""
+    """The OrientedGraph of a form that `_normal_form`, `_coarse_form`
+    or `_canonical_form` derived from a valid graph on n vertices,
+    wrapped without checking it again."""
     return tuple.__new__(OrientedGraph, (d, n, form))
 
 
@@ -148,16 +148,47 @@ def _normal_form(d, edges):
     return form, perm_sign(norm)
 
 
-def _canonical_form(d, n, edges):
-    """Orbit-minimal edge tuple of an unlabelled graph, its sign, and
-    the automorphisms the search found.
+def _coarse_form(d, n, edges):
+    """The graph relabelled by its coarse vertex classes: the base
+    order that `_canonical_form` starts from.
 
-    The relabelings in play send the k-th coarse vertex class (vertices
-    keyed by valence and the valences of their neighbours; classes in
-    key order, members by label) onto the k-th block of labels, and the
-    form is the least normal form among them.  At odd d a relabeling's
-    vertex sign is the sign of the base order, every class in member
-    order, times the signs of the orderings within the blocks.
+    Vertices are keyed by valence and the valences of their neighbours;
+    the classes go in key order and the members of a class by label,
+    and position p gets label p + 1.  Returns (form, sign, sizes): the
+    relabelled graph's normal form, the sign with which the input
+    equals it (the sign of the base order at odd d times the orientation
+    sign; 0 for parallel edges at even d) and the class sizes in order.
+    Two labelled graphs with one coarse form are one oriented graph, up
+    to their signs, so one search serves both.
+    """
+    nbrs = [[] for _ in range(n + 1)]
+    for t, h in edges:
+        nbrs[t].append(h)
+        nbrs[h].append(t)
+    val = [len(a) for a in nbrs]
+    keys = [(val[v], sorted(map(val.__getitem__, a)))
+            for v, a in enumerate(nbrs)]
+    base = sorted(range(1, n + 1), key=keys.__getitem__)
+    lab = [0] * (n + 1)
+    for p, v in enumerate(base):
+        lab[v] = p + 1
+    form, sign = _normal_form(d, [(lab[t], lab[h]) for t, h in edges])
+    if d % 2:
+        sign *= perm_sign(base)
+    return form, sign, [len(list(cls))
+                        for _, cls in groupby(base, keys.__getitem__)]
+
+
+def _canonical_form(d, n, edges, sizes):
+    """Orbit-minimal edge tuple of an unlabelled graph, its sign, and
+    the automorphisms the search found, for a coarse form of nonzero
+    sign and its class sizes (`_coarse_form`).
+
+    The relabelings in play keep each coarse class, a block of
+    consecutive labels, on its own block, and the result is the least
+    normal form among them.  At odd d a relabeling's vertex sign is the
+    sign of the orderings within the blocks.  The sign returned is that
+    of the coarse form; `canonicalize` multiplies in the coarse sign.
 
     Position p gets label p + 1, and the relabelings are walked depth
     first as a branch-and-bound.  Read a form as a flat sequence: for
@@ -179,37 +210,28 @@ def _canonical_form(d, n, edges):
     The result is (form, sign, automorphisms): each found automorphism,
     carried to the form's labels, as a tuple a with a[0] = 0 and a[v]
     the image of label v; every one maps the form's edges onto
-    themselves.  `_layer` uses them to try one new edge per orbit.
+    themselves.  `_layer` uses them to try one new edge per orbit, and
+    `enumerate_graphs` to read off the sign of a class at each d.
     """
     nbrs = [[] for _ in range(n + 1)]
     for t, h in edges:
         nbrs[t].append(h)
         nbrs[h].append(t)
-    val = [len(a) for a in nbrs]
-    keys = [(val[v], sorted(map(val.__getitem__, a)))
-            for v, a in enumerate(nbrs)]
-    base = sorted(range(1, n + 1), key=keys.__getitem__)
-    vsign = perm_sign(base) if d % 2 else 1
     top = n + 1
     lab = [top] * (n + 1)  # top marks a vertex not labelled yet
     # a class of one vertex fixes its label; the search has a node at
     # every other position but the last of each class
     nodes, p = [], 0
-    for _, cls in groupby(base, keys.__getitem__):
-        cls = list(cls)
-        if len(cls) == 1:
-            lab[cls[0]] = p + 1
-        nodes += [(r, cls) for r in range(p, p + len(cls) - 1)]
-        p += len(cls)
-    if not nodes or d % 2 == 0 and len(
-            {(t, h) if t < h else (h, t) for t, h in edges}) < len(edges):
-        # one relabeling, or parallel edges at even d: zero
-        for p, v in enumerate(base):
-            lab[v] = p + 1
-        form, sign = _normal_form(d, [(lab[t], lab[h]) for t, h in edges])
-        return form, sign * vsign, ()
+    for size in sizes:
+        cls = list(range(p + 1, p + size + 1))
+        if size == 1:
+            lab[p + 1] = p + 1
+        nodes += [(r, cls) for r in range(p, p + size - 1)]
+        p += size
+    if not nodes:  # one relabeling: the coarse form itself
+        return edges, 1, ()
     nodes.append((n, None))
-    order = base[:]  # order[p]: the vertex labelled p + 1
+    order = list(range(1, n + 1))  # order[p]: the vertex labelled p + 1
     path = [None] * n  # keys along the current path, by depth
     best = []  # form, sign, order and path of the least leaf so far
     gens = []  # automorphisms found, as lists old -> old
@@ -296,7 +318,7 @@ def _canonical_form(d, n, edges):
         return p
 
     search(0, 0)
-    form, sign = best[0], ZERO if zero else best[1] * vsign
+    form, sign = best[0], ZERO if zero else best[1]
     # label p + 1 went to vertex best[2][p]
     for p, v in enumerate(best[2]):
         lab[v] = p + 1
@@ -321,10 +343,16 @@ def canonicalize(g):
     """Canonical representative with sign; sign 0 means the graph is zero.
 
     The input equals sign * canonical as elements of the orientation
-    quotient, with the vertices unlabelled.
+    quotient, with the vertices unlabelled.  The graph's coarse form
+    (`_coarse_form`) is searched (`_canonical_form`) unless its sign is
+    already 0.
     """
-    form, sign, _ = _canonical_form(g.d, g.n_vertices, g.edges)
-    return SignedCanonical(_graph(g.d, g.n_vertices, form), sign)
+    d, n = g.d, g.n_vertices
+    form, sign, sizes = _coarse_form(d, n, g.edges)
+    if sign:
+        form, s, _ = _canonical_form(d, n, form, sizes)
+        sign *= s
+    return SignedCanonical(_graph(d, n, form), sign)
 
 
 def _component_labels(n, edges):
@@ -408,15 +436,22 @@ def _layer(n, k, m, simple, need, connected):
     edge e of C with the largest pair; C - e has slack m or m + 1, so
     its class is a parent, and that parent plus the image of e, or of
     another pair in its orbit, is a child isomorphic to C whose new
-    edge has the largest pair.  Isomorphic children of several parents
-    still meet in the set of forms.
+    edge has the largest pair.
+
+    A kept child is searched only when it is new to the layer, first as
+    a labelled edge tuple and then by its coarse form (`_coarse_form`):
+    children with one coarse form are one graph, so the search of the
+    first stands for all.  Isomorphic children with different coarse
+    forms still meet in the set of forms.
     """
     if k == 0:
         least = max((n * need + 1) // 2, n - 1 if connected else 0)
-        return _Layer({(): _canonical_form(1, n, ())[2]}
-                      if least == m else {})
+        if least != m:
+            return _Layer({})
+        form, _, sizes = _coarse_form(1, n, ())
+        return _Layer({form: _canonical_form(1, n, form, sizes)[2]})
     pairs = list(combinations(range(1, n + 1), 2))
-    out, tried = {}, set()
+    out, tried, coarse = {}, set(), set()
     for parents in (_layer(n, k - 1, m, simple, need, connected),
                     _layer(n, k - 1, m + 1, simple, need, connected)):
         for edges, auts in parents.auts.items():
@@ -446,12 +481,25 @@ def _layer(n, k, m, simple, need, connected):
                 if beaten:
                     continue
                 child = tuple(sorted(edges + (pair,)))
-                # several parents can give the same labelled child
-                if child not in tried:
-                    tried.add(child)
-                    form, _, found = _canonical_form(1, n, child)
+                # several parents can give the same labelled child, and
+                # several labelled children the same coarse form
+                if child in tried:
+                    continue
+                tried.add(child)
+                form, _, sizes = _coarse_form(1, n, child)
+                if form not in coarse:
+                    coarse.add(form)
+                    form, _, found = _canonical_form(1, n, form, sizes)
                     out.setdefault(form, found)
     return _Layer(out)
+
+
+def _aut_sign(d, form, a):
+    """The sign by which the automorphism a of form acts on the
+    oriented graph at d: the sign of the edges' permutation at even d;
+    at odd d the sign of the edges it reverses times sgn(a)."""
+    sign = _normal_form(d, [(a[t], a[h]) for t, h in form])[1]
+    return sign * perm_sign(a) if d % 2 else sign
 
 
 def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
@@ -470,10 +518,16 @@ def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
     still arises, since deleting such an edge from it gives a class of
     the layer below (the argument is in `_layer`).  Each layer (k
     edges, slack m) is memoised, so the slices of one column share the
-    layers with k + m below e and build only the new ones.  The
-    unsigned classes are then canonicalized at d, and the zero graphs
-    dropped.
+    layers with k + m below e and build only the new ones.
+
+    A form is its own canonical representative at every d, with sign
+    +1 unless the class is zero at d, and no second search is made: a
+    class is zero exactly when one of the automorphisms `_layer`
+    recorded for it, which generate its whole group, reverses its
+    orientation at d (`_aut_sign`).  Those classes are dropped.
     """
+    _check_ints(n_vertices=n_vertices, n_edges=n_edges, d=d,
+                min_valence=min_valence)
     if n_vertices > 8 or n_edges > 14:
         raise ValueError("out of desk-scale bounds (v <= 8, e <= 14)")
     if n_vertices < 0 or n_edges < 0:
@@ -481,6 +535,5 @@ def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
     n = n_vertices
     need = max(min_valence, 1 if n > 1 else 0)
     level = _layer(n, n_edges, 0, d % 2 == 0, need, connected)
-    signed = [canonicalize(OrientedGraph(d, n, edges)) for edges in level]
-    return sorted((sc.canonical for sc in signed if not sc.is_zero()),
-                  key=lambda g: g.edges)
+    return [_graph(d, n, form) for form in sorted(level)
+            if all(_aut_sign(d, form, a) == 1 for a in level.auts[form])]

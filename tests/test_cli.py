@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from liegraphs import defcx, gra, linalg, poly
+from liegraphs import cli, defcx, gra, linalg, poly
 from liegraphs.cli import FORMAT_VERSION, _slice_witness, main
 from liegraphs.graphs import OrientedGraph
 from liegraphs.linalg import SparseMatrix
@@ -123,6 +123,31 @@ def test_cohomology_json_byte_identical(capsys, argv, digest):
     code, out, _ = run(["cohomology"] + argv + ["--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cohomology_builds_witnesses_only_for_json(capsys, monkeypatch,
+                                                  tmp_path):
+    """The JSON rows, and the witness of every slice with cohomology in
+    them, are built only for the outputs that print them: `--format
+    json` and `--out`.  The CSV and text tables search for none."""
+    calls = []
+
+    def spy(*args, _inner=cli._slice_witness):
+        calls.append(args[1].key)
+        return _inner(*args)
+
+    monkeypatch.setattr(cli, "_slice_witness", spy)
+    table = ["cohomology", "--complex", "gc", "--d", "2",
+             "--max-vertices", "4", "--max-edges", "6"]
+    for extra, searched in ((["--format", "csv"], False),
+                            (["--format", "text"], False),
+                            (["--format", "json"], True),
+                            (["--format", "csv", "--out",
+                              str(tmp_path / "t")], True)):
+        calls.clear()
+        code, out, _ = run(table + extra, capsys)
+        assert code == 0 and out
+        assert calls == ([(4, 6)] if searched else []), extra
 
 
 # sha256 of the `verify gutt --out` report, computed at commit 4100624,

@@ -279,22 +279,62 @@ def test_word_action_matches_uncached_normalize():
 def test_gc_differential_reduces_only_kept_terms(monkeypatch):
     """Valences survive relabelling, so the trivalent differential
     drops a term with a vertex of valence < 3 before reducing it to its
-    class: no such term reaches canonicalize, and the result is still
-    the oracle's.  Each generator has a vertex of valence >= 4, whose
-    splittings can stay trivalent."""
+    class: no such term reaches the coarse form or the search that
+    reduces a coarse group, and the result is still the oracle's.  Each
+    generator has a vertex of valence >= 4, whose splittings can stay
+    trivalent."""
     gens = enumerate_graphs(5, 8, 1, 3) + enumerate_graphs(6, 10, 2, 3)
     want = [_oracle_gc_differential(g, 3) for g in gens]
     assert len(gens) == 5 and all(want)
-    seen = []
+    seen = {"_coarse_form": [], "_canonical_form": []}
 
-    def spy(g, _inner=defcx.canonicalize):
-        seen.append(g)
-        return _inner(g)
+    def spying(name):
+        inner = getattr(defcx, name)
 
-    monkeypatch.setattr(defcx, "canonicalize", spy)
+        def spy(d, n, edges, *rest):
+            seen[name].append(OrientedGraph(d, n, edges))
+            return inner(d, n, edges, *rest)
+        return spy
+
+    for name in seen:
+        monkeypatch.setattr(defcx, name, spying(name))
     defcx._gc_differential.cache_clear()
     assert [gc_differential(g, 3) for g in gens] == want
-    assert seen and all(min(G.valences()) >= 3 for G in seen)
+    for terms in seen.values():
+        assert terms and all(min(G.valences()) >= 3 for G in terms)
+
+
+def test_gc_differential_groups_match_per_term_reduction(monkeypatch):
+    """Summing the labelled terms by coarse form before one search per
+    group gives the differential that reducing every kept term to its
+    class one by one gives, on every generator of the gc and fcgc
+    slices up to (6, 10) at d = 1 and 2.  The bracket with mu is
+    computed once and shared by both reductions."""
+    images = []
+
+    def spy(x, _inner=defcx._bracket_mu):
+        images.append(_inner(x))
+        return images[-1]
+
+    monkeypatch.setattr(defcx, "_bracket_mu", spy)
+    defcx._gc_differential.cache_clear()
+    checked = 0
+    for mv in (1, 3):
+        for d in (1, 2):
+            for v in range(1, 7):
+                for e in range(1, 11):
+                    for g in enumerate_graphs(v, e, d, min_valence=mv):
+                        images.clear()
+                        got = gc_differential(g, mv)
+                        (image, w), = images
+                        out = {}
+                        for G, c in image.terms.items():
+                            if mv <= 1 or min(G.valences()) >= mv:
+                                _add_class(out, G, c)
+                        assert got == {G: linalg._exact(Fraction(c, w))
+                                       for G, c in out.items()}, g
+                        checked += 1
+    assert checked == 4482
 
 
 def test_gc_attachment_and_splitting_shape():

@@ -268,23 +268,57 @@ def test_enumerate_closed_under_canonicalize():
             assert again.sign == 1 and again.canonical == g
 
 
-def test_enumerate_canonicalizes_only_the_slice(monkeypatch):
-    """The slack layers reduce children to their unsigned class on raw
-    edge tuples; canonicalize (the signed class at d) sees only graphs
-    of the slice itself."""
-    seen = []
+def test_enumerate_reads_signs_off_the_layers(monkeypatch):
+    """enumerate_graphs makes no second search: it reads the sign of
+    each class at d off the automorphisms its layer recorded, so it
+    calls canonicalize zero times, and from a warm memo it searches
+    nothing at all.  test_automorphism_verdict_matches_canonicalize is
+    the oracle for the signs."""
+    def searched(*args):
+        raise AssertionError(f"searched {args}")
 
-    def spy(g, _inner=graphs.canonicalize):
-        seen.append(g)
-        return _inner(g)
-
-    monkeypatch.setattr(graphs, "canonicalize", spy)
     for d in (1, 2):
-        seen.clear()
+        graphs._layer.cache_clear()
+        monkeypatch.setattr(graphs, "canonicalize", searched)
         out = enumerate_graphs(5, 7, d, min_valence=1)
-        assert out and len(seen) >= len(out)
-        assert {(g.d, g.n_vertices, g.n_edges()) for g in seen} \
-            == {(d, 5, 7)}
+        monkeypatch.setattr(graphs, "_canonical_form", searched)
+        assert out and enumerate_graphs(5, 7, d, min_valence=1) == out
+        monkeypatch.undo()
+
+
+def test_automorphism_verdict_matches_canonicalize():
+    """A class of a slice is kept at d exactly when canonicalize gives
+    its form sign +1 at d (sign 0 otherwise, never -1): every class of
+    every gc slice up to (7, 12) and fcgc slice up to (6, 10), at d = 0
+    and 2 on the simple layers and at d = 1 and 3 on both kinds."""
+    checked = dropped = 0
+    for need, top in ((3, (7, 12)), (1, (6, 10))):
+        for n in range(1, top[0] + 1):
+            for k in range(0, top[1] + 1):
+                for simple in (True, False):
+                    layer = graphs._layer(n, k, 0, simple,
+                                          max(need, 1 if n > 1 else 0), True)
+                    for form in layer:
+                        for d in (0, 1, 2, 3) if simple else (1, 3):
+                            kept = all(graphs._aut_sign(d, form, a) == 1
+                                       for a in layer.auts[form])
+                            sign = canonicalize(OrientedGraph(d, n, form)).sign
+                            assert sign in (0, 1) and kept == (sign == 1), \
+                                (form, d)
+                            checked += 1
+                            dropped += not kept
+    assert checked > 15000 and dropped > 5000, (checked, dropped)
+
+
+def test_enumerate_refuses_non_int_arguments():
+    """Every count and d is checked up front: a str or a bool raises
+    TypeError, naming the argument."""
+    for args, name in (((3, 3, "2"), "d"), ((3, 3, True), "d"),
+                       ((3.0, 3, 2), "n_vertices"), ((3, True, 2), "n_edges")):
+        with pytest.raises(TypeError, match=name):
+            enumerate_graphs(*args)
+    with pytest.raises(TypeError, match="min_valence"):
+        enumerate_graphs(3, 3, 2, min_valence="3")
 
 
 def _slack(n, edges, need, connected):
@@ -311,8 +345,8 @@ def test_layers_match_all_subsets_grouped_by_slack():
             subsets = combinations if simple else \
                 combinations_with_replacement
             for k in range(0, 7 if n < 6 else 6):
-                classes = {graphs._canonical_form(1, n, edges)[0]
-                           for edges in subsets(pairs, k)}
+                classes = {canonicalize(OrientedGraph(1, n, edges))
+                           .canonical.edges for edges in subsets(pairs, k)}
                 for mv in (0, 1, 3):
                     need = max(mv, 1 if n > 1 else 0)
                     for connected in (True, False):
@@ -380,10 +414,11 @@ def test_layer_automorphisms_fix_their_forms():
 
 def test_layers_search_few_children(monkeypatch):
     """The layers try one new edge per orbit of the parent's
-    automorphisms and keep only children whose new edge has the largest
-    valence pair: from an empty memo, the gc d=2 slice (7, 12) makes at
-    most 1,500 canonical searches (5,166 when every distinct labelled
-    child is searched)."""
+    automorphisms, keep only children whose new edge has the largest
+    valence pair, and search a child only when its coarse form is new
+    to the layer: from an empty memo, the gc d=2 slice (7, 12) makes at
+    most 750 canonical searches (5,166 when every distinct labelled
+    child is searched, 886 before the coarse-form check)."""
     calls = []
 
     def spy(*args, _inner=graphs._canonical_form):
@@ -395,7 +430,7 @@ def test_layers_search_few_children(monkeypatch):
     out = enumerate_graphs(7, 12, 2, min_valence=3)
     graphs._layer.cache_clear()
     assert len(out) == 6
-    assert len(calls) <= 1500, len(calls)
+    assert len(out) <= len(calls) <= 750, len(calls)
 
 
 def test_enumerate_does_not_depend_on_the_memo_state():
