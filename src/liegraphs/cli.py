@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
-from . import defcx, gra, gutt, linalg, poly
+from . import defcx, gra, gutt, poly
 from .graphs import OrientedGraph, canonicalize, perm_sign
 from .lie import BracketParseError
 
@@ -33,10 +33,21 @@ def _check_version(rec, what):
         raise ValueError(f"{what}: unsupported format_version {ver}")
 
 
-def _dump_json(obj, path):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write_files(files):
+    """Write each (path, text); False, after `error: ...` on stderr,
+    when one cannot be written."""
+    try:
+        for path, text in files:
+            with open(path, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # -- verification checks ----------------------------------------------
@@ -322,8 +333,8 @@ def cmd_verify(args):
                         "witness": witness})
     report = {"format_version": FORMAT_VERSION, "suite": args.suite,
               "checks": results, "all_pass": all_ok}
-    if args.out:
-        _dump_json(report, args.out)
+    if args.out and not _write_files([(args.out, _json_text(report))]):
+        return 1
     print(f"{'all checks passed' if all_ok else 'FAILURES PRESENT'}"
           f" ({len(results)} checks)")
     return 0 if all_ok else 1
@@ -331,11 +342,12 @@ def cmd_verify(args):
 
 # -- cohomology tables ------------------------------------------------
 
-def _serialize_witness(complex_id, w):
-    if complex_id in ("fcgc", "gc"):
+def _serialize_witness(w):
+    """A witness of `defcx.Chain.witness` as JSON."""
+    if isinstance(w, dict):
         return [{"coeff": str(c), "graph": g.to_json()}
                 for g, c in sorted(w.items(), key=lambda kv: kv[0].edges)]
-    if complex_id == "def-olie":
+    if isinstance(w, poly.OElement):
         return w.to_json()
     return {"arity": w.arity, "d": w.d,
             "terms": [{"coeff": str(c), "word": list(word)}
@@ -346,28 +358,6 @@ def _serialize_witness(complex_id, w):
 _TABLE_LIMITS = {"fcgc": ("max_vertices", "max_edges"),
                  "gc": ("max_vertices", "max_edges"),
                  "def-olie": ("arity", "internal"), "def-lie": ("arity",)}
-
-
-def _slice_witness(chain, sl, image_dim):
-    """A closed, non-exact representative of the slice, if any."""
-    # with no incoming image every kernel vector is non-exact
-    pred = chain.pred(sl) if image_dim else None
-    row = {t: i for i, t in enumerate(pred.rows)} if pred else {}
-    for vec in linalg.kernel_basis(sl.matrix):
-        if sl.complex_id in ("fcgc", "gc"):
-            combo = terms = {sl.basis[idx]: c for idx, c in vec.items()}
-        else:
-            terms = {}
-            for idx, c in sorted(vec.items()):
-                linalg._axpy(terms, c, sl.basis[idx].terms)
-            combo = sl.basis[0].with_terms(terms)
-        # exact: in the span of the predecessor's images, whose rows
-        # are the terms they reach
-        if pred is None or not row.keys() >= terms.keys() or not \
-                linalg.in_image(pred.matrix,
-                                {row[t]: c for t, c in terms.items()}):
-            return _serialize_witness(sl.complex_id, combo)
-    return None
 
 
 def _cohomology_rows(args):
@@ -402,8 +392,8 @@ def cmd_cohomology(args):
     writer.writerows(table)
     csv_text = buf.getvalue()
 
-    # the JSON rows, each witness a kernel basis and an image test, only
-    # for the outputs that print them
+    # the JSON rows, with their witnesses, only for the outputs that
+    # print them
     if args.out or args.format == "json":
         json_rows = []
         for bid, sl, k, im, coh in rows:
@@ -411,18 +401,18 @@ def cmd_cohomology(args):
                    "basis_dim": len(sl.basis), "kernel_dim": k,
                    "image_dim": im, "cohomology_dim": coh}
             if coh > 0:
-                rec["witness"] = _slice_witness(chain, sl, im)
+                rec["witness"] = _serialize_witness(chain.witness(sl.key))
             json_rows.append(rec)
         json_obj = {"format_version": FORMAT_VERSION, "rows": json_rows}
 
-    if args.out:
-        with open(args.out + ".csv", "w") as fh:
-            fh.write(csv_text)
-        _dump_json(json_obj, args.out + ".json")
+    if args.out and not _write_files(
+            [(args.out + ".csv", csv_text),
+             (args.out + ".json", _json_text(json_obj))]):
+        return 1
     if args.format == "csv":
         print(csv_text, end="")
     elif args.format == "json":
-        print(json.dumps(json_obj, indent=2, sort_keys=True))
+        print(_json_text(json_obj), end="")
     else:
         widths = [max(len(str(r[i])) for r in [header] + table)
                   for i in range(len(header))]
@@ -465,10 +455,11 @@ def cmd_compose(args):
         return 1
     result = {"format_version": FORMAT_VERSION, "op": args.op, "i": args.i,
               "result": out.to_json()}
-    if args.out:
-        _dump_json(result, args.out)
-    else:
-        print(json.dumps(result, indent=2, sort_keys=True))
+    text = _json_text(result)
+    if not args.out:
+        print(text, end="")
+    elif not _write_files([(args.out, text)]):
+        return 1
     return 0
 
 

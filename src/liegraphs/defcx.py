@@ -42,7 +42,7 @@ from .gra import GraElement, element as gra_element
 from .graphs import (OrientedGraph, _canonical_form, _coarse_form, _graph,
                      canonicalize, enumerate_graphs)
 from .lie import LieElement, basis_words
-from .linalg import SparseMatrix, _add, _axpy, _exact
+from .linalg import _add, _axpy, _exact
 from .poly import OElement, make_term
 
 
@@ -211,9 +211,11 @@ def to_gc_classes(y: GraElement):
 # the graph complexes, (arity, internal vertices) for 'def-olie' and
 # (arity,) for 'def-lie'.  Every differential steps along the diagonal:
 # a slice's predecessor is key - 1 and its successor key + 1 in every
-# component.
+# component.  The graph complexes take vertices of valence at least
+# _MIN_VALENCE.
 _BOUNDS = {"fcgc": ((1, 1), (7, 12)), "gc": ((1, 1), (7, 12)),
            "def-olie": ((1, 0), (4, 4)), "def-lie": ((2,), (6,))}
+_MIN_VALENCE = {"fcgc": 1, "gc": 3}
 
 
 @dataclass(frozen=True)
@@ -225,8 +227,7 @@ class SliceBasis:
     # the term coordinates of the generators' integer orbit sums (n!
     # times the generators for the def complexes)
     span: linalg.Echelon = field(compare=False)
-    rows: tuple            # the successor terms the differentials reach
-    matrix: SparseMatrix   # differential, rows indexed by `rows`
+    images: tuple          # the generators' differentials, term -> coeff
 
 
 def _o_slice_terms(n, k, d):
@@ -268,8 +269,8 @@ def _slice_basis(complex_id, d, key, span):
     graphs, or a maximal independent set of the symmetrized terms, taken
     in term order.  For the def complexes span holds the integer orbit
     sums, and the generator is the orbit sum divided by n!."""
-    if complex_id in ("fcgc", "gc"):
-        mv = 3 if complex_id == "gc" else 1
+    if complex_id in _MIN_VALENCE:
+        mv = _MIN_VALENCE[complex_id]
         for g in enumerate_graphs(*key, d, min_valence=mv, connected=True):
             if span.add({g: 1}):
                 yield g
@@ -289,8 +290,8 @@ def _slice_basis(complex_id, d, key, span):
 
 def _image(complex_id, x):
     """The differential of the generator x, as a dict term -> coeff."""
-    if complex_id in ("fcgc", "gc"):
-        return gc_differential(x, min_valence=3 if complex_id == "gc" else 1)
+    if complex_id in _MIN_VALENCE:
+        return gc_differential(x, _MIN_VALENCE[complex_id])
     return def_differential(x).terms
 
 
@@ -298,17 +299,16 @@ def _check_square_zero(first, second):
     """Raise ArithmeticError unless the differential of the slice
     `first` followed by that of its successor `second` is zero: each
     image's coordinates x over the successor's generators must give
-    sum_j x_j column_j = 0."""
-    columns = [dict(col) for col in second.matrix.transpose().rows]
-    for col in first.matrix.transpose().rows:
+    sum_j x_j image_j = 0."""
+    for image in first.images:
         try:
-            x = second.span.coords({first.rows[i]: c for i, c in col})
+            x = second.span.coords(image)
         except ValueError:  # the image is not in the complex
             dd = None
         else:
             dd = {}
             for j, c in x.items():
-                _axpy(dd, c, columns[j])
+                _axpy(dd, c, second.images[j])
         if dd is None or dd:
             raise ArithmeticError(f"d o d != 0 from slice {first.key}"
                                   f" to {second.key}")
@@ -317,9 +317,9 @@ def _check_square_zero(first, second):
 class Chain:
     """The slices of one complex at one d.
 
-    Each basis, differential matrix and rank is built once and kept for
-    the life of the chain, which is meant to be one table.  Every pair
-    of adjacent matrices the chain holds is checked to compose to zero.
+    Each basis, its images and its rank are built once and kept for the
+    life of the chain, which is meant to be one table.  Every pair of
+    adjacent slices the chain holds is checked to compose to zero.
     Keys are tuples; 'def-lie' also takes a bare arity."""
 
     def __init__(self, complex_id, d):
@@ -334,9 +334,8 @@ class Chain:
             lo <= k <= hi for lo, k, hi in zip(self.lower, key, self.upper))
 
     def slice(self, key):
-        """Basis and differential matrix of one slice.  Raises
-        ValueError outside the bounds, or where the differential leaves
-        the grid."""
+        """Basis and images of one slice.  Raises ValueError outside the
+        bounds, or where the differential leaves the grid."""
         key = (key,) if isinstance(key, int) else tuple(key)
         if key in self._slices:
             return self._slices[key]
@@ -353,12 +352,8 @@ class Chain:
                 raise ValueError("differential left the slice grid")
             gens.append(x)
             images.append(image)
-        rows = tuple(sorted({t for image in images for t in image}))
-        index = {t: i for i, t in enumerate(rows)}
-        cols = [{index[t]: c for t, c in image.items()} for image in images]
         sl = SliceBasis(self.complex_id, self.d, key, tuple(gens), span,
-                        rows, SparseMatrix.from_columns(cols, len(rows),
-                                                        n_cols=len(gens)))
+                        tuple(images))
         pred = tuple(k - 1 for k in key)
         if pred in self._slices:
             _check_square_zero(self._slices[pred], sl)
@@ -374,7 +369,7 @@ class Chain:
 
     def rank(self, sl):
         if sl.key not in self._ranks:
-            self._ranks[sl.key] = linalg.rank(sl.matrix)
+            self._ranks[sl.key] = len(linalg._column_echelon(sl.images)[1])
         return self._ranks[sl.key]
 
     def cohomology(self, key):
@@ -385,13 +380,38 @@ class Chain:
         image = self.rank(pred) if pred is not None else 0
         return kernel, image, kernel - image
 
+    def witness(self, key):
+        """A closed, non-exact combination of the slice's generators (a
+        dict graph -> coeff, or an element), or None when the cohomology
+        is zero: the first kernel vector, in `linalg.kernel_basis` order,
+        outside the span of the predecessor's images."""
+        sl = self.slice(key)
+        pred = self.pred(sl)
+        exact = linalg.Echelon()
+        if pred is not None:
+            for image in pred.images:
+                exact.add(image)
+        for vec in linalg._column_echelon(sl.images)[2]:
+            if self.complex_id in _MIN_VALENCE:
+                combo = terms = {sl.basis[i]: c for i, c in vec.items()}
+            else:
+                terms = {}
+                for i, c in sorted(vec.items()):
+                    _axpy(terms, c, sl.basis[i].terms)
+                combo = sl.basis[0].with_terms(terms)
+            try:
+                exact.coords(terms)
+            except ValueError:
+                return combo
+        return None
+
 
 def build_slice(complex_id, d, key):
-    """Basis and differential matrix of one bidegree slice.
+    """Basis and images of one bidegree slice.
 
     complex_id in {'fcgc', 'gc', 'def-olie', 'def-lie'}; key is (v, e)
     for the graph complexes, (n, k) for 'def-olie', (n,) or n for
-    'def-lie'.  The matrix maps this slice into its successor."""
+    'def-lie'.  The images lie in this slice's successor."""
     return Chain(complex_id, d).slice(key)
 
 

@@ -374,22 +374,6 @@ def is_connected(g):
     return _components(g.n_vertices, g.edges) <= 1
 
 
-class _Layer(frozenset):
-    """The classes of a layer, a frozenset of forms; `auts`, read-only
-    like the set, maps each form to the automorphisms `_canonical_form`
-    found for it."""
-    __slots__ = ("_auts",)
-
-    def __new__(cls, auts):
-        layer = super().__new__(cls, auts)
-        layer._auts = MappingProxyType(auts)
-        return layer
-
-    @property
-    def auts(self):
-        return self._auts
-
-
 def _pair_orbits(pairs, auts):
     """One pair of each orbit that the group generated by auts makes of
     pairs (a set it maps onto itself), the least one first met."""
@@ -416,8 +400,9 @@ def _pair_orbits(pairs, auts):
 @memo
 def _layer(n, k, m, simple, need, connected):
     """Unsigned classes of the k-edge graphs on n vertices with slack m,
-    as a frozenset of d = 1 canonical forms (simple graphs only when
-    `simple`), each with the automorphisms found for it (`_Layer`).
+    as a read-only mapping from their d = 1 canonical forms (simple
+    graphs only when `simple`) to the automorphisms `_canonical_form`
+    found for each.
 
     A vertex lacks max(0, need - valence) edge ends.  The slack is the
     least number of edges that can still take a graph into a slice: half
@@ -438,23 +423,22 @@ def _layer(n, k, m, simple, need, connected):
     another pair in its orbit, is a child isomorphic to C whose new
     edge has the largest pair.
 
-    A kept child is searched only when it is new to the layer, first as
-    a labelled edge tuple and then by its coarse form (`_coarse_form`):
-    children with one coarse form are one graph, so the search of the
-    first stands for all.  Isomorphic children with different coarse
-    forms still meet in the set of forms.
+    A kept child is searched only when its coarse form (`_coarse_form`)
+    is new to the layer: children with one coarse form are one graph,
+    so the search of the first stands for all.  Isomorphic children with
+    different coarse forms still meet in the keys of the mapping.
     """
     if k == 0:
         least = max((n * need + 1) // 2, n - 1 if connected else 0)
         if least != m:
-            return _Layer({})
+            return MappingProxyType({})
         form, _, sizes = _coarse_form(1, n, ())
-        return _Layer({form: _canonical_form(1, n, form, sizes)[2]})
+        return MappingProxyType({form: _canonical_form(1, n, form, sizes)[2]})
     pairs = list(combinations(range(1, n + 1), 2))
-    out, tried, coarse = {}, set(), set()
+    out, coarse = {}, set()
     for parents in (_layer(n, k - 1, m, simple, need, connected),
                     _layer(n, k - 1, m + 1, simple, need, connected)):
-        for edges, auts in parents.auts.items():
+        for edges, auts in parents.items():
             val, comp = [0] * (n + 1), _component_labels(n, edges)
             for t, h in edges:
                 val[t] += 1
@@ -480,18 +464,13 @@ def _layer(n, k, m, simple, need, connected):
                 val[h] -= 1
                 if beaten:
                     continue
-                child = tuple(sorted(edges + (pair,)))
-                # several parents can give the same labelled child, and
-                # several labelled children the same coarse form
-                if child in tried:
-                    continue
-                tried.add(child)
-                form, _, sizes = _coarse_form(1, n, child)
+                # several labelled children can give the same coarse form
+                form, _, sizes = _coarse_form(1, n, edges + (pair,))
                 if form not in coarse:
                     coarse.add(form)
                     form, _, found = _canonical_form(1, n, form, sizes)
                     out.setdefault(form, found)
-    return _Layer(out)
+    return MappingProxyType(out)
 
 
 def _aut_sign(d, form, a):
@@ -536,4 +515,4 @@ def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
     need = max(min_valence, 1 if n > 1 else 0)
     level = _layer(n, n_edges, 0, d % 2 == 0, need, connected)
     return [_graph(d, n, form) for form in sorted(level)
-            if all(_aut_sign(d, form, a) == 1 for a in level.auts[form])]
+            if all(_aut_sign(d, form, a) == 1 for a in level[form])]

@@ -245,21 +245,15 @@ class Echelon:
         return {k: _exact(c) for k, c in combo.items()}
 
 
-def _column_echelon(matrix, b=()):
-    """One pass over the columns of matrix, in order, each reduced once
-    against the independent columns before it.  Returns the Echelon of
-    the columns, the indices of the independent ones, and the kernel
-    basis: for each dependent column j, e_j minus its coordinates over
-    the independent columns.  The keys of b are checked against the
-    row range."""
-    for i in b:
-        if type(i) is not int:
-            raise TypeError(f"vector index {i!r} is not an int")
-        if not 0 <= i < matrix.n_rows:
-            raise ValueError("vector index out of range")
+def _column_echelon(columns):
+    """One pass over columns (dicts key -> value), in order, each reduced
+    once against the independent columns before it.  Returns the
+    Echelon of the columns, the indices of the independent ones, and the
+    kernel basis: for each dependent column j, e_j minus its coordinates
+    over the independent columns."""
     span, independent, kernel = Echelon(), [], []
-    for j, col in enumerate(matrix.transpose().rows):
-        rest, combo = span._reduce(dict(col))
+    for j, col in enumerate(columns):
+        rest, combo = span._reduce(col)
         if rest:
             span._keep(rest, combo)
             independent.append(j)
@@ -269,6 +263,16 @@ def _column_echelon(matrix, b=()):
             vec[j] = 1
             kernel.append(vec)
     return span, independent, kernel
+
+
+def _columns(matrix, b=()):
+    """The columns of matrix as dicts, once b's keys are checked."""
+    for i in b:
+        if type(i) is not int:
+            raise TypeError(f"vector index {i!r} is not an int")
+        if not 0 <= i < matrix.n_rows:
+            raise ValueError("vector index out of range")
+    return [dict(col) for col in matrix.transpose().rows]
 
 
 def rank(matrix):
@@ -291,7 +295,7 @@ def kernel_basis(matrix):
     and its other keys lie below j.  Every vector v satisfies M.v = 0
     exactly.
     """
-    return _column_echelon(matrix)[2]
+    return _column_echelon(_columns(matrix))[2]
 
 
 def solve(matrix, b):
@@ -299,7 +303,7 @@ def solve(matrix, b):
 
     b is a dict row -> value.
     """
-    span, independent, _ = _column_echelon(matrix, b)
+    span, independent, _ = _column_echelon(_columns(matrix, b))
     try:
         x = span.coords(b)
     except ValueError:
@@ -309,4 +313,4 @@ def solve(matrix, b):
 
 def in_image(matrix, b):
     """Decide exactly whether b (dict row -> value) is in the column span."""
-    return not _column_echelon(matrix, b)[0].add(b)
+    return not _column_echelon(_columns(matrix, b))[0].add(b)

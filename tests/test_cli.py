@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from liegraphs import cli, defcx, gra, linalg, poly
-from liegraphs.cli import FORMAT_VERSION, _slice_witness, main
+from liegraphs.cli import FORMAT_VERSION, main
 from liegraphs.graphs import OrientedGraph
 from liegraphs.linalg import SparseMatrix
 
@@ -132,11 +132,11 @@ def test_cohomology_builds_witnesses_only_for_json(capsys, monkeypatch,
     json` and `--out`.  The CSV and text tables search for none."""
     calls = []
 
-    def spy(*args, _inner=cli._slice_witness):
-        calls.append(args[1].key)
-        return _inner(*args)
+    def spy(chain, key, _inner=defcx.Chain.witness):
+        calls.append(key)
+        return _inner(chain, key)
 
-    monkeypatch.setattr(cli, "_slice_witness", spy)
+    monkeypatch.setattr(defcx.Chain, "witness", spy)
     table = ["cohomology", "--complex", "gc", "--d", "2",
              "--max-vertices", "4", "--max-edges", "6"]
     for extra, searched in ((["--format", "csv"], False),
@@ -167,25 +167,35 @@ def test_verify_gutt_report_byte_identical(capsys, tmp_path):
 
 
 def test_witness_exactness_over_incoming_images():
-    """Every table row with an incoming image: the witness is decided in
-    the predecessor's rows, and is missing exactly when the cohomology
-    is zero.  A graph witness is closed, and not exact in the
-    coordinates of the slice's own generators."""
+    """Every table row with an incoming image, and every def row with
+    cohomology: the witness is decided against the predecessor's
+    images, and is missing exactly when the cohomology is zero.  A
+    witness is closed, and a graph witness is not exact in the
+    coordinates of the slice's own generators.  Every def row with
+    cohomology has image dim 0, so a def witness is not yet tested for
+    non-exactness over a nonzero image."""
     cases = [("fcgc", 1, (4, 4)), ("fcgc", 1, (4, 5)), ("fcgc", 1, (4, 6)),
              ("gc", 1, (4, 6)), ("def-olie", 1, (2, 1)),
              ("def-olie", 2, (2, 1))]
-    for complex_id, d, key in cases:
+    def_rows = [("def-olie", 1, (2, 2)), ("def-olie", 1, (2, 3)),
+                ("def-olie", 2, (1, 1)), ("def-lie", 1, (2,)),
+                ("def-lie", 2, (2,))]
+    for complex_id, d, key in cases + def_rows:
         chain = defcx.Chain(complex_id, d)
         sl = chain.slice(key)
         _, image, coh = chain.cohomology(key)
-        assert image > 0
-        witness = _slice_witness(chain, sl, image)
+        assert image > 0 if (complex_id, d, key) in cases else coh > 0
+        witness = chain.witness(key)
         assert (witness is None) == (coh == 0), (complex_id, d, key)
         if witness is None:
             continue
+        if complex_id.startswith("def-"):
+            assert defcx.def_differential(witness).is_zero()
+            continue
         mv = 3 if complex_id == "gc" else 1
         combo = {OrientedGraph.from_json(w["graph"]): Fraction(w["coeff"])
-                 for w in witness}
+                 for w in cli._serialize_witness(witness)}
+        assert combo == witness
         assert defcx.gc_differential_combo(combo, mv) == {}
         pred = chain.pred(sl)
         incoming = SparseMatrix.from_columns(
@@ -200,6 +210,25 @@ def _write(tmp_path, name, rec):
     path = tmp_path / name
     path.write_text(json.dumps(rec))
     return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--complex", "gc", "--d", "2", "--out", "{out}/t"],
+    ["verify", "gutt", "--out", "{out}/r.json"],
+    ["compose", "{input}", "--op", "olie", "--i", "1", "--out",
+     "{out}/x.json"]], ids=["cohomology", "verify", "compose"])
+def test_unwritable_out_is_an_error(capsys, tmp_path, argv):
+    """An --out that cannot be written ends the command with one
+    `error:` line on stderr and exit code 1, not a traceback."""
+    corolla = poly.make_term(2, 1, [(1, 2)]).to_json()
+    paths = {"out": str(tmp_path / "missing"),
+             "input": _write(tmp_path, "in.json",
+                             {"format_version": FORMAT_VERSION,
+                              "a": corolla, "b": corolla})}
+    code, _, err = run([a.format(**paths) for a in argv], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_compose_three_term_example(capsys, tmp_path):

@@ -375,14 +375,27 @@ def test_five_wheel_witness():
     assert gc_differential_combo(w5, 3) == {}
 
 
+def _matrix(sl):
+    """The slice's differential as a SparseMatrix, one column per
+    generator and one row per term its images reach, in term order."""
+    rows = sorted({t for image in sl.images for t in image})
+    index = {t: i for i, t in enumerate(rows)}
+    return SparseMatrix.from_columns(
+        [{index[t]: c for t, c in image.items()} for image in sl.images],
+        len(rows), n_cols=len(sl.basis))
+
+
 def test_five_wheel_slice():
     """The (6,10) slice of GC_2 has one class, spanned by the five-wheel
-    cocycle: the wheel plus 5/2 times its correction graph."""
-    assert cohomology_rank("gc", 2, (6, 10)) == (1, 0, 1)
-    sl = build_slice("gc", 2, (6, 10))
-    kernel = linalg.kernel_basis(sl.matrix)
+    cocycle: the wheel plus 5/2 times its correction graph, which is
+    also the slice's witness."""
+    chain = defcx.Chain("gc", 2)
+    assert chain.cohomology((6, 10)) == (1, 0, 1)
+    sl = chain.slice((6, 10))
+    kernel = linalg.kernel_basis(_matrix(sl))
     coeffs = {sl.basis.index(g): c for g, c in five_wheel_cocycle().items()}
     assert kernel == [coeffs]
+    assert chain.witness((6, 10)) == five_wheel_cocycle()
 
 
 def test_def_lie_cohomology_small():
@@ -514,9 +527,9 @@ def _greedy_basis(complex_id, d, key):
 
 def test_invariant_basis_matches_greedy_rank():
     """The incremental echelon keeps the same generators as the rank
-    test on growing matrices.  The slice matrix has one row per term
-    the differentials reach, and its rank is that of the matrix solved
-    for column by column in the successor's generators."""
+    test on growing matrices.  The slice keeps each generator's image,
+    and its rank is that of the matrix solved for column by column in
+    the successor's generators."""
     cases = [("def-olie", d, (n, k)) for d in (1, 2) for n in (1, 2)
              for k in range(4)]
     cases += [("def-lie", d, (n,)) for d in (1, 2) for n in (2, 3, 4)]
@@ -529,20 +542,22 @@ def test_invariant_basis_matches_greedy_rank():
         succ_gens, index, span = _greedy_basis(complex_id, d, succ) \
             if chain.in_bounds(succ) else ([], {}, SparseMatrix(0, 0, []))
         cols = []
-        for x, new_col in zip(gens, sl.matrix.transpose().rows):
+        assert len(sl.images) == len(gens)
+        for x, new_image in zip(gens, sl.images):
             image = def_differential(x).terms
             vec = {index[t]: c for t, c in image.items()}
             col = linalg.solve(span, vec)
             assert col is not None and span.mul_vector(col) == vec
             cols.append(col)
-            assert {sl.rows[i]: c for i, c in new_col} == image
-        assert linalg.rank(sl.matrix) == linalg.rank(SparseMatrix.from_columns(
+            assert new_image == image
+        assert chain.rank(sl) == linalg.rank(SparseMatrix.from_columns(
             cols, len(succ_gens) if gens else 0, n_cols=len(gens)))
 
 
 def test_graph_slice_rows_drop_empty_rows():
-    """For the graph complexes the slice matrix is the matrix over the
-    successor's generators with its empty rows dropped."""
+    """For the graph complexes a slice's images are the columns of the
+    matrix over the successor's generators, and they reach its nonempty
+    rows only: some, not all, of the successor's generators."""
     for complex_id, d, key in (("gc", 1, (3, 8)), ("fcgc", 1, (3, 6)),
                                ("fcgc", 2, (4, 5)), ("fcgc", 2, (5, 6))):
         sl = build_slice(complex_id, d, key)
@@ -553,8 +568,9 @@ def test_graph_slice_rows_drop_empty_rows():
              for x in sl.basis], len(succ), n_cols=len(sl.basis))
         kept = [i for i, r in enumerate(old.rows) if r]
         assert 0 < len(kept) < len(succ)
-        assert sl.rows == tuple(succ[i] for i in kept)
-        assert sl.matrix.rows == tuple(old.rows[i] for i in kept)
+        assert {t for image in sl.images for t in image} \
+            == {succ[i] for i in kept}
+        assert _matrix(sl).rows == tuple(old.rows[i] for i in kept)
 
 
 def test_to_gc_classes():

@@ -154,14 +154,21 @@ def test_def_differential_homogeneous_and_exact(memo_entries):
 
 
 def test_slices_exact():
-    """Bases, echelons and matrices of one slice of every complex, with
-    the 1/n! of the symmetrizer in their coefficients."""
+    """Bases, echelons, images, kernels and witnesses of one slice of
+    every complex, with the 1/n! of the symmetrizer in their
+    coefficients."""
     for complex_id, d, key in (("gc", 1, (4, 6)), ("fcgc", 2, (3, 3)),
                                ("def-olie", 1, (2, 2)), ("def-lie", 1, (4,)),
                                ("def-lie", 2, (3,))):
-        sl = defcx.build_slice(complex_id, d, key)
-        assert_exact([sl.basis, sl.span, sl.matrix.rows])
-        assert_exact(kernel_basis(sl.matrix))
+        chain = defcx.Chain(complex_id, d)
+        sl = chain.slice(key)
+        assert_exact([sl.basis, sl.span, sl.images])
+        rows = sorted({t for image in sl.images for t in image})
+        index = {t: i for i, t in enumerate(rows)}
+        assert_exact(kernel_basis(SparseMatrix.from_columns(
+            [{index[t]: c for t, c in image.items()} for image in sl.images],
+            len(rows), n_cols=len(sl.basis))))
+        assert_exact([chain.witness(key)])
 
 
 def test_star_homogeneous_and_exact(memo_entries):

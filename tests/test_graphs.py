@@ -301,7 +301,7 @@ def test_automorphism_verdict_matches_canonicalize():
                     for form in layer:
                         for d in (0, 1, 2, 3) if simple else (1, 3):
                             kept = all(graphs._aut_sign(d, form, a) == 1
-                                       for a in layer.auts[form])
+                                       for a in layer[form])
                             sign = canonicalize(OrientedGraph(d, n, form)).sign
                             assert sign in (0, 1) and kept == (sign == 1), \
                                 (form, d)
@@ -357,7 +357,7 @@ def test_layers_match_all_subsets_grouped_by_slack():
                         for m in range(0, 10):
                             got = graphs._layer(n, k, m, simple, need,
                                                 connected)
-                            assert got == want.get(m, set()), \
+                            assert got.keys() == want.get(m, set()), \
                                 (n, k, m, simple, mv, connected)
 
 
@@ -397,8 +397,7 @@ def test_layer_automorphisms_fix_their_forms():
                 for k in range(0, 11):
                     for m in range(0, 11 - k):
                         layer = graphs._layer(n, k, m, simple, need, True)
-                        assert layer == frozenset(layer.auts)
-                        for form, auts in layer.auts.items():
+                        for form, auts in layer.items():
                             for a in auts:
                                 assert a[0] == 0
                                 assert sorted(a) == list(range(n + 1))
