@@ -34,15 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from types import MappingProxyType
 
 from . import linalg, memo, poly
 from .gra import GraElement, element as gra_element
-from .graphs import (OrientedGraph, _canonical_form, _coarse_form, _graph,
-                     canonicalize, enumerate_graphs)
+from .graphs import OrientedGraph, classes, enumerate_graphs
 from .lie import LieElement, basis_words
-from .linalg import _add, _axpy, _exact
+from .linalg import _axpy, _exact
 from .poly import OElement, make_term
 
 
@@ -131,12 +129,6 @@ def def_differential(x):
 
 # -- the graph complexes ----------------------------------------------
 
-def _add_class(out, graph, coeff):
-    sc = canonicalize(graph)
-    if not sc.is_zero():
-        _add(out, sc.canonical, sc.sign * coeff)
-
-
 def gc_differential(g: OrientedGraph, min_valence=1):
     """Differential of one graph generator, keyed by canonical unlabeled
     graphs.
@@ -154,25 +146,13 @@ def gc_differential(g: OrientedGraph, min_valence=1):
 
 @memo
 def _gc_differential(g, min_valence):
-    """The labelled terms of the bracket with mu, summed by coarse form
-    (`graphs._coarse_form`): terms with one coarse form are one graph,
-    up to the coarse sign.  Each coarse form whose sum is nonzero is
-    then reduced to its class with one canonical search.  Valences
-    survive relabelling, so a term with a vertex of valence below
-    min_valence is dropped before either step."""
+    """The labelled terms of the bracket with mu, reduced to classes by
+    `graphs.classes`.  Valences survive relabelling, so a term with a
+    vertex of valence below min_valence is dropped first."""
     image, w = _bracket_mu(gra_element(g))
-    d, n = image.d, image.arity
-    coarse, sizes = {}, {}
-    for G, c in image.terms.items():
-        if min_valence <= 1 or min(G.valences()) >= min_valence:
-            form, sign, sizes[form] = _coarse_form(d, n, G.edges)
-            if sign:
-                _add(coarse, form, sign * c)
-    out = {}
-    for form, c in coarse.items():
-        form, sign, _ = _canonical_form(d, n, form, sizes[form])
-        if sign:
-            _add(out, _graph(d, n, form), sign * c)
+    out = classes(image.d, image.arity, (
+        (G, c) for G, c in image.terms.items()
+        if min_valence <= 1 or min(G.valences()) >= min_valence))
     return MappingProxyType({G: _exact(Fraction(c, w))
                              for G, c in out.items()})
 
@@ -189,20 +169,6 @@ def map_F(x: OElement) -> GraElement:
     """Chain map to the graph complex: project each term modulo the
     internal-edge ideal (whites become graph vertices)."""
     return poly.quotient_to_gra(x)
-
-
-def to_gc_classes(y: GraElement):
-    """Forget labels: express a (symmetrized) graph element as a
-    combination of canonical unlabeled graphs, one representative per
-    nonzero class with the coefficient of its canonical labelling."""
-    out = {}
-    for g, c in y.terms.items():
-        sc = canonicalize(g)
-        if sc.is_zero():
-            continue
-        if sc.canonical not in out:
-            out[sc.canonical] = sc.sign * c
-    return out
 
 
 # -- slice bases ------------------------------------------------------
@@ -230,39 +196,6 @@ class SliceBasis:
     images: tuple          # the generators' differentials, term -> coeff
 
 
-def _o_slice_terms(n, k, d):
-    """Canonical connected term tuples of arity n with k internal
-    vertices, ordered deterministically."""
-    p = (d - 1) % 2
-    pool = []
-    for m in range(2, k + 2):
-        for letters in combinations_with_replacement(range(1, n + 1), m):
-            pool.extend(poly.basis_for_multiset(letters, p))
-    pool = sorted(set(pool), key=lambda w: (len(w), w))
-
-    out = []
-
-    def rec(start, left, acc):
-        if left == 0:
-            key, sign = poly._sort_term(list(acc), p)
-            if sign != 0 and poly.is_connected_term(n, key):
-                labels = {x for w in key for x in w}
-                if labels == set(range(1, n + 1)) or (n == 1 and not key):
-                    out.append(key)
-            return
-        for j in range(start, len(pool)):
-            w = pool[j]
-            if len(w) - 1 <= left:
-                rec(j, left - (len(w) - 1), acc + [w])
-
-    if k == 0:
-        if n == 1:
-            out.append(())
-    else:
-        rec(0, k, [])
-    return sorted(set(out))
-
-
 def _slice_basis(complex_id, d, key, span):
     """Yield the generators of one slice, each as soon as it is found
     independent, and add its term coordinates to the Echelon span: the
@@ -278,7 +211,8 @@ def _slice_basis(complex_id, d, key, span):
     n = key[0]
     if complex_id == "def-olie":
         raw = (OElement(n, d, {t: 1}, "lie")
-               for t in _o_slice_terms(n, key[1], d))
+               for t in poly.terms(n, key[1], d)
+               if poly.is_connected_term(n, t))
     else:
         raw = (LieElement(n, {w: 1}, d) for w in basis_words(n))
     scale = Fraction(1, math.factorial(n))
@@ -317,9 +251,10 @@ def _check_square_zero(first, second):
 class Chain:
     """The slices of one complex at one d.
 
-    Each basis, its images and its rank are built once and kept for the
-    life of the chain, which is meant to be one table.  Every pair of
-    adjacent slices the chain holds is checked to compose to zero.
+    Each basis, its images and their elimination are built once and
+    kept for the life of the chain, which is meant to be one table.
+    Every pair of adjacent slices the chain holds is checked to compose
+    to zero.
     Keys are tuples; 'def-lie' also takes a bare arity."""
 
     def __init__(self, complex_id, d):
@@ -327,7 +262,7 @@ class Chain:
             raise ValueError(f"unknown complex {complex_id!r}")
         self.complex_id, self.d = complex_id, d
         self.lower, self.upper = _BOUNDS[complex_id]
-        self._slices, self._ranks = {}, {}
+        self._slices, self._echelons = {}, {}
 
     def in_bounds(self, key):
         return len(key) == len(self.lower) and all(
@@ -367,10 +302,15 @@ class Chain:
         key = tuple(k - 1 for k in sl.key)
         return self.slice(key) if self.in_bounds(key) else None
 
+    def _echelon(self, sl):
+        """(span, independent, kernel) of the slice's image columns,
+        from `linalg._column_echelon`, made once per slice."""
+        if sl.key not in self._echelons:
+            self._echelons[sl.key] = linalg._column_echelon(sl.images)
+        return self._echelons[sl.key]
+
     def rank(self, sl):
-        if sl.key not in self._ranks:
-            self._ranks[sl.key] = len(linalg._column_echelon(sl.images)[1])
-        return self._ranks[sl.key]
+        return self._echelon(sl)[0].rank
 
     def cohomology(self, key):
         """(kernel dim, incoming image dim, cohomology dim) of a slice."""
@@ -387,11 +327,8 @@ class Chain:
         outside the span of the predecessor's images."""
         sl = self.slice(key)
         pred = self.pred(sl)
-        exact = linalg.Echelon()
-        if pred is not None:
-            for image in pred.images:
-                exact.add(image)
-        for vec in linalg._column_echelon(sl.images)[2]:
+        exact = self._echelon(pred)[0] if pred else linalg.Echelon()
+        for vec in self._echelon(sl)[2]:
             if self.complex_id in _MIN_VALENCE:
                 combo = terms = {sl.basis[i]: c for i, c in vec.items()}
             else:
@@ -447,7 +384,4 @@ def five_wheel_cocycle():
     wheel = OrientedGraph(2, 6, rim + hub)
     corr = OrientedGraph(2, 6, ((1, 2), (2, 3), (3, 4), (5, 4), (5, 1),
                                 (4, 1), (2, 5), (5, 6), (6, 2), (6, 3)))
-    out = {}
-    _add_class(out, wheel, 1)
-    _add_class(out, corr, Fraction(5, 2))
-    return out
+    return classes(2, 6, [(wheel, 1), (corr, Fraction(5, 2))])

@@ -27,6 +27,7 @@ from itertools import combinations, groupby
 from types import MappingProxyType
 
 from . import memo
+from .linalg import _add
 
 ZERO = 0
 
@@ -353,6 +354,25 @@ def canonicalize(g):
         form, s, _ = _canonical_form(d, n, form, sizes)
         sign *= s
     return SignedCanonical(_graph(d, n, form), sign)
+
+
+def classes(d, n, terms):
+    """The sum of the (graph, coefficient) pairs `terms`, labelled
+    graphs on n vertices at d, as a dict from canonical graphs (those of
+    `canonicalize`) to nonzero coefficients.  Terms with one coarse form
+    (`_coarse_form`) are one graph up to sign, so they are summed first,
+    and each nonzero sum takes one search (`_canonical_form`)."""
+    coarse, sizes = {}, {}
+    for g, c in terms:
+        form, sign, sizes[form] = _coarse_form(d, n, g.edges)
+        if sign:
+            _add(coarse, form, sign * c)
+    out = {}
+    for form, c in coarse.items():
+        form, sign, _ = _canonical_form(d, n, form, sizes[form])
+        if sign:
+            _add(out, _graph(d, n, form), sign * c)
+    return out
 
 
 def _component_labels(n, edges):

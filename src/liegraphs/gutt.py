@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 from . import memo
 from .gra import GraElement, _add_graph, _element, s_action
-from .graphs import OrientedGraph
+from .graphs import OrientedGraph, _check_ints
 from .linalg import _add, _exact
 
 
@@ -29,13 +29,18 @@ class FPLieAlgebra:
     """Structure constants on generators 1..dim, Jacobi-checked.
 
     brackets maps (i, j) with i < j to {k: coefficient}; the other
-    order is filled in by antisymmetry, [t_i, t_i] = 0.
+    order is filled in by antisymmetry, [t_i, t_i] = 0.  dim and the keys
+    are ints (else TypeError; a bool is not one) and dim >= 0.
     """
 
     def __init__(self, dim, brackets):
+        _check_ints(dim=dim)
+        if dim < 0:
+            raise ValueError(f"negative dimension {dim}")
         self.dim = dim
         self.brackets = {}
         for (i, j), coeffs in brackets.items():
+            _check_ints(i=i, j=j)
             if not (1 <= i < j <= dim):
                 raise ValueError("bracket keys must satisfy 1 <= i < j <= dim")
             exact = {int(k): _exact(c) for k, c in coeffs.items()}
@@ -169,6 +174,8 @@ def _straighten(alg, word):
     monomial, say) is straightened once.  Each recursion sorts one more
     letter of its word or shortens it by one, so a reversed word of an
     abelian algebra recurses once per letter, not once per inversion."""
+    if not all(type(x) is int for x in word):
+        raise TypeError(f"generator index not an int in {word}")
     if not all(1 <= x <= alg.dim for x in word):
         raise ValueError(f"generator index outside 1..{alg.dim} in {word}")
     p = next((p for p in range(1, len(word)) if word[p - 1] > word[p]), 0)

@@ -29,8 +29,10 @@ def _exact(c):
 
 
 def _json_coeff(c):
-    """A coefficient read from JSON as an exact one; ValueError naming
-    it when it divides by zero."""
+    """A coefficient read from JSON as an exact one: TypeError for a
+    bool, ValueError naming it when it divides by zero."""
+    if type(c) is bool:
+        raise TypeError(f"coefficient {c!r} is not a number")
     try:
         return _exact(c)
     except ZeroDivisionError:

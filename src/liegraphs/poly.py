@@ -30,7 +30,7 @@ component's tree shape with one flat list of leaves (`_substituted`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from types import MappingProxyType
 
 from . import memo
@@ -247,8 +247,12 @@ def _component_from_json(comp, kind, p, arity):
     """Inverse of _component_to_json; returns a dict basis word -> coeff.
 
     The word must use each slot 1..m exactly once, for m >= 1 attached
-    whites, and every white must lie in 1..arity; otherwise ValueError."""
+    whites, and every white must lie in 1..arity; otherwise ValueError.
+    A white that is not an int (a bool is not one) raises TypeError."""
     attach = comp["attach"]
+    if any(type(x) is not int for x in attach):
+        raise TypeError(f"component {comp['word']!r} attaches to a white"
+                        f" that is not an int: {attach}")
     if kind == "ass":
         slots = [int(s) for s in comp["word"].split()]
     else:
@@ -284,12 +288,15 @@ def _is_basis_word(w, p):
 
 def make_term(arity, d, words, coeff=1, kind="lie"):
     """OElement with one term given by raw component words; for the Lie
-    kind each word must already be a basis word (else ValueError)."""
+    kind each word must already be a basis word (else ValueError), and
+    each white label an int (else TypeError; a bool is not one)."""
     p = _gen_parity(d, kind)
     for w in words:
         if not w:
             raise ValueError("empty component")
         for x in w:
+            if type(x) is not int:
+                raise TypeError(f"white label {x!r} is not an int")
             if not 1 <= x <= arity:
                 raise ValueError("white label out of range")
         if kind == "lie" and not _is_basis_word(w, p):
@@ -487,6 +494,32 @@ def is_connected_term(arity, words):
 
 def is_connected_element(x: OElement):
     return all(is_connected_term(x.arity, t) for t in x.terms)
+
+
+def terms(n, k, d):
+    """The sorted Lie-kind terms of arity n with k internal vertices (a
+    component of m slots has m - 1) whose components attach to every
+    white 1..n, connected or not.  The one term with none is the unit's
+    (), at arity 1."""
+    if k == 0:
+        return [()] if n == 1 else []
+    p, whites, out = _gen_parity(d, "lie"), set(range(1, n + 1)), []
+    pool = [w for m in range(2, k + 2)
+            for letters in combinations_with_replacement(range(1, n + 1), m)
+            for w in basis_for_multiset(letters, p)]
+
+    def rec(start, left, acc):
+        if left == 0:
+            key, sign = _sort_term(acc, p)
+            if sign and {x for w in key for x in w} == whites:
+                out.append(key)
+            return
+        for j in range(start, len(pool)):
+            if len(pool[j]) - 1 <= left:
+                rec(j, left - len(pool[j]) + 1, acc + [pool[j]])
+
+    rec(0, k, [])
+    return sorted(out)
 
 
 def quotient_to_gra(x: OElement) -> GraElement:

@@ -43,6 +43,28 @@ def test_verify_complexes(capsys):
     assert "(6,10) slice (ker,im,coh)=(1,0,1)" in out
 
 
+def test_verify_all_and_a_crashing_check(capsys, monkeypatch, tmp_path):
+    """`verify all` runs the checks of every suite, sorted by id.  A
+    check that raises is reported as a failing check with its message,
+    and the exit status is then 1."""
+    report = tmp_path / "report.json"
+    code, _, _ = run(["verify", "all", "--out", str(report)], capsys)
+    ids = [c["id"] for c in json.loads(report.read_text())["checks"]]
+    assert code == 0
+    assert ids == sorted(cid for s in cli.SUITES.values() for cid, _ in s)
+
+    def crash():
+        raise ArithmeticError("boom")
+
+    monkeypatch.setitem(cli.SUITES, "gutt", [("crash", crash)])
+    code, out, _ = run(["verify", "gutt", "--out", str(report)], capsys)
+    assert code == 1 and "FAIL crash" in out and "FAILURES PRESENT" in out
+    rec = json.loads(report.read_text())
+    assert rec["all_pass"] is False
+    assert rec["checks"] == [{"id": "crash", "status": "fail",
+                              "witness": "exception: boom"}]
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nope"])
@@ -308,6 +330,8 @@ BAD_OPERANDS = {
     "ass-slot-0": dict(_corolla_json(word="0 1", attach=[1, 2]),
                        kind="ass"),
     "white-out-of-range": _corolla_json(word="[1, 2]", attach=[1, 7]),
+    "white-float": _corolla_json(word="[1, 2]", attach=[1.5, 2]),
+    "white-bool": _corolla_json(word="[1, 2]", attach=[1, True]),
     "unused-slot": _corolla_json(word="[1, 2]", attach=[1, 2, 2]),
     "repeated-slot": _corolla_json(word="[1, 1]", attach=[1, 2]),
     "ass-empty-component": dict(_corolla_json(word="", attach=[]),
@@ -315,6 +339,9 @@ BAD_OPERANDS = {
     "float-coeff": dict(poly.make_term(2, 1, [(1, 2)]).to_json(),
                         terms=[{"coeff": 0.1, "components": [
                             {"word": "[1, 2]", "attach": [1, 2]}]}]),
+    "bool-coeff": dict(poly.make_term(2, 1, [(1, 2)]).to_json(),
+                       terms=[{"coeff": True, "components": [
+                           {"word": "[1, 2]", "attach": [1, 2]}]}]),
 }
 
 
@@ -379,6 +406,7 @@ COMPOSE_BAD_INPUTS = {
     "gra-d-bool": ("gra", _edge_json(d=True), "True"),
     "gra-arity-float": ("gra", _edge_json(vertices=2.5, arity=2.5), "2.5"),
     "gra-coeff-1/0": ("gra", _edge_json(coeff="1/0"), "'1/0'"),
+    "gra-coeff-bool": ("gra", _edge_json(coeff=True), "True"),
     "olie-d-float": ("olie", _corolla_with(d=1.5), "1.5"),
     "olie-d-bool": ("olie", _corolla_with(d=True), "True"),
     "olie-arity-float": ("olie", _corolla_with(arity=2.5), "2.5"),

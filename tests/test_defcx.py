@@ -1,27 +1,42 @@
 """Deformation complexes and graph complexes: differentials, slices,
 witness classes."""
 
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from liegraphs import defcx, lie, linalg, poly
-from liegraphs.defcx import (SliceBasis, _add_class,
-                             build_slice, cohomology_rank, def_degree,
-                             def_differential, five_wheel_cocycle,
-                             gc_differential, gc_differential_combo, map_F,
-                             symmetrize, tetrahedron, theta_def_element,
-                             theta_graph, to_gc_classes)
+from liegraphs import defcx, graphs, lie, linalg, poly
+from liegraphs.defcx import (SliceBasis, build_slice, cohomology_rank,
+                             def_degree, def_differential,
+                             five_wheel_cocycle, gc_differential,
+                             gc_differential_combo, map_F, symmetrize,
+                             tetrahedron, theta_def_element, theta_graph)
 from liegraphs.gra import GraElement, compose as gra_compose
 from liegraphs.gra import element as gra_element
-from liegraphs.graphs import OrientedGraph, enumerate_graphs, perm_sign
+from liegraphs.graphs import (OrientedGraph, canonicalize, enumerate_graphs,
+                              perm_sign)
 from liegraphs.lie import (LieElement, _relabel_tree, basis_words, normalize,
                            word_to_tree)
 from liegraphs.linalg import SparseMatrix
 from liegraphs.poly import OElement, make_term
+
+
+def _add_class(out, graph, coeff):
+    """The per-graph oracle of `graphs.classes`: add coeff times the
+    class of one labelled graph to out."""
+    sc = canonicalize(graph)
+    if not sc.is_zero():
+        linalg._add(out, sc.canonical, sc.sign * coeff)
+
+
+def _slice_terms(n, k, d):
+    """The connected terms of the def-olie slice (n, k)."""
+    return [t for t in poly.terms(n, k, d) if poly.is_connected_term(n, t)]
 
 
 def test_symmetrize_is_projector():
@@ -57,7 +72,7 @@ def test_symmetrize_matches_full_sum():
     for d in (1, 2):
         for n in range(1, 4):
             for k in range(4):
-                for t in defcx._o_slice_terms(n, k, d):
+                for t in _slice_terms(n, k, d):
                     x = OElement(n, d, {t: 1}, "lie")
                     inputs += [x, defcx._bracket_mu(x)[0]]
         for n in range(1, 5):
@@ -289,7 +304,7 @@ def test_gc_differential_reduces_only_kept_terms(monkeypatch):
     seen = {"_coarse_form": [], "_canonical_form": []}
 
     def spying(name):
-        inner = getattr(defcx, name)
+        inner = getattr(graphs, name)
 
         def spy(d, n, edges, *rest):
             seen[name].append(OrientedGraph(d, n, edges))
@@ -297,7 +312,7 @@ def test_gc_differential_reduces_only_kept_terms(monkeypatch):
         return spy
 
     for name in seen:
-        monkeypatch.setattr(defcx, name, spying(name))
+        monkeypatch.setattr(graphs, name, spying(name))
     defcx._gc_differential.cache_clear()
     assert [gc_differential(g, 3) for g in gens] == want
     for terms in seen.values():
@@ -508,7 +523,7 @@ def _greedy_basis(complex_id, d, key):
     it raises the rank of the matrix of the terms kept so far."""
     n = key[0]
     if complex_id == "def-olie":
-        terms = defcx._o_slice_terms(n, key[1], d)
+        terms = _slice_terms(n, key[1], d)
     else:
         terms = basis_words(n)
     index = {t: i for i, t in enumerate(terms)}
@@ -573,7 +588,51 @@ def test_graph_slice_rows_drop_empty_rows():
         assert _matrix(sl).rows == tuple(old.rows[i] for i in kept)
 
 
-def test_to_gc_classes():
-    y = symmetrize(gra_element(theta_graph()))
-    classes = to_gc_classes(y)
-    assert list(classes) == [theta_graph()]
+def test_witness_skips_an_exact_first_kernel_vector(monkeypatch):
+    """A hand-made chain a -> (b1, b2, b3) -> c with d a = 2 b1 and
+    d b3 = c: the first kernel vector of the middle slice, b1, is
+    exact, so the witness is b2.  The cohomology and the witness read
+    one elimination per slice, made once."""
+    gens = {(1, 1): ["a"], (2, 2): ["b1", "b2", "b3"], (3, 3): ["c"]}
+    diff = {"a": {"b1": 2}, "b1": {}, "b2": {}, "b3": {"c": 1}, "c": {}}
+
+    def slice_basis(complex_id, d, key, span):
+        for g in gens.get(key, []):
+            if span.add({g: 1}):
+                yield g
+
+    calls = []
+
+    def column_echelon(columns, _inner=linalg._column_echelon):
+        calls.append(columns)
+        return _inner(columns)
+
+    monkeypatch.setattr(defcx, "_slice_basis", slice_basis)
+    monkeypatch.setattr(defcx, "_image", lambda complex_id, x: diff[x])
+    monkeypatch.setattr(linalg, "_column_echelon", column_echelon)
+    chain = defcx.Chain("fcgc", 1)
+    chain.slice((3, 3))
+    assert chain.cohomology((2, 2)) == (2, 1, 1)
+    assert len(calls) == 2
+    assert chain.witness((2, 2)) == {"b2": 1}
+    assert chain.witness((1, 1)) is None
+    assert len(calls) == 2
+
+
+def test_defcx_uses_no_private_name_of_graphs_or_poly():
+    """defcx reaches the graph classes and the slice terms through the
+    public entry points of their modules: it imports no _-prefixed name
+    of graphs or poly and reads none as an attribute."""
+    tree = ast.parse(pathlib.Path(defcx.__file__).read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and node.module in ("graphs", "poly"):
+            private += [a.name for a in node.names
+                        if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in ("graphs", "poly") \
+                and node.attr.startswith("_"):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []

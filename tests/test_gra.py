@@ -45,6 +45,8 @@ def test_compose_index_range():
     e = GraElement.bracket(d)
     with pytest.raises(ValueError):
         compose(e, 3, e)
+    with pytest.raises(ValueError, match="parity"):
+        compose(e, 1, GraElement.bracket(2))
     for i in (True, 1.0, "1", None):
         with pytest.raises(TypeError, match="index"):
             compose(e, i, e)
@@ -267,6 +269,16 @@ def test_compose_never_tadpoles():
         out = compose(a, rng.randint(1, a.arity), b)
         for g in out.terms:
             assert all(t != h for t, h in g.edges)
+
+
+def test_degree_is_shared_by_the_terms():
+    """degree() is (1 - d) times the edge count that every term shares,
+    0 for the zero element; terms of two edge counts have none."""
+    for d in (1, 2):
+        assert GraElement.bracket(d).degree() == 1 - d
+        assert GraElement(2, d, {}).degree() == 0
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            (element(graph(d, 2)) + GraElement.bracket(d)).degree()
 
 
 def test_json_roundtrip():

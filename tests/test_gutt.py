@@ -22,6 +22,16 @@ def test_jacobi_checked_at_construction():
         FPLieAlgebra(3, {(1, 2): {3: 1}, (1, 3): {1: 1}})
     with pytest.raises(ValueError):
         FPLieAlgebra(2, {(2, 1): {1: 1}})
+    # a bracket target outside 1..dim, a negative dim
+    with pytest.raises(ValueError, match="target"):
+        FPLieAlgebra(2, {(1, 2): {3: 1}})
+    with pytest.raises(ValueError, match="negative"):
+        FPLieAlgebra(-2, {})
+    # a dim or bracket key that is not an int (a bool is not one)
+    for dim, brackets in ((2.0, {}), (True, {}), (3, {(1.0, 2): {3: 1}}),
+                          (3, {(True, 2): {3: 1}})):
+        with pytest.raises(TypeError, match="not an int"):
+            FPLieAlgebra(dim, brackets)
 
 
 def test_bracket_antisymmetry():
@@ -91,6 +101,14 @@ def test_generator_indices_checked():
             straighten(h, (bad, 1))
         with pytest.raises(ValueError, match="outside"):
             sigma(h, monomial([bad]))
+    # an index that is not an int, on an algebra whose memo holds no
+    # word yet (a memo key (True,) equals (1,))
+    for bad in (1.5, True, "1"):
+        h = heisenberg()
+        with pytest.raises(TypeError, match="not an int"):
+            star(h, monomial([bad]), monomial([1]))
+        with pytest.raises(TypeError, match="not an int"):
+            straighten(h, (2, bad))
 
 
 def test_straighten_order_independent():

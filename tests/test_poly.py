@@ -7,7 +7,6 @@ from itertools import permutations, product
 import pytest
 
 from liegraphs import poly
-from liegraphs.defcx import _o_slice_terms
 from liegraphs.gra import GraElement, compose as gra_compose, gra_image
 from liegraphs.gra import element as gra_element
 from liegraphs.graphs import OrientedGraph, perm_sign
@@ -32,6 +31,10 @@ def test_is_lyndon_and_tree():
     assert lyndon_tree((1, 3, 2)) == ((1, 3), 2)
     # super square u.u for odd-length Lyndon u
     assert lyndon_tree((3, 3)) == (3, 3)
+    # a word with no bracketing: only the empty one, since every longer
+    # word ends in a one-letter Lyndon suffix
+    with pytest.raises(ValueError, match="not a"):
+        lyndon_tree(())
 
 
 def test_basis_for_multiset():
@@ -124,6 +127,10 @@ def test_index_range():
     for i in (True, 1.0, "1", None):
         with pytest.raises(TypeError, match="index"):
             o_compose(corolla(1), i, corolla(1))
+    # operands of other d or kind
+    for b in (corolla(2), ass_corolla(2)):
+        with pytest.raises(ValueError, match="d/kind"):
+            o_compose(corolla(1), 1, b)
 
 
 def test_make_term_rejects_bad_words():
@@ -132,6 +139,11 @@ def test_make_term_rejects_bad_words():
     for words in ([(1, 3)], [(1, 2), ()]):
         for kind in ("lie", "ass"):
             with pytest.raises(ValueError):
+                make_term(2, 1, words, kind=kind)
+    # a white that is not an int, a bool included
+    for words in ([(1, 2.0)], [(True, 2)], [(1, "2")]):
+        for kind in ("lie", "ass"):
+            with pytest.raises(TypeError, match="not an int"):
                 make_term(2, 1, words, kind=kind)
 
 
@@ -315,7 +327,8 @@ def _slice_elements():
     for d in (1, 2):
         for n in (1, 2, 3):
             for k in range(4):
-                terms = _o_slice_terms(n, k, d)
+                terms = [t for t in poly.terms(n, k, d)
+                         if poly.is_connected_term(n, t)]
                 for t in terms:
                     yield OElement(n, d, {t: Fraction(1)})
                 if terms:
@@ -654,6 +667,8 @@ def test_quotient_to_gra_checks_labels():
     builds each graph through OrientedGraph's checks."""
     with pytest.raises(ValueError, match="out of range"):
         quotient_to_gra(OElement(2, 1, {((1, 3),): 1}))
+    with pytest.raises(ValueError, match="Lie kind"):
+        quotient_to_gra(ass_corolla(2))
 
 
 def test_quotient_is_morphism():
@@ -702,6 +717,9 @@ def test_degree_additive():
         a = make_term(3, d, [(1, 2, 3)])
         b = corolla(d)
         assert o_compose(a, 1, b).degree() == a.degree() + b.degree()
+    # terms with 1 and 2 internal vertices at d = 2
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        (corolla(2) + make_term(2, 2, [(1, 1, 2)])).degree()
 
 
 def test_json_roundtrip():
