@@ -186,8 +186,6 @@ _MIN_VALENCE = {"fcgc": 1, "gc": 3}
 
 @dataclass(frozen=True)
 class SliceBasis:
-    complex_id: str
-    d: int
     key: tuple
     basis: tuple           # generators: graphs, or invariant elements
     # the term coordinates of the generators' integer orbit sums (n!
@@ -287,8 +285,7 @@ class Chain:
                 raise ValueError("differential left the slice grid")
             gens.append(x)
             images.append(image)
-        sl = SliceBasis(self.complex_id, self.d, key, tuple(gens), span,
-                        tuple(images))
+        sl = SliceBasis(key, tuple(gens), span, tuple(images))
         pred = tuple(k - 1 for k in key)
         if pred in self._slices:
             _check_square_zero(self._slices[pred], sl)

@@ -182,8 +182,8 @@ def _coarse_form(d, n, edges):
 
 def _canonical_form(d, n, edges, sizes):
     """Orbit-minimal edge tuple of an unlabelled graph, its sign, and
-    the automorphisms the search found, for a coarse form of nonzero
-    sign and its class sizes (`_coarse_form`).
+    the automorphisms the search found, for a coarse form and its class
+    sizes (`_coarse_form`).
 
     The relabelings in play keep each coarse class, a block of
     consecutive labels, on its own block, and the result is the least
@@ -345,15 +345,13 @@ def canonicalize(g):
 
     The input equals sign * canonical as elements of the orientation
     quotient, with the vertices unlabelled.  The graph's coarse form
-    (`_coarse_form`) is searched (`_canonical_form`) unless its sign is
-    already 0.
+    (`_coarse_form`) is searched (`_canonical_form`), so a zero graph
+    gets the least form too.
     """
     d, n = g.d, g.n_vertices
     form, sign, sizes = _coarse_form(d, n, g.edges)
-    if sign:
-        form, s, _ = _canonical_form(d, n, form, sizes)
-        sign *= s
-    return SignedCanonical(_graph(d, n, form), sign)
+    form, s, _ = _canonical_form(d, n, form, sizes)
+    return SignedCanonical(_graph(d, n, form), sign * s)
 
 
 def classes(d, n, terms):

@@ -29,8 +29,9 @@ class FPLieAlgebra:
     """Structure constants on generators 1..dim, Jacobi-checked.
 
     brackets maps (i, j) with i < j to {k: coefficient}; the other
-    order is filled in by antisymmetry, [t_i, t_i] = 0.  dim and the keys
-    are ints (else TypeError; a bool is not one) and dim >= 0.
+    order is filled in by antisymmetry, [t_i, t_i] = 0.  dim, the keys
+    and the targets k are ints (else TypeError; a bool is not one) and
+    dim >= 0; a target may also be a decimal str, as JSON keys are.
     """
 
     def __init__(self, dim, brackets):
@@ -43,10 +44,12 @@ class FPLieAlgebra:
             _check_ints(i=i, j=j)
             if not (1 <= i < j <= dim):
                 raise ValueError("bracket keys must satisfy 1 <= i < j <= dim")
-            exact = {int(k): _exact(c) for k, c in coeffs.items()}
+            exact = {int(k) if type(k) is str and k.isdecimal() else k:
+                     _exact(c) for k, c in coeffs.items()}
             clean = {k: c for k, c in exact.items() if c != 0}
-            for k in clean:
-                if not 1 <= k <= dim:
+            for k in exact:
+                _check_ints(target=k)
+                if k in clean and not 1 <= k <= dim:
                     raise ValueError("bracket target out of range")
             if clean:
                 self.brackets[(i, j)] = clean
@@ -143,9 +146,18 @@ def _exact_poly(p):
     return {key: _exact(c) for key, c in p.items()}
 
 
+def _check_indices(*polys):
+    """TypeError unless every generator index is an int (a bool is not
+    one), before any memo is asked: as keys, (True,) and (1.0,) equal (1,)."""
+    for m, _ in (key for p in polys for key in p):
+        if not all(type(x) is int for x in m):
+            raise TypeError(f"generator index not an int in {m}")
+
+
 def _linear(p, image):
     """Sum over the terms ((m, h), c) of p of c times the polynomial
     image(m) shifted by h: the linear extension of image."""
+    _check_indices(p)
     out = {}
     for (m, h), c in p.items():
         for (mm, hh), cv in image(m).items():
@@ -155,6 +167,7 @@ def _linear(p, image):
 
 def _bilinear(p, q, image):
     """The bilinear extension of image(m1, m2), as in _linear."""
+    _check_indices(p, q)
     out = {}
     for (m1, h1), c1 in p.items():
         for (m2, h2), c2 in q.items():
@@ -174,8 +187,6 @@ def _straighten(alg, word):
     monomial, say) is straightened once.  Each recursion sorts one more
     letter of its word or shortens it by one, so a reversed word of an
     abelian algebra recurses once per letter, not once per inversion."""
-    if not all(type(x) is int for x in word):
-        raise TypeError(f"generator index not an int in {word}")
     if not all(1 <= x <= alg.dim for x in word):
         raise ValueError(f"generator index outside 1..{alg.dim} in {word}")
     p = next((p for p in range(1, len(word)) if word[p - 1] > word[p]), 0)
@@ -266,15 +277,15 @@ def _star_basis(alg, m1, m2):
 
 # -- the arity-2 graph shadow -----------------------------------------
 
-def gutt_mod_I_series(max_edges, d=1):
+def gutt_mod_I_series(max_edges):
     """Sum over k of 1/k! times k parallel directed edges between the
-    two slots; the k = 0 term is the edgeless product graph."""
+    two slots, at d = 1; the k = 0 term is the edgeless product graph."""
     if max_edges > 8:
         raise ValueError("max_edges <= 8")
     forms = {}
     for k in range(max_edges + 1):
-        _add_graph(forms, d, ((1, 2),) * k, Fraction(1, math.factorial(k)))
-    return _element(2, d, forms)
+        _add_graph(forms, 1, ((1, 2),) * k, Fraction(1, math.factorial(k)))
+    return _element(2, 1, forms)
 
 
 def skew_symmetrize_series(s: GraElement) -> GraElement:

@@ -102,11 +102,20 @@ def tree_leaves(tree):
 
 
 def word_to_tree(word):
-    """Left-normed tuple (l1, ..., lm) -> ((...(l1, l2), l3), ..., lm)."""
+    """Left-normed tuple (l1, ..., lm) -> ((...(l1, l2), l3), ..., lm);
+    the items may be trees themselves."""
     tree = word[0]
     for label in word[1:]:
         tree = (tree, label)
     return tree
+
+
+def refill(tree, leaves):
+    """The tree with its leaves, in reading order, replaced by the next
+    items of the iterator `leaves`: the one rewrite of a tree's leaves."""
+    if isinstance(tree, tuple):
+        return (refill(tree[0], leaves), refill(tree[1], leaves))
+    return next(leaves)
 
 
 def assoc_expand(tree, p=0):
@@ -233,17 +242,11 @@ def dim_lie(m):
     return len(basis_words(m))
 
 
-def _relabel_tree(tree, mapping):
-    if isinstance(tree, tuple):
-        return (_relabel_tree(tree[0], mapping), _relabel_tree(tree[1], mapping))
-    return mapping[tree]
-
-
 @memo
 def _word_action(word, sigma):
     """Normal form of a basis word relabelled by sigma, as (word,
     coeff) items."""
-    tree = _relabel_tree(word_to_tree(word), dict(enumerate(sigma, 1)))
+    tree = word_to_tree([sigma[x - 1] for x in word])
     return tuple(normalize(tree).terms.items())
 
 
@@ -258,17 +261,11 @@ def graft(outer, slot, inner):
     if outer.d != inner.d:
         raise ValueError("parity mismatch")
     k = inner.arity
-    outer_map = {j: (j if j < slot else j + k - 1)
-                 for j in range(1, outer.arity + 1)}
-    inner_map = {j: j + slot - 1 for j in range(1, k + 1)}
-    inner_trees = [(ci, _relabel_tree(word_to_tree(wi), inner_map))
+    inner_trees = [(ci, word_to_tree([j + slot - 1 for j in wi]))
                    for wi, ci in inner.terms.items()]
-    combos = []
-    for wo, co in outer.terms.items():
-        to = word_to_tree(wo)
-        for ci, ti in inner_trees:
-            outer_map[slot] = ti
-            combos.append((co * ci, _relabel_tree(to, outer_map)))
+    combos = [(co * ci, word_to_tree([j if j < slot else ti if j == slot
+                                      else j + k - 1 for j in wo]))
+              for wo, co in outer.terms.items() for ci, ti in inner_trees]
     if not combos:
         return LieElement(outer.arity + k - 1, {}, outer.d)
     return normalize(combos, outer.d)
@@ -314,7 +311,7 @@ def _exp_series(letter, order):
     return out
 
 
-def bch_truncated(order, letters=("X", "Y")):
+def bch_truncated(order):
     """Homogeneous components of log(e^X e^Y) through the given order.
 
     Returns a dict: n -> combination of left-normed bracket words (label
@@ -325,8 +322,7 @@ def bch_truncated(order, letters=("X", "Y")):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    x, y = letters
-    prod = _series_mul(_exp_series(x, order), _exp_series(y, order), order)
+    prod = _series_mul(*(_exp_series(x, order) for x in "XY"), order)
     u = {w: c for w, c in prod.items() if w}
     log = {}
     power = {(): 1}

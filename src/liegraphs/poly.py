@@ -37,8 +37,8 @@ from . import memo
 from .gra import GraElement, _add_graph, _element
 from .graphs import (OrientedGraph, _as_permutation, _check_arity,
                      _check_slot, _components, perm_sign)
-from .lie import LieElement, _relabel_tree, assoc_expand, image
-from .lie import parse_bracket, pretty_bracket, tree_leaves, word_to_tree
+from .lie import LieElement, assoc_expand, image, parse_bracket
+from .lie import pretty_bracket, refill, tree_leaves, word_to_tree
 from .linalg import Combination, Echelon, _add, _exact, _json_coeff
 
 
@@ -50,18 +50,18 @@ def is_lyndon(w):
 
 @memo
 def lyndon_tree(w):
-    """Standard left bracketing of a Lyndon word (or of u.u)."""
+    """Standard left bracketing of a Lyndon word, or of a square u.u
+    with u Lyndon of odd length; ValueError for any other word."""
+    if not _is_basis_word(w, 1):
+        raise ValueError(f"not a (super-)Lyndon basis word: {w}")
     if len(w) == 1:
         return w[0]
-    if len(w) % 2 == 0 and w[:len(w) // 2] == w[len(w) // 2:]:
-        half = w[:len(w) // 2]
-        if is_lyndon(half):
-            return (lyndon_tree(half), lyndon_tree(half))
+    half = len(w) // 2
+    if w[:half] == w[half:]:  # a square, which is not Lyndon
+        return (lyndon_tree(w[:half]),) * 2
     # longest proper Lyndon suffix
-    for k in range(1, len(w)):
-        if is_lyndon(w[k:]):
-            return (lyndon_tree(w[:k]), lyndon_tree(w[k:]))
-    raise ValueError(f"not a (super-)Lyndon basis word: {w}")
+    k = next(k for k in range(1, len(w)) if is_lyndon(w[k:]))
+    return (lyndon_tree(w[:k]), lyndon_tree(w[k:]))
 
 
 def basis_for_multiset(multiset, p):
@@ -112,10 +112,11 @@ def component_normal_form(tree, p):
     normalized through its label-rank pattern over 1..k (memoised like
     every tree) and translated back.
     """
-    distinct = sorted(set(tree_leaves(tree)))
+    leaves = tree_leaves(tree)
+    distinct = sorted(set(leaves))
     if distinct != list(range(1, len(distinct) + 1)):
         rank = {l: i + 1 for i, l in enumerate(distinct)}
-        pout = component_normal_form(_relabel_tree(tree, rank), p)
+        pout = component_normal_form(refill(tree, map(rank.get, leaves)), p)
         return MappingProxyType({tuple(distinct[l - 1] for l in w): c
                                  for w, c in pout.items()})
     expansion = assoc_expand(tree, p)
@@ -212,7 +213,8 @@ class OElement(Combination):
         items = sorted(self.terms.items())
         return {"arity": self.arity, "d": self.d, "kind": self.kind,
                 "terms": [{"coeff": f"{c.numerator}/{c.denominator}",
-                           "components": [_component_to_json(w, self.kind)
+                           "components": [_component_to_json(w, self.kind,
+                                                             self.d)
                                           for w in t]}
                           for t, c in items]}
 
@@ -232,14 +234,17 @@ class OElement(Combination):
         return cls(arity, d, terms, kind)
 
 
-def _component_to_json(word, kind):
+def _component_to_json(word, kind, d):
     """Serialize one component as a payload word over slot labels 1..m
-    plus the attachment list mapping slots to whites."""
+    plus the attachment list mapping slots to whites.  A Lie-kind word
+    that is not a basis word at d raises ValueError."""
     slots = range(1, len(word) + 1)
     if kind == "ass":
         text = " ".join(map(str, slots))
+    elif not _is_basis_word(word, _gen_parity(d, kind)):
+        raise ValueError(f"component {word} is not a basis word at d={d}")
     else:
-        text = pretty_bracket(_refill(lyndon_tree(word), iter(slots)))
+        text = pretty_bracket(refill(lyndon_tree(word), iter(slots)))
     return {"word": text, "attach": list(word)}
 
 
@@ -312,14 +317,6 @@ def unit(d, kind="lie"):
 
 # -- composition ------------------------------------------------------
 
-def _refill(tree, leaves):
-    """The tree with its leaves, in reading order, replaced by the
-    next items of the iterator `leaves`."""
-    if isinstance(tree, tuple):
-        return (_refill(tree[0], leaves), _refill(tree[1], leaves))
-    return next(leaves)
-
-
 def _marked_leaves(word, i, shift, after):
     """The leaves of a component word's tree (its letters, in reading
     order) with whites above i shifted by `shift` and the k-th
@@ -354,7 +351,7 @@ def _substituted(shape, leaves, kind, p):
     expansion, or the leaf word for the ass kind, as a read-only
     mapping.  Memoised on the flat leaves, so a repeated substitution
     builds no tree."""
-    tree = _refill(shape, iter(leaves))
+    tree = refill(shape, iter(leaves))
     if kind == "ass":
         return MappingProxyType({tree_leaves(tree): 1})
     return component_normal_form(tree, p)

@@ -10,7 +10,7 @@ from itertools import permutations
 
 import pytest
 
-from liegraphs import defcx, graphs, lie, linalg, poly
+from liegraphs import defcx, gra, graphs, lie, linalg, poly
 from liegraphs.defcx import (SliceBasis, build_slice, cohomology_rank,
                              def_degree, def_differential,
                              five_wheel_cocycle, gc_differential,
@@ -20,10 +20,18 @@ from liegraphs.gra import GraElement, compose as gra_compose
 from liegraphs.gra import element as gra_element
 from liegraphs.graphs import (OrientedGraph, canonicalize, enumerate_graphs,
                               perm_sign)
-from liegraphs.lie import (LieElement, _relabel_tree, basis_words, normalize,
-                           word_to_tree)
+from liegraphs.lie import LieElement, basis_words, normalize, word_to_tree
 from liegraphs.linalg import SparseMatrix
 from liegraphs.poly import OElement, make_term
+
+
+def _relabel_tree(tree, mapping):
+    """The tree with every leaf replaced by its image under `mapping`:
+    a leaf rewrite of the tests' own, beside `lie.refill`."""
+    if isinstance(tree, tuple):
+        return (_relabel_tree(tree[0], mapping),
+                _relabel_tree(tree[1], mapping))
+    return mapping[tree]
 
 
 def _add_class(out, graph, coeff):
@@ -619,20 +627,52 @@ def test_witness_skips_an_exact_first_kernel_vector(monkeypatch):
     assert len(calls) == 2
 
 
-def test_defcx_uses_no_private_name_of_graphs_or_poly():
-    """defcx reaches the graph classes and the slice terms through the
-    public entry points of their modules: it imports no _-prefixed name
-    of graphs or poly and reads none as an attribute."""
-    tree = ast.parse(pathlib.Path(defcx.__file__).read_text())
+@pytest.mark.parametrize("module, guarded", [
+    (defcx, ("graphs", "poly")), (poly, ("lie",)), (gra, ("lie",))],
+    ids=["defcx", "poly", "gra"])
+def test_module_uses_no_private_name(module, guarded):
+    """A module reaches the guarded ones through their public entry
+    points: defcx the graph classes and the slice terms, poly and gra
+    the Lie trees.  It imports no _-prefixed name of a guarded module
+    and reads none as an attribute."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
     private = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) \
-                and node.module in ("graphs", "poly"):
+        if isinstance(node, ast.ImportFrom) and node.module in guarded:
             private += [a.name for a in node.names
                         if a.name.startswith("_")]
         elif isinstance(node, ast.Attribute) \
                 and isinstance(node.value, ast.Name) \
-                and node.value.id in ("graphs", "poly") \
+                and node.value.id in guarded \
                 and node.attr.startswith("_"):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+def test_gc2_cohomology_matches_the_literature():
+    """H(GC_2) on every slice (v, e) with v <= 7 and e <= 11 is the
+    tetrahedron's class sigma_3 at (4, 6) and the five-wheel's sigma_5
+    at (6, 10), one each, and nothing else: H^0(GC_2) is grt_1, whose
+    generators sigma_3, sigma_5, ... start so (Willwacher, "M.
+    Kontsevich's graph complex and the Grothendieck-Teichmueller Lie
+    algebra", Invent. Math. 200, 2015).  (7, 12) is the grid edge."""
+    chain = defcx.Chain("gc", 2)
+    nonzero = {}
+    for v in range(1, 8):
+        for e in range(1, 12):
+            h = chain.cohomology((v, e))[2]
+            if h:
+                nonzero[(v, e)] = h
+    assert nonzero == {(4, 6): 1, (6, 10): 1}
+    with pytest.raises(ValueError):
+        defcx.Chain("gc", 2).cohomology((7, 12))
+
+
+def test_fcgc2_loop_classes_match_the_literature():
+    """The loop classes of the full connected graph complex: at (j, j),
+    H(fcGC_2) is one class, the j-gon L_j, for j = 2d + 1 mod 4 (j = 5
+    here) and zero for the other j (Willwacher, Invent. Math. 200,
+    2015)."""
+    chain = defcx.Chain("fcgc", 2)
+    assert {j: chain.cohomology((j, j))[2] for j in (3, 4, 5, 6)} \
+        == {3: 0, 4: 0, 5: 1, 6: 0}

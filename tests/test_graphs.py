@@ -164,6 +164,22 @@ def test_canonicalize_congruence_random():
         checks += 1
 
 
+def test_canonicalize_congruence_even_multigraphs():
+    """A d = 2 graph with a repeated edge is zero, and every relabeling
+    of it still gets the one least form."""
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        pairs = list(combinations(range(1, n + 1), 2))
+        edges = [rng.choice(pairs) for _ in range(rng.randint(2, 7))]
+        edges.append(rng.choice(edges))
+        g = OrientedGraph(2, n, tuple(edges))
+        h, _ = scramble(g, rng)
+        a, b = canonicalize(g), canonicalize(h)
+        assert a.is_zero() and b.is_zero()
+        assert a.canonical == b.canonical
+
+
 def test_canonical_of_canonical_is_plus_one():
     rng = random.Random(19)
     for _ in range(100):

@@ -32,6 +32,12 @@ def test_jacobi_checked_at_construction():
                           (3, {(True, 2): {3: 1}})):
         with pytest.raises(TypeError, match="not an int"):
             FPLieAlgebra(dim, brackets)
+    # a bracket target is an int or a decimal str (a JSON key), nothing
+    # that int() would merely truncate or a bool
+    for target in (3.9, 3.0, True, "3.0", None):
+        with pytest.raises(TypeError, match="not an int"):
+            FPLieAlgebra(3, {(1, 2): {target: 1}})
+    assert FPLieAlgebra(3, {(1, 2): {"3": 1}}).bracket(1, 2) == {3: 1}
 
 
 def test_bracket_antisymmetry():
@@ -109,6 +115,18 @@ def test_generator_indices_checked():
             star(h, monomial([bad]), monomial([1]))
         with pytest.raises(TypeError, match="not an int"):
             straighten(h, (2, bad))
+    # and on a warm memo, which already holds the int words they equal
+    h = heisenberg()
+    t12 = star(h, monomial([1]), monomial([2]))
+    assert straighten(h, (2, 1)) == {((1, 2), 0): 1, ((3,), 1): -1}
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="not an int"):
+            star(h, monomial([bad]), monomial([2]))
+        with pytest.raises(TypeError, match="not an int"):
+            straighten(h, (2, bad))
+        with pytest.raises(TypeError, match="not an int"):
+            sigma(h, monomial([bad, 2]))
+    assert star(h, monomial([1]), monomial([2])) == t12
 
 
 def test_straighten_order_independent():

@@ -15,13 +15,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liegraphs.gra import GraElement, gra_image
-from liegraphs.lie import (BracketParseError, LieElement, _relabel_tree,
-                           assoc_expand, basis_words, bch_truncated, dim_lie,
-                           graft, image, left_normed_assoc_expansion,
-                           normalize, parse_bracket, pretty_bracket,
-                           tree_leaves, word_to_tree)
+from liegraphs.lie import (BracketParseError, LieElement, assoc_expand,
+                           basis_words, bch_truncated, dim_lie, graft, image,
+                           left_normed_assoc_expansion, normalize,
+                           parse_bracket, pretty_bracket, tree_leaves,
+                           word_to_tree)
 from liegraphs.linalg import SparseMatrix, rank
 from liegraphs.poly import OElement, map_i
+
+
+def _relabel_tree(tree, mapping):
+    """The tree with every leaf replaced by its image under `mapping`:
+    a leaf rewrite of the tests' own, beside `lie.refill`."""
+    if isinstance(tree, tuple):
+        return (_relabel_tree(tree[0], mapping),
+                _relabel_tree(tree[1], mapping))
+    return mapping[tree]
 
 
 def all_bracketings(labels):

@@ -10,12 +10,21 @@ from liegraphs import poly
 from liegraphs.gra import GraElement, compose as gra_compose, gra_image
 from liegraphs.gra import element as gra_element
 from liegraphs.graphs import OrientedGraph, perm_sign
-from liegraphs.lie import _relabel_tree, normalize
+from liegraphs.lie import normalize
 from liegraphs.poly import (OElement, ass_corolla, ass_remark_check,
                             basis_for_multiset, component_normal_form,
                             is_connected_element, is_lyndon, lyndon_tree,
                             make_term, map_i, o_compose, quotient_to_gra,
                             unit)
+
+
+def _relabel_tree(tree, mapping):
+    """The tree with every leaf replaced by its image under `mapping`:
+    a leaf rewrite of the tests' own, beside `lie.refill`."""
+    if isinstance(tree, tuple):
+        return (_relabel_tree(tree[0], mapping),
+                _relabel_tree(tree[1], mapping))
+    return mapping[tree]
 
 
 def corolla(d):
@@ -31,10 +40,11 @@ def test_is_lyndon_and_tree():
     assert lyndon_tree((1, 3, 2)) == ((1, 3), 2)
     # super square u.u for odd-length Lyndon u
     assert lyndon_tree((3, 3)) == (3, 3)
-    # a word with no bracketing: only the empty one, since every longer
-    # word ends in a one-letter Lyndon suffix
-    with pytest.raises(ValueError, match="not a"):
-        lyndon_tree(())
+    # only basis words have a bracketing: not the empty word, a word
+    # that is not Lyndon, or the square of an even-length word
+    for w in ((), (2, 1), (1, 2, 1), (1, 2, 1, 2)):
+        with pytest.raises(ValueError, match="not a"):
+            lyndon_tree(w)
 
 
 def test_basis_for_multiset():
@@ -155,10 +165,15 @@ def test_make_term_requires_basis_words():
                  (1, (1, 2, 1)), (2, (1, 2, 1, 2)), (2, (2, 1, 2, 1))):
         with pytest.raises(ValueError, match="basis word"):
             make_term(4, d, [w])
+        # nor has an element that holds it a JSON form
+        with pytest.raises(ValueError, match="basis word"):
+            OElement(4, d, {(w,): 1}).to_json()
         assert not make_term(4, 1, [w], kind="ass").is_zero()
     assert make_term(2, 2, [(1, 2)]).scaled(-1) \
         == OElement(2, 2, {((1, 2),): -1})
-    assert not make_term(3, 2, [(3, 3)]).is_zero()
+    square = make_term(3, 2, [(3, 3)])
+    assert OElement.from_json(square.to_json()) == square
+    assert not square.is_zero()
     assert not make_term(3, 2, [(1, 2, 3, 1, 2, 3)]).is_zero()
     # the cheap test agrees with the basis on every word of length <= 6
     # over three letters, at both parities
