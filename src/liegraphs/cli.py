@@ -311,8 +311,7 @@ SUITES = {
 
 def cmd_verify(args):
     if args.suite == "all":
-        checks = [c for s in ("operads", "complexes", "gutt")
-                  for c in SUITES[s]]
+        checks = [c for suite in SUITES.values() for c in suite]
     else:
         checks = SUITES[args.suite]
     checks = sorted(checks)
@@ -472,14 +471,12 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite",
-                          choices=["operads", "complexes", "gutt", "all"])
+    p_verify.add_argument("suite", choices=[*SUITES, "all"])
     p_verify.add_argument("--out", help="write the JSON report here")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_coh = sub.add_parser("cohomology", help="slice cohomology table")
-    p_coh.add_argument("--complex", required=True,
-                       choices=["fcgc", "gc", "def-olie", "def-lie"])
+    p_coh.add_argument("--complex", required=True, choices=[*_TABLE_LIMITS])
     p_coh.add_argument("--d", type=int, required=True)
     p_coh.add_argument("--max-vertices", type=int, default=4)
     p_coh.add_argument("--max-edges", type=int, default=6)

@@ -34,9 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 
-from . import linalg, memo, poly
+from . import linalg, poly
 from .gra import GraElement, element as gra_element
 from .graphs import OrientedGraph, classes, enumerate_graphs
 from .lie import LieElement, basis_words
@@ -140,28 +139,21 @@ def gc_differential(g: OrientedGraph, min_valence=1):
     matching the printed attachment-plus-splitting formula, with the
     attachment multiplicity emerging from the two bracket slots.
     min_valence=3 projects onto the subcomplex of at-least-trivalent
-    graphs."""
-    return dict(_gc_differential(g, min_valence))
-
-
-@memo
-def _gc_differential(g, min_valence):
-    """The labelled terms of the bracket with mu, reduced to classes by
-    `graphs.classes`.  Valences survive relabelling, so a term with a
+    graphs.  The labelled terms are reduced to classes by
+    `graphs.classes`; valences survive relabelling, so a term with a
     vertex of valence below min_valence is dropped first."""
     image, w = _bracket_mu(gra_element(g))
     out = classes(image.d, image.arity, (
         (G, c) for G, c in image.terms.items()
         if min_valence <= 1 or min(G.valences()) >= min_valence))
-    return MappingProxyType({G: _exact(Fraction(c, w))
-                             for G, c in out.items()})
+    return {G: _exact(Fraction(c, w)) for G, c in out.items()}
 
 
 def gc_differential_combo(combo, min_valence=1):
     """Linear extension of gc_differential to dicts graph -> coeff."""
     out = {}
     for g, c in combo.items():
-        _axpy(out, c, _gc_differential(g, min_valence))
+        _axpy(out, c, gc_differential(g, min_valence))
     return out
 
 
@@ -195,16 +187,17 @@ class SliceBasis:
 
 
 def _slice_basis(complex_id, d, key, span):
-    """Yield the generators of one slice, each as soon as it is found
-    independent, and add its term coordinates to the Echelon span: the
-    graphs, or a maximal independent set of the symmetrized terms, taken
-    in term order.  For the def complexes span holds the integer orbit
-    sums, and the generator is the orbit sum divided by n!."""
+    """Yield the pairs (generator, its differential term -> coeff) of
+    one slice, each as soon as the generator is found independent, and
+    add its term coordinates to the Echelon span: the graphs, or a
+    maximal independent set of the symmetrized terms, taken in term
+    order.  For the def complexes span holds the integer orbit sums, and
+    the generator is the orbit sum divided by n!."""
     if complex_id in _MIN_VALENCE:
         mv = _MIN_VALENCE[complex_id]
         for g in enumerate_graphs(*key, d, min_valence=mv, connected=True):
             if span.add({g: 1}):
-                yield g
+                yield g, gc_differential(g, mv)
         return
     n = key[0]
     if complex_id == "def-olie":
@@ -217,14 +210,8 @@ def _slice_basis(complex_id, d, key, span):
     for x in raw:
         orbit = _orbit_sum(x)
         if span.add(orbit.terms):
-            yield orbit.scaled(scale)
-
-
-def _image(complex_id, x):
-    """The differential of the generator x, as a dict term -> coeff."""
-    if complex_id in _MIN_VALENCE:
-        return gc_differential(x, _MIN_VALENCE[complex_id])
-    return def_differential(x).terms
+            x = orbit.scaled(scale)
+            yield x, def_differential(x).terms
 
 
 def _check_square_zero(first, second):
@@ -279,8 +266,7 @@ class Chain:
         span, gens, images = linalg.Echelon(), [], []
         # each image as soon as its generator is found: at the grid edge
         # the first nonzero one ends the slice
-        for x in _slice_basis(self.complex_id, self.d, key, span):
-            image = _image(self.complex_id, x)
+        for x, image in _slice_basis(self.complex_id, self.d, key, span):
             if image and not self.in_bounds(succ):
                 raise ValueError("differential left the slice grid")
             gens.append(x)

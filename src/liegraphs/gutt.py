@@ -31,7 +31,8 @@ class FPLieAlgebra:
     brackets maps (i, j) with i < j to {k: coefficient}; the other
     order is filled in by antisymmetry, [t_i, t_i] = 0.  dim, the keys
     and the targets k are ints (else TypeError; a bool is not one) and
-    dim >= 0; a target may also be a decimal str, as JSON keys are.
+    dim >= 0; a target may also be a decimal str, as JSON keys are, but
+    a bracket names each target once (else ValueError).
     """
 
     def __init__(self, dim, brackets):
@@ -46,6 +47,8 @@ class FPLieAlgebra:
                 raise ValueError("bracket keys must satisfy 1 <= i < j <= dim")
             exact = {int(k) if type(k) is str and k.isdecimal() else k:
                      _exact(c) for k, c in coeffs.items()}
+            if len(exact) < len(coeffs):
+                raise ValueError(f"bracket {(i, j)} names a target twice")
             clean = {k: c for k, c in exact.items() if c != 0}
             for k in exact:
                 _check_ints(target=k)
@@ -111,11 +114,12 @@ def poly_add(p, q):
     out = dict(p)
     for key, c in q.items():
         _add(out, key, c)
-    return out
+    return _exact_poly(out)
 
 
 def poly_scale(p, c):
-    return {key: v * c for key, v in p.items()} if c != 0 else {}
+    c = _exact(c)
+    return _exact_poly({key: v * c for key, v in p.items()})
 
 
 def sym_mul(p, q):
@@ -124,7 +128,10 @@ def sym_mul(p, q):
 
 
 def monomial(indices, h=0, coeff=1):
-    return {(tuple(sorted(indices)), h): _exact(coeff)}
+    """coeff t_{i_1} ... t_{i_k} h^h, or {} when coeff is 0."""
+    p = {(tuple(sorted(indices)), h): coeff}
+    _check_indices(p)
+    return _exact_poly(p)
 
 
 def straighten(alg, word, h=0, coeff=1):
@@ -141,17 +148,22 @@ def straighten(alg, word, h=0, coeff=1):
 # read-only mappings, since the memo hands the same one to every caller.
 
 def _exact_poly(p):
-    """p with every coefficient in exact form (see linalg._exact): sums
-    of fractions can be integral."""
-    return {key: _exact(c) for key, c in p.items()}
+    """p with every coefficient in exact form (see linalg._exact) and
+    the zero ones dropped: sums of fractions can be integral."""
+    return {key: e for key, c in p.items() if (e := _exact(c))}
 
 
 def _check_indices(*polys):
     """TypeError unless every generator index is an int (a bool is not
-    one), before any memo is asked: as keys, (True,) and (1.0,) equal (1,)."""
-    for m, _ in (key for p in polys for key in p):
+    one), and the power of h a nonnegative int, before any memo is
+    asked: as keys, (True,) and (1.0,) equal (1,)."""
+    for m, h in (key for p in polys for key in p):
         if not all(type(x) is int for x in m):
             raise TypeError(f"generator index not an int in {m}")
+        if type(h) is not int:
+            raise TypeError(f"power of h not an int in {(m, h)}")
+        if h < 0:
+            raise ValueError(f"negative power of h in {(m, h)}")
 
 
 def _linear(p, image):
@@ -280,8 +292,9 @@ def _star_basis(alg, m1, m2):
 def gutt_mod_I_series(max_edges):
     """Sum over k of 1/k! times k parallel directed edges between the
     two slots, at d = 1; the k = 0 term is the edgeless product graph."""
-    if max_edges > 8:
-        raise ValueError("max_edges <= 8")
+    _check_ints(max_edges=max_edges)
+    if not 0 <= max_edges <= 8:
+        raise ValueError("0 <= max_edges <= 8")
     forms = {}
     for k in range(max_edges + 1):
         _add_graph(forms, 1, ((1, 2),) * k, Fraction(1, math.factorial(k)))
@@ -297,6 +310,9 @@ def skew_symmetrize_series(s: GraElement) -> GraElement:
 
 def series_coefficient(s: GraElement, k: int):
     """Coefficient of the k-fold parallel edge 1 -> 2 in an arity-2
-    series."""
+    series; k is a nonnegative int."""
+    _check_ints(k=k)
+    if k < 0:
+        raise ValueError(f"negative k {k}")
     g = OrientedGraph(s.d, 2, tuple((1, 2) for _ in range(k)))
     return Fraction(s.terms.get(g, 0))

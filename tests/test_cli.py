@@ -70,6 +70,19 @@ def test_verify_unknown_suite(capsys):
         main(["verify", "nope"])
 
 
+def test_complex_choices_are_the_table_limits(capsys):
+    """The CLI's tables and the library's chains name the same
+    complexes, with one table limit per component of the slice key, and
+    `--complex` offers them in the order of `cli._TABLE_LIMITS`."""
+    assert set(cli._TABLE_LIMITS) == set(defcx._BOUNDS)
+    for complex_id, names in cli._TABLE_LIMITS.items():
+        assert len(names) == len(defcx._BOUNDS[complex_id][0])
+    with pytest.raises(SystemExit):
+        main(["cohomology", "--help"])
+    choices = "{" + ",".join(cli._TABLE_LIMITS) + "}"
+    assert f"--complex {choices}" in capsys.readouterr().out
+
+
 def test_cohomology_deterministic(capsys, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -6,7 +6,7 @@ import math
 import pathlib
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -255,12 +255,12 @@ def test_bracket_mu_matches_split_formula():
     for d in (1, 2):
         for n in range(1, 4):
             for k in range(4):
-                gens = defcx._slice_basis("def-olie", d, (n, k),
-                                          linalg.Echelon())
-                elements += [(x, d) for x in gens]
+                pairs = defcx._slice_basis("def-olie", d, (n, k),
+                                           linalg.Echelon())
+                elements += [(x, d) for x, _ in pairs]
         for n in range(2, 6):
-            gens = defcx._slice_basis("def-lie", d, (n,), linalg.Echelon())
-            elements += [(x, d) for x in gens]
+            pairs = defcx._slice_basis("def-lie", d, (n,), linalg.Echelon())
+            elements += [(x, d) for x, _ in pairs]
     assert len(elements) == 32
     for x, d in elements:
         assert def_differential(x) == _oracle_def_differential(x, d)
@@ -321,7 +321,6 @@ def test_gc_differential_reduces_only_kept_terms(monkeypatch):
 
     for name in seen:
         monkeypatch.setattr(graphs, name, spying(name))
-    defcx._gc_differential.cache_clear()
     assert [gc_differential(g, 3) for g in gens] == want
     for terms in seen.values():
         assert terms and all(min(G.valences()) >= 3 for G in terms)
@@ -340,7 +339,6 @@ def test_gc_differential_groups_match_per_term_reduction(monkeypatch):
         return images[-1]
 
     monkeypatch.setattr(defcx, "_bracket_mu", spy)
-    defcx._gc_differential.cache_clear()
     checked = 0
     for mv in (1, 3):
         for d in (1, 2):
@@ -451,19 +449,20 @@ def test_grid_edge_raises_at_first_image(monkeypatch):
     before it computes any more of them.  Each image follows its
     generator at once, so the edge slice sums one orbit of its 225 raw
     terms, not all of them."""
-    image, orbit_sum = defcx._image, defcx._orbit_sum
+    differential, orbit_sum = defcx.def_differential, defcx._orbit_sum
     seen, events = [], []
 
-    def recorded(complex_id, x):
+    def recorded(x):
         events.append("image")
-        seen.append(image(complex_id, x))
-        return seen[-1]
+        out = differential(x)
+        seen.append(out.terms)
+        return out
 
     def counted(x):
         events.append("orbit")
         return orbit_sum(x)
 
-    monkeypatch.setattr(defcx, "_image", recorded)
+    monkeypatch.setattr(defcx, "def_differential", recorded)
     monkeypatch.setattr(defcx, "_orbit_sum", counted)
     with pytest.raises(ValueError, match="left the slice grid"):
         build_slice("def-olie", 2, (3, 4))
@@ -506,10 +505,10 @@ def test_chain_checks_square_zero(monkeypatch):
     theta = theta_graph()
     # a generator of the successor slice with a nonzero differential
     hot = OrientedGraph(1, 3, ((1, 3), (2, 3), (2, 3), (2, 3)))
-    image = defcx._image
+    differential = defcx.gc_differential
 
-    def corrupted(complex_id, x):
-        out = dict(image(complex_id, x))
+    def corrupted(x, min_valence):
+        out = differential(x, min_valence)
         if x == theta:
             out[hot] = out.get(hot, 0) + 1
         return out
@@ -521,9 +520,33 @@ def test_chain_checks_square_zero(monkeypatch):
     with pytest.raises(ArithmeticError):
         defcx._check_square_zero(build_slice("fcgc", 1, (3, 3)),
                                  build_slice("fcgc", 2, (4, 4)))
-    monkeypatch.setattr(defcx, "_image", corrupted)
+    monkeypatch.setattr(defcx, "gc_differential", corrupted)
     with pytest.raises(ArithmeticError):
         cohomology_rank("fcgc", 1, (3, 4))
+
+
+def test_a_table_computes_each_differential_once(monkeypatch):
+    """A chain is the one store of its table's differentials: building
+    the slices of a gc and a def-olie table at d = 2 asks
+    gc_differential or def_differential once per generator, in basis
+    order, and the table's cohomology and witnesses ask neither."""
+    calls = []
+    for name in ("gc_differential", "def_differential"):
+        def spy(x, *rest, _inner=getattr(defcx, name)):
+            calls.append(x)
+            return _inner(x, *rest)
+        monkeypatch.setattr(defcx, name, spy)
+    for complex_id, keys in (("gc", product(range(1, 7), range(1, 11))),
+                             ("def-olie", product(range(1, 4), range(4)))):
+        chain = defcx.Chain(complex_id, 2)
+        calls.clear()
+        slices = [chain.slice(key) for key in keys]
+        gens = [x for sl in slices for x in sl.basis]
+        assert gens and calls == gens
+        for sl in slices:
+            chain.cohomology(sl.key)
+            chain.witness(sl.key)
+        assert len(calls) == len(gens)
 
 
 def _greedy_basis(complex_id, d, key):
@@ -607,7 +630,7 @@ def test_witness_skips_an_exact_first_kernel_vector(monkeypatch):
     def slice_basis(complex_id, d, key, span):
         for g in gens.get(key, []):
             if span.add({g: 1}):
-                yield g
+                yield g, diff[g]
 
     calls = []
 
@@ -616,7 +639,6 @@ def test_witness_skips_an_exact_first_kernel_vector(monkeypatch):
         return _inner(columns)
 
     monkeypatch.setattr(defcx, "_slice_basis", slice_basis)
-    monkeypatch.setattr(defcx, "_image", lambda complex_id, x: diff[x])
     monkeypatch.setattr(linalg, "_column_echelon", column_echelon)
     chain = defcx.Chain("fcgc", 1)
     chain.slice((3, 3))

@@ -21,11 +21,12 @@ from test_linalg import dense_rank, is_exact
 
 THIRD = Fraction(1, 3)
 
-# every memo whose entries hold coefficients
+# every memo whose entries hold coefficients, and the graph differential,
+# which is not memoised
 MEMOS = [(poly, "component_normal_form"), (poly, "_substituted"),
          (poly, "_term_action"),
          (poly, "_basis_system"),
-         (lie, "_word_action"), (defcx, "_gc_differential"),
+         (lie, "_word_action"), (defcx, "gc_differential"),
          (gutt, "_straighten"), (gutt, "_sigma_basis"),
          (gutt, "_sigma_inv_basis"), (gutt, "_star_basis")]
 

@@ -38,6 +38,9 @@ def test_jacobi_checked_at_construction():
         with pytest.raises(TypeError, match="not an int"):
             FPLieAlgebra(3, {(1, 2): {target: 1}})
     assert FPLieAlgebra(3, {(1, 2): {"3": 1}}).bracket(1, 2) == {3: 1}
+    # a bracket that names one target twice, as an int and as its str
+    with pytest.raises(ValueError, match="twice"):
+        FPLieAlgebra(3, {(1, 2): {3: 1, "3": 2}})
 
 
 def test_bracket_antisymmetry():
@@ -127,6 +130,25 @@ def test_generator_indices_checked():
         with pytest.raises(TypeError, match="not an int"):
             sigma(h, monomial([bad, 2]))
     assert star(h, monomial([1]), monomial([2])) == t12
+    # the power of h is a nonnegative int (a bool is not one), in
+    # monomial and in every public map, hand-built polynomials included
+    for bad in (True, 0.5):
+        with pytest.raises(TypeError, match="not an int"):
+            monomial([1], h=bad)
+        with pytest.raises(TypeError, match="not an int"):
+            star(h, {((1,), bad): 1}, monomial([2]))
+        with pytest.raises(TypeError, match="not an int"):
+            straighten(h, (2, 1), h=bad)
+    with pytest.raises(ValueError, match="negative"):
+        monomial([2], h=-3)
+    with pytest.raises(ValueError, match="negative"):
+        straighten(h, (2, 1), h=-1)
+    with pytest.raises(ValueError, match="negative"):
+        star(h, {((2,), -3): 1}, monomial([1]))
+    with pytest.raises(ValueError, match="negative"):
+        sigma(h, {((1, 2), -1): 1})
+    assert star(h, monomial([2], h=1), monomial([1])) \
+        == {((1, 2), 1): 1, ((3,), 2): Fraction(-1, 2)}
 
 
 def test_straighten_order_independent():
@@ -254,6 +276,34 @@ def test_series_coefficients():
         == [1, 1, Fraction(1, 2), Fraction(1, 6)]
     with pytest.raises(ValueError):
         gutt_mod_I_series(9)
+    # the edge count is a nonnegative int: ((1, 2),) * -1 is empty
+    with pytest.raises(ValueError, match="negative"):
+        series_coefficient(s, -1)
+    with pytest.raises(ValueError):
+        gutt_mod_I_series(-1)
+    for bad in (2.0, True):
+        with pytest.raises(TypeError, match="not an int"):
+            series_coefficient(s, bad)
+        with pytest.raises(TypeError, match="not an int"):
+            gutt_mod_I_series(bad)
+
+
+def test_constructors_keep_the_exact_rule():
+    """monomial, poly_add and poly_scale store exact nonzero
+    coefficients only: zeros are dropped, a float is refused and an
+    integral Fraction becomes an int."""
+    assert monomial([1], coeff=0) == {}
+    assert poly_add({((1,), 0): 0}, monomial([2])) == monomial([2])
+    assert poly_add(monomial([1]), monomial([1], coeff=-1)) == {}
+    assert poly_scale(monomial([1]), 0) == {}
+    got = poly_scale(monomial([1], coeff=Fraction(1, 2)), 2)
+    assert got == {((1,), 0): 1} and type(got[((1,), 0)]) is int
+    assert type(monomial([1], coeff=Fraction(4, 2))[((1,), 0)]) is int
+    for make in (lambda: poly_scale(monomial([1]), 0.5),
+                 lambda: poly_add(monomial([1]), {((2,), 0): 0.5}),
+                 lambda: monomial([1], coeff=0.5)):
+        with pytest.raises(TypeError, match="inexact"):
+            make()
 
 
 def test_skew_symmetrized_series():
