@@ -180,16 +180,15 @@ def _coarse_form(d, n, edges):
                         for _, cls in groupby(base, keys.__getitem__)]
 
 
-def _canonical_form(d, n, edges, sizes):
-    """Orbit-minimal edge tuple of an unlabelled graph, its sign, and
-    the automorphisms the search found, for a coarse form and its class
-    sizes (`_coarse_form`).
+def _canonical_form(n, edges, sizes):
+    """Orbit-minimal edge tuple of an unlabelled graph, the relabeling
+    that gives it and the automorphisms the search found, for a coarse
+    form and its class sizes (`_coarse_form`).  The search compares
+    edge tuples only; `_signed_class` reads a sign at d off its result.
 
     The relabelings in play keep each coarse class, a block of
     consecutive labels, on its own block, and the result is the least
-    normal form among them.  At odd d a relabeling's vertex sign is the
-    sign of the orderings within the blocks.  The sign returned is that
-    of the coarse form; `canonicalize` multiplies in the coarse sign.
+    sorted edge tuple among them.
 
     Position p gets label p + 1, and the relabelings are walked depth
     first as a branch-and-bound.  Read a form as a flat sequence: for
@@ -205,14 +204,15 @@ def _canonical_form(d, n, edges, sizes):
     the children that it maps onto a walked sibling, and the later
     leaf's subtree is left back to the node where the two paths split
     (McKay, "Practical graph isomorphism", 1981).  The automorphisms
-    found this way generate the whole group, so the graph is zero
-    exactly when one of them reverses the orientation.
+    found this way generate the whole group.
 
-    The result is (form, sign, automorphisms): each found automorphism,
-    carried to the form's labels, as a tuple a with a[0] = 0 and a[v]
-    the image of label v; every one maps the form's edges onto
-    themselves.  `_layer` uses them to try one new edge per orbit, and
-    `enumerate_graphs` to read off the sign of a class at each d.
+    The result is (form, a, automorphisms).  a takes the coarse form's
+    labels to the form's, as a tuple with a[0] = 0 and a[v] the new
+    label of v; it is None when every coarse class is one vertex, and
+    the form is the coarse form.  Each found automorphism is such a
+    tuple on the form's labels and maps its edges onto themselves.
+    `_layer` tries one new edge per orbit of them, and `_signed_class`
+    and `enumerate_graphs` read off the sign of a class at d.
     """
     nbrs = [[] for _ in range(n + 1)]
     for t, h in edges:
@@ -230,13 +230,12 @@ def _canonical_form(d, n, edges, sizes):
         nodes += [(r, cls) for r in range(p, p + size - 1)]
         p += size
     if not nodes:  # one relabeling: the coarse form itself
-        return edges, 1, ()
+        return edges, None, ()
     nodes.append((n, None))
     order = list(range(1, n + 1))  # order[p]: the vertex labelled p + 1
     path = [None] * n  # keys along the current path, by depth
-    best = []  # form, sign, order and path of the least leaf so far
+    best = []  # form, order and path of the least leaf so far
     gens = []  # automorphisms found, as lists old -> old
-    zero = False
 
     def key(q):
         """The form's sequence as far as labels 1..q fix it, then a
@@ -254,24 +253,22 @@ def _canonical_form(d, n, edges, sizes):
         out.append(q + 2)
         return out
 
-    def leaf(parity):
+    def leaf():
         """Compare the complete relabeling with the best; return the
         depth to resume at."""
-        nonlocal best, zero
-        form, sign = _normal_form(d, [(lab[t], lab[h]) for t, h in edges])
-        if parity and d % 2:
-            sign = -sign
+        nonlocal best
+        pairs = [(lab[t], lab[h]) for t, h in edges]
+        form = tuple(sorted([(x, y) if x < y else (y, x) for x, y in pairs]))
         if not best or form < best[0]:
-            best = [form, sign, order[:], path[:]]
+            best = [form, order[:], path[:]]
             return n
         if form > best[0]:
             return n
         g = [0] * (n + 1)
-        for x, y in zip(best[2], order):
+        for x, y in zip(best[1], order):
             g[x] = y
         gens.append(g)
-        zero = zero or sign != best[1]
-        return next(r for r in range(n) if order[r] != best[2][r])
+        return next(r for r in range(n) if order[r] != best[1][r])
 
     def place(p, v, w):
         """Give v label p + 1 and w, if any, label p + 2."""
@@ -281,14 +278,11 @@ def _canonical_form(d, n, edges, sizes):
             order[p + 1] = w
             lab[w] = p + 2
 
-    def search(j, parity):
-        """Walk the j-th node on the path; return the depth to resume at.
-        parity counts the inversions of the block orderings so far."""
+    def search(j):
+        """Walk the j-th node on the path; return the depth to resume at."""
         p, cls = nodes[j]
         q = nodes[j + 1][0]
         cands = [v for v in cls if lab[v] > p]
-        # the i-th candidate leaves i smaller ones of its class behind it:
-        # i inversions of the block ordering
         kids = [(i, v, None) for i, v in enumerate(cands)]
         if len(cands) > 2 and q < n:  # keep the children of least key
             for k, (i, v, _) in enumerate(kids):
@@ -301,15 +295,14 @@ def _canonical_form(d, n, edges, sizes):
         for i, v, k in kids:
             if k:
                 path[q] = k
-                if best and k > best[3][q]:
+                if best and k > best[2][q]:
                     return p
             if gens and walked and v in _orbit(walked, gens, order[:p]):
                 continue
             # of a last pair, the other vertex takes the next label
             w = cands[1 - i] if len(cands) == 2 else None
             place(p, v, w)
-            back = (search(j + 1, parity ^ i & 1) if q < n
-                    else leaf(parity ^ i & 1))
+            back = search(j + 1) if q < n else leaf()
             lab[v] = top
             if w:
                 lab[w] = top
@@ -318,13 +311,23 @@ def _canonical_form(d, n, edges, sizes):
                 return back
         return p
 
-    search(0, 0)
-    form, sign = best[0], ZERO if zero else best[1]
-    # label p + 1 went to vertex best[2][p]
-    for p, v in enumerate(best[2]):
+    search(0)
+    # label p + 1 went to vertex best[1][p]
+    for p, v in enumerate(best[1]):
         lab[v] = p + 1
-    return form, sign, tuple(
-        (0, *[lab[g[v]] for v in best[2]]) for g in gens)
+    return best[0], (0, *lab[1:]), tuple(
+        (0, *[lab[g[v]] for v in best[1]]) for g in gens)
+
+
+def _signed_class(d, n, coarse, sizes):
+    """The canonical form of a coarse form and the sign with which the
+    coarse form equals it at d: ZERO when a found automorphism is odd,
+    since they generate the group and the sign is a homomorphism, else
+    the relabeling's sign."""
+    form, a, auts = _canonical_form(n, coarse, sizes)
+    if any(_relabel_sign(d, form, b) != 1 for b in auts):
+        return form, ZERO
+    return form, 1 if a is None else _relabel_sign(d, coarse, a)
 
 
 def _orbit(points, gens, fixed):
@@ -345,12 +348,12 @@ def canonicalize(g):
 
     The input equals sign * canonical as elements of the orientation
     quotient, with the vertices unlabelled.  The graph's coarse form
-    (`_coarse_form`) is searched (`_canonical_form`), so a zero graph
-    gets the least form too.
+    (`_coarse_form`) is searched and signed (`_signed_class`), so a zero
+    graph gets the least form too.
     """
     d, n = g.d, g.n_vertices
     form, sign, sizes = _coarse_form(d, n, g.edges)
-    form, s, _ = _canonical_form(d, n, form, sizes)
+    form, s = _signed_class(d, n, form, sizes)
     return SignedCanonical(_graph(d, n, form), sign * s)
 
 
@@ -359,7 +362,7 @@ def classes(d, n, terms):
     graphs on n vertices at d, as a dict from canonical graphs (those of
     `canonicalize`) to nonzero coefficients.  Terms with one coarse form
     (`_coarse_form`) are one graph up to sign, so they are summed first,
-    and each nonzero sum takes one search (`_canonical_form`)."""
+    and each nonzero sum takes one search (`_signed_class`)."""
     coarse, sizes = {}, {}
     for g, c in terms:
         form, sign, sizes[form] = _coarse_form(d, n, g.edges)
@@ -367,7 +370,7 @@ def classes(d, n, terms):
             _add(coarse, form, sign * c)
     out = {}
     for form, c in coarse.items():
-        form, sign, _ = _canonical_form(d, n, form, sizes[form])
+        form, sign = _signed_class(d, n, form, sizes[form])
         if sign:
             _add(out, _graph(d, n, form), sign * c)
     return out
@@ -418,9 +421,9 @@ def _pair_orbits(pairs, auts):
 @memo
 def _layer(n, k, m, simple, need, connected):
     """Unsigned classes of the k-edge graphs on n vertices with slack m,
-    as a read-only mapping from their d = 1 canonical forms (simple
-    graphs only when `simple`) to the automorphisms `_canonical_form`
-    found for each.
+    as a read-only mapping from their canonical forms (simple graphs
+    only when `simple`) to the automorphisms `_canonical_form` found
+    for each.
 
     A vertex lacks max(0, need - valence) edge ends.  The slack is the
     least number of edges that can still take a graph into a slice: half
@@ -450,8 +453,8 @@ def _layer(n, k, m, simple, need, connected):
         least = max((n * need + 1) // 2, n - 1 if connected else 0)
         if least != m:
             return MappingProxyType({})
-        form, _, sizes = _coarse_form(1, n, ())
-        return MappingProxyType({form: _canonical_form(1, n, form, sizes)[2]})
+        # the empty graph: one coarse class of n vertices
+        return MappingProxyType({(): _canonical_form(n, (), [n])[2]})
     pairs = list(combinations(range(1, n + 1), 2))
     out, coarse = {}, set()
     for parents in (_layer(n, k - 1, m, simple, need, connected),
@@ -486,15 +489,17 @@ def _layer(n, k, m, simple, need, connected):
                 form, _, sizes = _coarse_form(1, n, edges + (pair,))
                 if form not in coarse:
                     coarse.add(form)
-                    form, _, found = _canonical_form(1, n, form, sizes)
+                    form, _, found = _canonical_form(n, form, sizes)
                     out.setdefault(form, found)
     return MappingProxyType(out)
 
 
-def _aut_sign(d, form, a):
-    """The sign by which the automorphism a of form acts on the
-    oriented graph at d: the sign of the edges' permutation at even d;
-    at odd d the sign of the edges it reverses times sgn(a)."""
+def _relabel_sign(d, form, a):
+    """The sign with which the graph `form` equals, at d, the normal
+    form of its relabelling by a (a[0] = 0, a[v] the new label of v):
+    the sign of the sorted edges at even d (0 for parallel edges), and
+    at odd d that of the edges it reverses times sgn(a).  For an
+    automorphism a, the sign by which it acts on the oriented graph."""
     sign = _normal_form(d, [(a[t], a[h]) for t, h in form])[1]
     return sign * perm_sign(a) if d % 2 else sign
 
@@ -521,7 +526,8 @@ def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
     +1 unless the class is zero at d, and no second search is made: a
     class is zero exactly when one of the automorphisms `_layer`
     recorded for it, which generate its whole group, reverses its
-    orientation at d (`_aut_sign`).  Those classes are dropped.
+    orientation at d (`_relabel_sign`), as in `_signed_class`.  Those
+    classes are dropped.
     """
     _check_ints(n_vertices=n_vertices, n_edges=n_edges, d=d,
                 min_valence=min_valence)
@@ -533,4 +539,4 @@ def enumerate_graphs(n_vertices, n_edges, d, min_valence=0, connected=True):
     need = max(min_valence, 1 if n > 1 else 0)
     level = _layer(n, n_edges, 0, d % 2 == 0, need, connected)
     return [_graph(d, n, form) for form in sorted(level)
-            if all(_aut_sign(d, form, a) == 1 for a in level[form])]
+            if all(_relabel_sign(d, form, a) == 1 for a in level[form])]

@@ -111,6 +111,7 @@ def two_dim():
 # -- polynomial helpers ------------------------------------------------
 
 def poly_add(p, q):
+    _check_indices(p, q)
     out = dict(p)
     for key, c in q.items():
         _add(out, key, c)
@@ -118,6 +119,7 @@ def poly_add(p, q):
 
 
 def poly_scale(p, c):
+    _check_indices(p)
     c = _exact(c)
     return _exact_poly({key: v * c for key, v in p.items()})
 
@@ -311,6 +313,8 @@ def skew_symmetrize_series(s: GraElement) -> GraElement:
 def series_coefficient(s: GraElement, k: int):
     """Coefficient of the k-fold parallel edge 1 -> 2 in an arity-2
     series; k is a nonnegative int."""
+    if s.arity != 2:
+        raise ValueError(f"arity {s.arity} is not 2")
     _check_ints(k=k)
     if k < 0:
         raise ValueError(f"negative k {k}")

@@ -26,7 +26,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import memo
-from .graphs import _as_permutation, _check_arity, _check_slot, perm_sign
+from .graphs import (_as_permutation, _check_arity, _check_ints, _check_slot,
+                     perm_sign)
 from .linalg import Combination, _add, _axpy, _exact
 
 
@@ -231,14 +232,16 @@ def normalize(exprs, d=1):
 
 
 def basis_words(m):
-    """All normal-form words of arity m with leaf set {1..m}."""
+    """All normal-form words of arity m with leaf set {1..m}; m is a
+    positive int."""
+    _check_ints(m=m)
+    if m < 1:
+        raise ValueError("arity must be positive")
     return [(1,) + rest for rest in permutations(range(2, m + 1))]
 
 
 def dim_lie(m):
     """Dimension of the span of all normalized words of arity m: (m-1)!."""
-    if m < 1:
-        raise ValueError("arity must be positive")
     return len(basis_words(m))
 
 

@@ -309,7 +309,7 @@ def test_gc_differential_reduces_only_kept_terms(monkeypatch):
     gens = enumerate_graphs(5, 8, 1, 3) + enumerate_graphs(6, 10, 2, 3)
     want = [_oracle_gc_differential(g, 3) for g in gens]
     assert len(gens) == 5 and all(want)
-    seen = {"_coarse_form": [], "_canonical_form": []}
+    seen = {"_coarse_form": [], "_signed_class": []}
 
     def spying(name):
         inner = getattr(graphs, name)
@@ -669,6 +669,31 @@ def test_module_uses_no_private_name(module, guarded):
                 and node.attr.startswith("_"):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+def test_only_graphs_names_the_search():
+    """The canonical search, its layers and its signing step stay
+    inside graphs, so they can change without touching a caller: no
+    other module of the package names them, as a name, an attribute,
+    an import or a string."""
+    search = {"_coarse_form", "_canonical_form", "_layer", "_relabel_sign",
+              "_signed_class"}
+    assert search <= set(vars(graphs))
+    modules = sorted(pathlib.Path(graphs.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    named = []
+    for path in modules:
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.value if isinstance(node, ast.Constant)
+                    else None)
+            if isinstance(name, str) and name in search:
+                named.append((path.name, name))
+    assert named == []
 
 
 def test_gc2_cohomology_matches_the_literature():

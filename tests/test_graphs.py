@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from functools import cache
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
@@ -316,7 +317,7 @@ def test_automorphism_verdict_matches_canonicalize():
                                           max(need, 1 if n > 1 else 0), True)
                     for form in layer:
                         for d in (0, 1, 2, 3) if simple else (1, 3):
-                            kept = all(graphs._aut_sign(d, form, a) == 1
+                            kept = all(graphs._relabel_sign(d, form, a) == 1
                                        for a in layer[form])
                             sign = canonicalize(OrientedGraph(d, n, form)).sign
                             assert sign in (0, 1) and kept == (sign == 1), \
@@ -425,6 +426,51 @@ def test_layer_automorphisms_fix_their_forms():
                                          if _relabeled(form, a) == form}
                                 assert _generated(auts, n) == whole, form
     assert checked > 5000
+
+
+@cache
+def _whole_group(form, n):
+    """The automorphisms of a form over S_n, by brute force."""
+    return {a for a in ((0, *p) for p in permutations(range(1, n + 1)))
+            if _relabeled(form, a) == form}
+
+
+def test_layer_automorphisms_generate_the_group():
+    """The automorphisms a layer records for a class generate its whole
+    automorphism group, which the zero test at every d relies on: on
+    every class of the gc and fcgc layers with n <= 5, k <= 8 and
+    slack 0 or 1, at both parities."""
+    checked = 0
+    for n in range(1, 6):
+        for simple in (True, False):
+            for mv in (1, 3):
+                need = max(mv, 1 if n > 1 else 0)
+                for k in range(0, 9):
+                    for m in (0, 1):
+                        layer = graphs._layer(n, k, m, simple, need, True)
+                        for form, auts in layer.items():
+                            assert _generated(auts, n) \
+                                == _whole_group(form, n), form
+                            checked += 1
+    assert checked > 1000, checked
+
+
+def test_search_automorphisms_generate_the_group():
+    """On the coarse forms of the seeded random graphs of
+    test_canonicalize_congruence_random, odd-d multigraphs among them,
+    the search's relabeling takes the coarse form to the form, and the
+    automorphisms it found generate the form's whole group."""
+    rng = random.Random(13)
+    for _ in range(500):
+        d = rng.choice([1, 2])
+        g = random_graph(rng, d)
+        h, _ = scramble(g, rng)
+        for x in (g, h):
+            n = x.n_vertices
+            coarse, _, sizes = graphs._coarse_form(d, n, x.edges)
+            form, a, auts = graphs._canonical_form(n, coarse, sizes)
+            assert form == (coarse if a is None else _relabeled(coarse, a))
+            assert _generated(auts, n) == _whole_group(form, n), (x, form)
 
 
 def test_layers_search_few_children(monkeypatch):

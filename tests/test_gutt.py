@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from liegraphs import linalg
-from liegraphs.gra import GraElement
+from liegraphs.gra import GraElement, element
+from liegraphs.graphs import OrientedGraph
 from liegraphs.gutt import (FPLieAlgebra, abelian, gutt_mod_I_series,
                             heisenberg, monomial, poly_add, poly_scale,
                             series_coefficient, sigma, sigma_inv,
@@ -286,6 +287,10 @@ def test_series_coefficients():
             series_coefficient(s, bad)
         with pytest.raises(TypeError, match="not an int"):
             gutt_mod_I_series(bad)
+    # a series has arity 2: an arity-3 element with the edge 1 -> 2 is
+    # refused, not read as the two-vertex graph's coefficient 0
+    with pytest.raises(ValueError, match="arity 3"):
+        series_coefficient(element(OrientedGraph(1, 3, ((1, 2),))), 1)
 
 
 def test_constructors_keep_the_exact_rule():
@@ -304,6 +309,16 @@ def test_constructors_keep_the_exact_rule():
                  lambda: monomial([1], coeff=0.5)):
         with pytest.raises(TypeError, match="inexact"):
             make()
+    # both operands' indices and powers of h are checked, as monomial
+    # checks them
+    with pytest.raises(ValueError, match="negative power"):
+        poly_add({((1,), -1): 1}, {})
+    with pytest.raises(ValueError, match="negative power"):
+        poly_add(monomial([1]), {((1,), -1): 1})
+    with pytest.raises(TypeError, match="not an int"):
+        poly_scale({((True,), 0): 1}, 2)
+    with pytest.raises(TypeError, match="not an int"):
+        poly_add({((1,), 0.5): 1}, {})
 
 
 def test_skew_symmetrized_series():

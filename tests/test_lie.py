@@ -160,8 +160,17 @@ def test_dim_lie_small():
     assert dim_lie(1) == 1
     assert dim_lie(2) == 1
     assert dim_lie(4) == 6
-    with pytest.raises(ValueError):
-        dim_lie(0)
+    # the arity is a positive int; a bool is not one
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="positive"):
+            dim_lie(m)
+        with pytest.raises(ValueError, match="positive"):
+            basis_words(m)
+    for m in (True, 2.0, "2", None):
+        with pytest.raises(TypeError, match="not an int"):
+            dim_lie(m)
+        with pytest.raises(TypeError, match="not an int"):
+            basis_words(m)
 
 
 def test_dim_lie_matches_span_oracle():
