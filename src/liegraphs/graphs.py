@@ -149,18 +149,26 @@ def _normal_form(d, edges):
     return form, perm_sign(norm)
 
 
-def _coarse_form(d, n, edges):
+def _form(edges, a):
+    """The sorted (low, high) pairs of the edges relabelled by a
+    (a[v] the new label of v): a relabelled graph's unsigned form."""
+    pairs = [(a[t], a[h]) for t, h in edges]
+    return tuple(sorted([(x, y) if x < y else (y, x) for x, y in pairs]))
+
+
+def _coarse_form(n, edges):
     """The graph relabelled by its coarse vertex classes: the base
     order that `_canonical_form` starts from.
 
     Vertices are keyed by valence and the valences of their neighbours;
     the classes go in key order and the members of a class by label,
-    and position p gets label p + 1.  Returns (form, sign, sizes): the
-    relabelled graph's normal form, the sign with which the input
-    equals it (the sign of the base order at odd d times the orientation
-    sign; 0 for parallel edges at even d) and the class sizes in order.
-    Two labelled graphs with one coarse form are one oriented graph, up
-    to their signs, so one search serves both.
+    and position p gets label p + 1.  Returns (form, a, sizes): the
+    relabelled graph's unsigned form (`_form`), the relabeling as a
+    list with a[0] = 0 and a[v] the new label of v, and the class sizes
+    in order.  The input equals the form with the sign
+    `_relabel_sign(d, edges, a)`.  Two labelled graphs with one coarse
+    form are one oriented graph, up to their signs, so one search
+    serves both.
     """
     nbrs = [[] for _ in range(n + 1)]
     for t, h in edges:
@@ -173,11 +181,8 @@ def _coarse_form(d, n, edges):
     lab = [0] * (n + 1)
     for p, v in enumerate(base):
         lab[v] = p + 1
-    form, sign = _normal_form(d, [(lab[t], lab[h]) for t, h in edges])
-    if d % 2:
-        sign *= perm_sign(base)
-    return form, sign, [len(list(cls))
-                        for _, cls in groupby(base, keys.__getitem__)]
+    return _form(edges, lab), lab, [
+        len(list(cls)) for _, cls in groupby(base, keys.__getitem__)]
 
 
 def _canonical_form(n, edges, sizes):
@@ -257,8 +262,7 @@ def _canonical_form(n, edges, sizes):
         """Compare the complete relabeling with the best; return the
         depth to resume at."""
         nonlocal best
-        pairs = [(lab[t], lab[h]) for t, h in edges]
-        form = tuple(sorted([(x, y) if x < y else (y, x) for x, y in pairs]))
+        form = _form(edges, lab)
         if not best or form < best[0]:
             best = [form, order[:], path[:]]
             return n
@@ -349,10 +353,12 @@ def canonicalize(g):
     The input equals sign * canonical as elements of the orientation
     quotient, with the vertices unlabelled.  The graph's coarse form
     (`_coarse_form`) is searched and signed (`_signed_class`), so a zero
-    graph gets the least form too.
+    graph gets the least form too; the graph equals its coarse form with
+    the sign of that relabeling (`_relabel_sign`).
     """
     d, n = g.d, g.n_vertices
-    form, sign, sizes = _coarse_form(d, n, g.edges)
+    form, a, sizes = _coarse_form(n, g.edges)
+    sign = _relabel_sign(d, g.edges, a)
     form, s = _signed_class(d, n, form, sizes)
     return SignedCanonical(_graph(d, n, form), sign * s)
 
@@ -361,12 +367,13 @@ def classes(d, n, terms):
     """The sum of the (graph, coefficient) pairs `terms`, labelled
     graphs on n vertices at d, as a dict from canonical graphs (those of
     `canonicalize`) to nonzero coefficients.  Terms with one coarse form
-    (`_coarse_form`) are one graph up to sign, so they are summed first,
-    and each nonzero sum takes one search (`_signed_class`)."""
+    (`_coarse_form`) are one graph up to the sign of their relabelings
+    (`_relabel_sign`), so they are summed first, and each nonzero sum
+    takes one search (`_signed_class`)."""
     coarse, sizes = {}, {}
     for g, c in terms:
-        form, sign, sizes[form] = _coarse_form(d, n, g.edges)
-        if sign:
+        form, a, sizes[form] = _coarse_form(n, g.edges)
+        if sign := _relabel_sign(d, g.edges, a):
             _add(coarse, form, sign * c)
     out = {}
     for form, c in coarse.items():
@@ -486,7 +493,7 @@ def _layer(n, k, m, simple, need, connected):
                 if beaten:
                     continue
                 # several labelled children can give the same coarse form
-                form, _, sizes = _coarse_form(1, n, edges + (pair,))
+                form, _, sizes = _coarse_form(n, edges + (pair,))
                 if form not in coarse:
                     coarse.add(form)
                     form, _, found = _canonical_form(n, form, sizes)
@@ -494,13 +501,18 @@ def _layer(n, k, m, simple, need, connected):
     return MappingProxyType(out)
 
 
-def _relabel_sign(d, form, a):
-    """The sign with which the graph `form` equals, at d, the normal
+def _relabel_sign(d, edges, a):
+    """The sign with which the graph `edges` equals, at d, the normal
     form of its relabelling by a (a[0] = 0, a[v] the new label of v):
     the sign of the sorted edges at even d (0 for parallel edges), and
-    at odd d that of the edges it reverses times sgn(a).  For an
-    automorphism a, the sign by which it acts on the oriented graph."""
-    sign = _normal_form(d, [(a[t], a[h]) for t, h in form])[1]
+    at odd d that of the edges it reverses times sgn(a).  The one sign
+    of a relabeling in this module: `edges` is any raw edge list, in
+    any direction at odd d and in any order at even d, so it signs a
+    raw graph's coarse form (`canonicalize`, `classes`), a coarse
+    form's class (`_signed_class`) and an automorphism, the sign by
+    which a acts on the oriented graph (`_signed_class`,
+    `enumerate_graphs`)."""
+    sign = _normal_form(d, [(a[t], a[h]) for t, h in edges])[1]
     return sign * perm_sign(a) if d % 2 else sign
 
 

@@ -74,8 +74,8 @@ class FPLieAlgebra:
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                         for m, cm in self.bracket(a, b).items():
                             for l, cl in self.bracket(m, c).items():
-                                acc[l] = acc.get(l, 0) + cm * cl
-                    if any(v != 0 for v in acc.values()):
+                                _add(acc, l, cm * cl)
+                    if acc:
                         raise ValueError(
                             f"Jacobi identity fails on generators {(i, j, k)}")
 

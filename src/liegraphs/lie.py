@@ -134,11 +134,11 @@ def assoc_expand(tree, p=0):
     for wa, ca in left.items():
         for wb, cb in right.items():
             c = ca * cb
-            out[wa + wb] = out.get(wa + wb, 0) + c
+            _add(out, wa + wb, c)
             if p and len(wa) * len(wb) % 2:
                 c = -c
-            out[wb + wa] = out.get(wb + wa, 0) - c
-    return {w: c for w, c in out.items() if c != 0}
+            _add(out, wb + wa, -c)
+    return out
 
 
 # -- multilinear normal form ------------------------------------------
@@ -302,9 +302,8 @@ def _series_mul(a, b, order):
         for wb, cb in b.items():
             if len(wa) + len(wb) > order:
                 continue
-            w = wa + wb
-            out[w] = out.get(w, 0) + ca * cb
-    return {w: c for w, c in out.items() if c != 0}
+            _add(out, wa + wb, ca * cb)
+    return out
 
 
 def _exp_series(letter, order):
@@ -323,6 +322,7 @@ def bch_truncated(order):
     letter words are not reduced, so compare results via
     `left_normed_assoc_expansion`.
     """
+    _check_ints(order=order)
     if order < 1:
         raise ValueError("order must be >= 1")
     prod = _series_mul(*(_exp_series(x, order) for x in "XY"), order)

@@ -18,21 +18,22 @@ from fractions import Fraction
 def _exact(c):
     """c as an exact coefficient: an int when it is integral, otherwise
     a Fraction with denominator > 1.  A float is refused: its binary
-    expansion is rarely the value that was meant."""
+    expansion is rarely the value that was meant.  So is a bool, which
+    is a truth value, not the number 0 or 1."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
         if isinstance(c, float):
             raise TypeError(f"inexact coefficient {c!r}")
+        if type(c) is bool:
+            raise TypeError(f"coefficient {c!r} is not a number")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
 def _json_coeff(c):
-    """A coefficient read from JSON as an exact one: TypeError for a
-    bool, ValueError naming it when it divides by zero."""
-    if type(c) is bool:
-        raise TypeError(f"coefficient {c!r} is not a number")
+    """A coefficient read from JSON as an exact one (`_exact`):
+    ValueError naming it when it divides by zero."""
     try:
         return _exact(c)
     except ZeroDivisionError:

@@ -313,10 +313,12 @@ def test_gc_differential_reduces_only_kept_terms(monkeypatch):
 
     def spying(name):
         inner = getattr(graphs, name)
+        first = 1 if name == "_signed_class" else 0  # d comes first
 
-        def spy(d, n, edges, *rest):
-            seen[name].append(OrientedGraph(d, n, edges))
-            return inner(d, n, edges, *rest)
+        def spy(*args):
+            n, edges = args[first:first + 2]
+            seen[name].append(OrientedGraph(0, n, edges))  # for valences
+            return inner(*args)
         return spy
 
     for name in seen:
@@ -676,8 +678,8 @@ def test_only_graphs_names_the_search():
     inside graphs, so they can change without touching a caller: no
     other module of the package names them, as a name, an attribute,
     an import or a string."""
-    search = {"_coarse_form", "_canonical_form", "_layer", "_relabel_sign",
-              "_signed_class"}
+    search = {"_form", "_coarse_form", "_canonical_form", "_layer",
+              "_relabel_sign", "_signed_class"}
     assert search <= set(vars(graphs))
     modules = sorted(pathlib.Path(graphs.__file__).parent.glob("*.py"))
     assert len(modules) > 5
@@ -694,6 +696,23 @@ def test_only_graphs_names_the_search():
             if isinstance(name, str) and name in search:
                 named.append((path.name, name))
     assert named == []
+
+
+def test_graphs_signs_a_relabeling_once():
+    """Within graphs, a permutation sign is taken in two places only:
+    the labelled normal form (`_normal_form`) and the sign of a
+    relabeling (`_relabel_sign`); the coarse form and the canonical
+    search are unsigned."""
+    tree = ast.parse(pathlib.Path(graphs.__file__).read_text())
+    callers = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) \
+                        and isinstance(sub.func, ast.Name) \
+                        and sub.func.id == "perm_sign":
+                    callers.add(node.name)
+    assert callers == {"_normal_form", "_relabel_sign"}
 
 
 def test_gc2_cohomology_matches_the_literature():

@@ -237,15 +237,22 @@ def test_integer_matrices_against_dense_oracle(n_rows, n_cols, seed):
 
 def test_float_coefficients_refused():
     """A float's binary expansion is not the value meant (0.1 would be
-    3602879701896397/2^55), so every constructor refuses it."""
+    3602879701896397/2^55), so every constructor refuses it; a bool is
+    a truth value, not the coefficient 1, and is refused too."""
     g = OrientedGraph(1, 2, ((1, 2),))
     makers = [lambda c: LieElement(2, {(1, 2): c}),
+              lambda c: lie.normalize([(c, (1, 2))]),
               lambda c: poly.make_term(2, 1, [(1, 2)], c),
               lambda c: gra.element(g, c),
+              lambda c: gutt.monomial([1], coeff=c),
+              lambda c: gutt.poly_scale(gutt.monomial([1]), c),
+              lambda c: gutt.FPLieAlgebra(2, {(1, 2): {2: c}}),
               lambda c: SparseMatrix(1, 1, [[(0, c)]])]
     for make in makers:
         with pytest.raises(TypeError):
             make(0.1)
         with pytest.raises(TypeError):
             make(1.0)
+        with pytest.raises(TypeError, match="not a number"):
+            make(True)
         make(Fraction(1, 10))  # an exact value passes

@@ -467,7 +467,7 @@ def test_search_automorphisms_generate_the_group():
         h, _ = scramble(g, rng)
         for x in (g, h):
             n = x.n_vertices
-            coarse, _, sizes = graphs._coarse_form(d, n, x.edges)
+            coarse, _, sizes = graphs._coarse_form(n, x.edges)
             form, a, auts = graphs._canonical_form(n, coarse, sizes)
             assert form == (coarse if a is None else _relabeled(coarse, a))
             assert _generated(auts, n) == _whole_group(form, n), (x, form)
@@ -492,6 +492,22 @@ def test_layers_search_few_children(monkeypatch):
     graphs._layer.cache_clear()
     assert len(out) == 6
     assert len(out) <= len(calls) <= 750, len(calls)
+
+
+def test_layers_sign_nothing(monkeypatch):
+    """A layer holds unsigned classes: building one from an empty memo
+    takes no permutation sign, since its coarse forms know no d."""
+    calls = []
+
+    def spy(*args, _inner=graphs.perm_sign):
+        calls.append(args)
+        return _inner(*args)
+
+    graphs._layer.cache_clear()
+    monkeypatch.setattr(graphs, "perm_sign", spy)
+    level = graphs._layer(6, 9, 0, True, 3, True)
+    graphs._layer.cache_clear()
+    assert level and calls == []
 
 
 def test_enumerate_does_not_depend_on_the_memo_state():

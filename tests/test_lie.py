@@ -366,6 +366,10 @@ def test_bch_order_1():
     assert bch_truncated(1)[1] == {("X",): Fraction(1), ("Y",): Fraction(1)}
     with pytest.raises(ValueError):
         bch_truncated(0)
+    # the order is an int: a bool is not one, nor is 2.5
+    for bad in (True, 2.5):
+        with pytest.raises(TypeError, match="not an int"):
+            bch_truncated(bad)
 
 
 def test_bch_order_2():
