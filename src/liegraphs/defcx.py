@@ -32,7 +32,7 @@ attachments plus the sum of vertex splittings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg, poly
@@ -176,14 +176,10 @@ _BOUNDS = {"fcgc": ((1, 1), (7, 12)), "gc": ((1, 1), (7, 12)),
 _MIN_VALENCE = {"fcgc": 1, "gc": 3}
 
 
-@dataclass(frozen=True)
-class SliceBasis:
-    key: tuple
-    basis: tuple           # generators: graphs, or invariant elements
-    # the term coordinates of the generators' integer orbit sums (n!
-    # times the generators for the def complexes)
-    span: linalg.Echelon = field(compare=False)
-    images: tuple          # the generators' differentials, term -> coeff
+# basis: the generators (graphs, or invariant elements); span: the Echelon
+# of their integer orbit sums' terms (n! times the generators for the def
+# complexes); images: their differentials, each a dict term -> coeff
+SliceBasis = namedtuple("SliceBasis", ("key", "basis", "span", "images"))
 
 
 def _slice_basis(complex_id, d, key, span):

@@ -10,35 +10,29 @@ by `graphs._normal_form`, and only nonzero ones become graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .graphs import (OrientedGraph, _as_permutation, _check_arity, _check_slot,
                      _graph, _normal_form)
 from .lie import LieElement, image
-from .linalg import Combination, _exact, _json_coeff
+from .linalg import Combination, _exact, _exact_terms, _json_coeff
 
 
-@dataclass(frozen=True, eq=False)
 class GraElement(Combination):
-    arity: int
-    d: int
-    terms: dict  # canonical OrientedGraph -> exact coefficient
+    """terms: canonical OrientedGraph -> exact coefficient."""
 
-    def __post_init__(self):
-        _check_arity(self.arity, self.d)
-        super().__post_init__()
-        shape = self._shape()
+    __slots__ = ("arity", "d")
+
+    def __init__(self, arity, d, terms):
+        _check_arity(arity, d)
+        self._fill((arity, d), _exact_terms(terms))
         for g in self.terms:
-            if (g.n_vertices, g.d) != shape:
+            if (g.n_vertices, g.d) != (arity, d):
                 raise ValueError(f"graph of shape {(g.n_vertices, g.d)} in"
-                                 f" an element of shape {shape}")
+                                 f" an element of shape {(arity, d)}")
 
     def _shape(self):
         return (self.arity, self.d)
-
-    def with_terms(self, terms):
-        return GraElement(self.arity, self.d, terms)
 
     @classmethod
     def bracket(cls, d):
@@ -75,6 +69,7 @@ class GraElement(Combination):
                 raise ValueError(f"graph of shape {(g.n_vertices, g.d)} in"
                                  f" an element of shape {(arity, d)}")
             _add_graph(forms, d, g.edges, _json_coeff(t["coeff"]))
+        _check_arity(arity, d)
         return _element(arity, d, forms)
 
 
@@ -88,9 +83,10 @@ def _add_graph(forms, d, edges, coeff):
 
 def _element(n, d, forms):
     """The GraElement of `_add_graph`'s forms, each derived from a valid
-    graph on n vertices, wrapped once; zero sums are dropped."""
-    return GraElement(n, d, {_graph(d, n, form): c
-                             for form, c in forms.items() if c})
+    graph on n vertices, for an arity n and a d already checked: wrapped
+    once, with the sums made exact and the zero ones dropped."""
+    return GraElement._wrap((n, d), {_graph(d, n, form): c for form, c
+                                     in _exact_terms(forms).items()})
 
 
 def element(graph, coeff=1):

@@ -22,7 +22,6 @@ vertex ordering is part of the orientation.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import combinations, groupby
 from types import MappingProxyType
 
@@ -96,10 +95,9 @@ def _graph(d, n, form):
     return tuple.__new__(OrientedGraph, (d, n, form))
 
 
-@dataclass(frozen=True)
-class SignedCanonical:
-    canonical: OrientedGraph
-    sign: int  # +1, -1, or 0 (ZERO)
+# sign is +1, -1, or 0 (ZERO)
+class SignedCanonical(namedtuple("SignedCanonical", ("canonical", "sign"))):
+    __slots__ = ()
 
     def is_zero(self):
         return self.sign == 0

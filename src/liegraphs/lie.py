@@ -21,14 +21,13 @@ Storage convention: words are kept unshifted, with the d = 1 sign rule
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 
 from . import memo
 from .graphs import (_as_permutation, _check_arity, _check_ints, _check_slot,
                      perm_sign)
-from .linalg import Combination, _add, _axpy, _exact
+from .linalg import Combination, _add, _axpy, _exact, _exact_terms
 
 
 # -- bracket expression grammar ---------------------------------------
@@ -157,24 +156,18 @@ def _leading(tree, m):
             for wa, ca in assoc_expand(a).items()}
 
 
-@dataclass(frozen=True, eq=False)
 class LieElement(Combination):
     """Exact linear combination of normal-form bracket words of one
     arity, in the Lie operad suspended for the parity of d."""
 
-    arity: int
-    terms: dict
-    d: int = 1
+    __slots__ = ("arity", "d")
 
-    def __post_init__(self):
-        _check_arity(self.arity, self.d)
-        super().__post_init__()
+    def __init__(self, arity, terms, d=1):
+        _check_arity(arity, d)
+        self._fill((arity, d), _exact_terms(terms))
 
     def _shape(self):
         return (self.arity, self.d)
-
-    def with_terms(self, terms):
-        return LieElement(self.arity, terms, self.d)
 
     def assoc_expansion(self):
         return left_normed_assoc_expansion(self.terms)
@@ -291,7 +284,7 @@ def image(x, unit, mu):
         if x.d % 2 == 0:
             c = c * perm_sign(word)
         _axpy(terms, c, chain[m].act(word).terms)
-    return replace(unit, arity=m, terms=terms)
+    return unit._wrap((m, *unit._shape()[1:]), _exact_terms(terms))
 
 
 # -- truncated BCH ----------------------------------------------------

@@ -55,7 +55,7 @@ class SparseMatrix:
             for c, _ in r:
                 if type(c) is not int:
                     raise TypeError(f"column index {c!r} is not an int")
-            entries = tuple(sorted((c, _exact(v)) for c, v in r if v != 0))
+            entries = tuple(sorted((c, e) for c, v in r if (e := _exact(v))))
             cols = [c for c, _ in entries]
             if cols and (cols[-1] >= n_cols or cols[0] < 0):
                 raise ValueError("column index out of range")
@@ -70,8 +70,7 @@ class SparseMatrix:
     def from_dense(cls, dense):
         n_rows = len(dense)
         n_cols = len(dense[0]) if dense else 0
-        return cls(n_rows, n_cols,
-                   [[(j, v) for j, v in enumerate(row) if v != 0] for row in dense])
+        return cls(n_rows, n_cols, [list(enumerate(row)) for row in dense])
 
     @classmethod
     def from_columns(cls, columns, n_rows, n_cols=None):
@@ -99,9 +98,8 @@ class SparseMatrix:
         """Multiply by a vector given as dict col -> value; returns dict."""
         out = {}
         for i, row in enumerate(self.rows):
-            s = sum(v * vec.get(j, 0) for j, v in row)
-            if s != 0:
-                out[i] = _exact(s)
+            if s := _exact(sum(v * vec.get(j, 0) for j, v in row)):
+                out[i] = s
         return out
 
     def transpose(self):
@@ -143,25 +141,60 @@ def _add(target, key, c):
         target.pop(key, None)
 
 
+def _exact_terms(terms):
+    """terms with each coefficient made exact (`_exact`), and only then
+    the zeros dropped: a float or a bool is refused even when it is 0."""
+    return {t: e for t, c in terms.items() if (e := _exact(c))}
+
+
 class Combination:
-    """Exact linear combination: a frozen dataclass (declared with
-    eq=False) whose `terms` field maps each term to a nonzero exact
-    coefficient (an int, or a Fraction with denominator > 1).
+    """Exact linear combination, immutable: `terms` maps each term to a
+    nonzero exact coefficient (an int, or a Fraction with denominator >
+    1).  A subclass's `__slots__` hold its shape, in the order of
+    `_shape()`, what two summands must share.  Its constructor checks
+    shape and terms; results built from checked elements are wrapped
+    unchecked (`_wrap`)."""
 
-    A subclass defines `_shape()`, what two summands must share, and
-    `with_terms(terms)`, the element of the same shape with other
-    terms."""
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           {t: _exact(c) for t, c in self.terms.items()
-                            if c != 0})
+    def _fill(self, shape, terms):
+        """Set the shape slots and the terms, unchecked."""
+        for name, value in zip(type(self).__slots__, shape):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
+    def _wrap(cls, shape, terms):
+        """The element of this class, shape and terms, not checked
+        again: terms must already map to exact nonzero coefficients."""
+        return object.__new__(cls)._fill(shape, terms)
+
+    def with_terms(self, terms):
+        """The element of this class and shape with these terms."""
+        return self._wrap(self._shape(), _exact_terms(terms))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r} of an"
+                             f" immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # for copy and pickle, which would assign
+        return self._wrap, (self._shape(), self.terms)
+
+    def __repr__(self):
+        args = (f"{f}={getattr(self, f)!r}"
+                for f in (*self.__slots__, "terms"))
+        return f"{type(self).__name__}({', '.join(args)})"
 
     def is_zero(self):
         return not self.terms
 
     def scaled(self, c):
-        return self.with_terms({t: v * c for t, v in self.terms.items()})
+        c = _exact(c)
+        return self._wrap(self._shape(), {t: _exact(v * c) for t, v
+                                          in self.terms.items()} if c else {})
 
     def _plus(self, c, other):
         """self + c * other; ValueError unless other is an element of
@@ -171,8 +204,12 @@ class Combination:
                              f" a {type(self).__name__} of shape"
                              f" {self._shape()}")
         out = dict(self.terms)
-        _axpy(out, c, other.terms)
-        return self.with_terms(out)
+        for t, v in other.terms.items():
+            if v := _exact(out.get(t, 0) + c * v):
+                out[t] = v
+            else:
+                del out[t]
+        return self._wrap(self._shape(), out)
 
     def __add__(self, other):
         return self._plus(1, other)
@@ -210,7 +247,7 @@ class Echelon:
     def _reduce(self, vec):
         """(rest, combination) with vec = rest + the combination of the
         independent vectors, and rest zero at every pivot."""
-        rest = {i: _exact(v) for i, v in vec.items() if v != 0}
+        rest = _exact_terms(vec)
         combo = {}
         for pivot, row, row_combo in self._rows:
             f = rest.get(pivot)

@@ -29,7 +29,6 @@ component's tree shape with one flat list of leaves (`_substituted`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 from types import MappingProxyType
 
@@ -39,7 +38,8 @@ from .graphs import (OrientedGraph, _as_permutation, _check_arity,
                      _check_slot, _components, perm_sign)
 from .lie import LieElement, assoc_expand, image, parse_bracket
 from .lie import pretty_bracket, refill, tree_leaves, word_to_tree
-from .linalg import Combination, Echelon, _add, _exact, _json_coeff
+from .linalg import (Combination, Echelon, _add, _exact, _exact_terms,
+                     _json_coeff)
 
 
 # -- free (super) Lie normal forms on repeated letters ----------------
@@ -172,24 +172,19 @@ def _sort_term(words, p):
     return out, perm_sign([i for i in keyed if _parity(words[i], p) == 1])
 
 
-@dataclass(frozen=True, eq=False)
 class OElement(Combination):
-    arity: int
-    d: int
-    terms: dict  # tuple of component words -> exact coefficient
-    kind: str = "lie"
+    """terms: tuple of component words -> exact coefficient."""
 
-    def __post_init__(self):
-        _check_arity(self.arity, self.d)
-        super().__post_init__()
-        if self.kind not in ("lie", "ass"):
-            raise ValueError(f"unknown kind {self.kind!r}")
+    __slots__ = ("arity", "d", "kind")
+
+    def __init__(self, arity, d, terms, kind="lie"):
+        _check_arity(arity, d)
+        self._fill((arity, d, kind), _exact_terms(terms))
+        if kind not in ("lie", "ass"):
+            raise ValueError(f"unknown kind {kind!r}")
 
     def _shape(self):
         return (self.arity, self.d, self.kind)
-
-    def with_terms(self, terms):
-        return OElement(self.arity, self.d, terms, self.kind)
 
     @classmethod
     def bracket(cls, d):
@@ -426,7 +421,7 @@ def o_compose(a, i, b):
                         combos.append(nf)
                     else:
                         _expand_product(out_terms, combos, tail, coeff, p)
-    return OElement(new_arity, d, out_terms, kind)
+    return OElement._wrap((new_arity, d, kind), _exact_terms(out_terms))
 
 
 def _expand_product(out_terms, combos, tail, coeff, p):
@@ -466,7 +461,7 @@ def s_action(x: OElement, sigma):
     for t, c in x.terms.items():
         for tt, cc in _term_action(t, sigma, x.kind, p):
             out_terms[tt] = out_terms.get(tt, 0) + c * cc
-    return OElement(x.arity, x.d, out_terms, x.kind)
+    return x.with_terms(out_terms)
 
 
 def map_i(x: LieElement):

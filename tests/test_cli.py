@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,19 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    """Every CLI call starts a fresh interpreter and pays for what the
+    library imports; dataclasses alone would pull in inspect, ast, dis
+    and tokenize."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import liegraphs.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout == "[]\n"
 
 
 def test_verify_gutt(capsys, tmp_path):

@@ -52,6 +52,12 @@ def numbers(x):
 def assert_exact(x):
     bad = [c for c in numbers(x) if not is_exact(c)]
     assert not bad, f"inexact coefficients {bad[:5]}"
+    if isinstance(x, Combination):
+        # a result wrapped unchecked is what the checking constructor
+        # builds from its fields and terms
+        fields = {f: getattr(x, f) for f in type(x).__slots__}
+        assert type(x)(terms=x.terms, **fields) == x
+        assert 0 not in x.terms.values()
 
 
 @pytest.fixture
@@ -237,8 +243,9 @@ def test_integer_matrices_against_dense_oracle(n_rows, n_cols, seed):
 
 def test_float_coefficients_refused():
     """A float's binary expansion is not the value meant (0.1 would be
-    3602879701896397/2^55), so every constructor refuses it; a bool is
-    a truth value, not the coefficient 1, and is refused too."""
+    3602879701896397/2^55), so every constructor refuses it, 0.0 too; a
+    bool is a truth value, not the coefficient 1 or 0, and is refused
+    too."""
     g = OrientedGraph(1, 2, ((1, 2),))
     makers = [lambda c: LieElement(2, {(1, 2): c}),
               lambda c: lie.normalize([(c, (1, 2))]),
@@ -247,12 +254,15 @@ def test_float_coefficients_refused():
               lambda c: gutt.monomial([1], coeff=c),
               lambda c: gutt.poly_scale(gutt.monomial([1]), c),
               lambda c: gutt.FPLieAlgebra(2, {(1, 2): {2: c}}),
-              lambda c: SparseMatrix(1, 1, [[(0, c)]])]
+              lambda c: SparseMatrix(1, 1, [[(0, c)]]),
+              lambda c: SparseMatrix.from_dense([[c]]),
+              lambda c: in_image(SparseMatrix(1, 1, [[(0, 1)]]), {0: c}),
+              lambda c: LieElement(2, {(1, 2): 1}).scaled(c)]
     for make in makers:
-        with pytest.raises(TypeError):
-            make(0.1)
-        with pytest.raises(TypeError):
-            make(1.0)
-        with pytest.raises(TypeError, match="not a number"):
-            make(True)
+        for c in (0.1, 1.0, 0.0):
+            with pytest.raises(TypeError):
+                make(c)
+        for c in (True, False):
+            with pytest.raises(TypeError, match="not a number"):
+                make(c)
         make(Fraction(1, 10))  # an exact value passes

@@ -294,6 +294,13 @@ def test_json_refuses_graph_of_other_shape():
         rec = dict(g.to_json(), **{key: value})
         with pytest.raises(ValueError):
             GraElement.from_json(rec)
+    # with no graph to compare against, the shape itself is checked
+    for key, value, error in (("arity", "3", TypeError),
+                              ("arity", -1, ValueError),
+                              ("d", "1", TypeError)):
+        rec = dict(g.to_json(), terms=[], **{key: value})
+        with pytest.raises(error):
+            GraElement.from_json(rec)
 
 
 def test_element_refuses_graph_of_other_shape():

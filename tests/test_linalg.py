@@ -1,5 +1,7 @@
 """Exact sparse linear algebra, cross-checked against a dense oracle."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -282,6 +284,17 @@ def test_combination_arithmetic(name):
     assert list(st_.terms) != list(ts.terms)
     assert st_ == ts and hash(st_) == hash(ts)
     assert a + b == st_ and hash(a + b) == hash(ts)
+    # two halves sum to the int 1
+    half = make({t: Fraction(1, 2)})
+    one = half + half
+    assert one.terms == {t: 1} and type(one.terms[t]) is int
+    # elements are immutable, and print as their class and fields
+    for field in ("terms", "arity"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+    assert a.terms == {s: 2}
+    assert repr(a).startswith(f"{type(a).__name__}(arity=")
+    assert copy.copy(b) == b == pickle.loads(pickle.dumps(b))
     # an int is not an element: + and - refuse it alike
     others = [other_shape, 3] + [mk({u: 1}) for key, (mk, (u, _), _)
                                  in COMBINATIONS.items() if key != name]
