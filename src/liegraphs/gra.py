@@ -15,7 +15,7 @@ from itertools import product
 from .graphs import (OrientedGraph, _as_permutation, _check_arity, _check_slot,
                      _graph, _normal_form)
 from .lie import LieElement, image
-from .linalg import Combination, _exact, _exact_terms, _json_coeff
+from .linalg import Combination, _add, _exact, _exact_terms, _json_coeff
 
 
 class GraElement(Combination):
@@ -62,6 +62,7 @@ class GraElement(Combination):
     @classmethod
     def from_json(cls, rec):
         arity, d = rec["arity"], rec["d"]
+        _check_arity(arity, d)
         forms = {}
         for t in rec["terms"]:
             g = OrientedGraph.from_json(t["graph"])
@@ -69,7 +70,6 @@ class GraElement(Combination):
                 raise ValueError(f"graph of shape {(g.n_vertices, g.d)} in"
                                  f" an element of shape {(arity, d)}")
             _add_graph(forms, d, g.edges, _json_coeff(t["coeff"]))
-        _check_arity(arity, d)
         return _element(arity, d, forms)
 
 
@@ -78,7 +78,7 @@ def _add_graph(forms, d, edges, coeff):
     `forms`, a dict from normal edge tuples to coefficients."""
     form, sign = _normal_form(d, edges)
     if sign:
-        forms[form] = forms.get(form, 0) + sign * coeff
+        _add(forms, form, sign * coeff)
 
 
 def _element(n, d, forms):

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from . import memo
 from .gra import GraElement, _add_graph, _element, s_action
 from .graphs import OrientedGraph, _check_ints
-from .linalg import _add, _exact
+from .linalg import _add, _axpy, _exact, _exact_terms, _triangular
 
 
 class FPLieAlgebra:
@@ -113,15 +113,14 @@ def two_dim():
 def poly_add(p, q):
     _check_indices(p, q)
     out = dict(p)
-    for key, c in q.items():
-        _add(out, key, c)
-    return _exact_poly(out)
+    _axpy(out, 1, q)
+    return _exact_terms(out)
 
 
 def poly_scale(p, c):
     _check_indices(p)
     c = _exact(c)
-    return _exact_poly({key: v * c for key, v in p.items()})
+    return _exact_terms({key: v * c for key, v in p.items()})
 
 
 def sym_mul(p, q):
@@ -133,7 +132,7 @@ def monomial(indices, h=0, coeff=1):
     """coeff t_{i_1} ... t_{i_k} h^h, or {} when coeff is 0."""
     p = {(tuple(sorted(indices)), h): coeff}
     _check_indices(p)
-    return _exact_poly(p)
+    return _exact_terms(p)
 
 
 def straighten(alg, word, h=0, coeff=1):
@@ -148,12 +147,6 @@ def straighten(alg, word, h=0, coeff=1):
 # with h-shifts and scaling, and the star product is bilinear, so each
 # public map is their extension by _linear or _bilinear.  They return
 # read-only mappings, since the memo hands the same one to every caller.
-
-def _exact_poly(p):
-    """p with every coefficient in exact form (see linalg._exact) and
-    the zero ones dropped: sums of fractions can be integral."""
-    return {key: e for key, c in p.items() if (e := _exact(c))}
-
 
 def _check_indices(*polys):
     """TypeError unless every generator index is an int (a bool is not
@@ -176,7 +169,7 @@ def _linear(p, image):
     for (m, h), c in p.items():
         for (mm, hh), cv in image(m).items():
             _add(out, (mm, hh + h), c * cv)
-    return _exact_poly(out)
+    return _exact_terms(out)
 
 
 def _bilinear(p, q, image):
@@ -188,7 +181,7 @@ def _bilinear(p, q, image):
             c, h = c1 * c2, h1 + h2
             for (mm, hh), cv in image(m1, m2).items():
                 _add(out, (mm, hh + h), c * cv)
-    return _exact_poly(out)
+    return _exact_terms(out)
 
 
 @memo
@@ -216,7 +209,7 @@ def _straighten(alg, word):
         p -= 1
     for key, c in _straighten(alg, word).items():
         _add(base, key, c)
-    return MappingProxyType(_exact_poly(base))
+    return MappingProxyType(_exact_terms(base))
 
 
 def u_mul(alg, u, v):
@@ -258,16 +251,13 @@ def sigma(alg, p):
 
 @memo
 def _sigma_inv_basis(alg, m):
-    base = {}
-    rem = {(m, 0): 1}
-    while rem:
-        top = max(len(w) for w, _ in rem)
-        for (w, h), c in [it for it in rem.items()
-                          if len(it[0][0]) == top]:
-            _add(base, (w, h), c)
-            for (ww, hh), cv in _sigma_basis(alg, w).items():
-                _add(rem, (ww, hh + h), -c * cv)
-    return MappingProxyType(_exact_poly(base))
+    """sigma_inv of a monomial, by forward substitution: sigma(w) h^k
+    is (w, k) plus strictly shorter monomials, so a longest key of the
+    remainder is its next coordinate."""
+    return MappingProxyType(_triangular(
+        {(m, 0): 1}, lambda rest: max(rest, key=lambda key: len(key[0])),
+        lambda key: {(w, h + key[1]): c for (w, h), c
+                     in _sigma_basis(alg, key[0]).items()}))
 
 
 def sigma_inv(alg, u):

@@ -8,6 +8,8 @@ goes through `Fraction`, so no quotient of two ints becomes a float.
 Matrices are immutable once built.  The one elimination is `Echelon`,
 an incremental echelon form: `rank`, `kernel_basis`, `solve` and
 `in_image` are each one pass of it over a matrix's rows or columns.
+Coordinates over a family that is triangular already need none:
+`_triangular` is the one forward substitution.
 """
 
 from __future__ import annotations
@@ -145,6 +147,22 @@ def _exact_terms(terms):
     """terms with each coefficient made exact (`_exact`), and only then
     the zeros dropped: a float or a bool is refused even when it is 0."""
     return {t: e for t, c in terms.items() if (e := _exact(c))}
+
+
+def _triangular(rest, pick, column):
+    """The coordinates of rest (a dict key -> value) over a triangular
+    family, by forward substitution, as a dict t -> value.  The
+    family's vector column(t) holds its leading key t, and pick, applied
+    to the remainder, takes every other key of column(t) after t: so
+    each step divides once, by the leading entry, and removes t for
+    good."""
+    rest, coords = dict(rest), {}
+    while rest:
+        t = pick(rest)
+        col = column(t)
+        coords[t] = c = _exact(Fraction(rest[t], col[t]))
+        _axpy(rest, -c, col)
+    return coords
 
 
 class Combination:

@@ -38,8 +38,8 @@ from .graphs import (OrientedGraph, _as_permutation, _check_arity,
                      _check_slot, _components, perm_sign)
 from .lie import LieElement, assoc_expand, image, parse_bracket
 from .lie import pretty_bracket, refill, tree_leaves, word_to_tree
-from .linalg import (Combination, Echelon, _add, _exact, _exact_terms,
-                     _json_coeff)
+from .linalg import (Combination, _add, _exact, _exact_terms, _json_coeff,
+                     _triangular)
 
 
 # -- free (super) Lie normal forms on repeated letters ----------------
@@ -76,7 +76,7 @@ def basis_for_multiset(multiset, p):
     if p == 1:
         counts = {}
         for x in multiset:
-            counts[x] = counts.get(x, 0) + 1
+            _add(counts, x, 1)
         if all(c % 2 == 0 for c in counts.values()):
             half = []
             for x, c in sorted(counts.items()):
@@ -89,19 +89,6 @@ def basis_for_multiset(multiset, p):
 
 
 @memo
-def _basis_system(multiset, p):
-    """(basis words, Echelon of their associative expansions) of one
-    letter multiset; ArithmeticError if the expansions are dependent."""
-    words = tuple(basis_for_multiset(multiset, p))
-    span = Echelon()
-    for w in words:
-        if not span.add(assoc_expand(lyndon_tree(w), p)):
-            raise ArithmeticError(f"basis word {w} has a dependent"
-                                  " expansion")
-    return words, span
-
-
-@memo
 def component_normal_form(tree, p):
     """Express a bracket tree over white labels in the basis.
 
@@ -111,6 +98,12 @@ def component_normal_form(tree, p):
     order-preserving relabelings, so a tree over other labels is
     normalized through its label-rank pattern over 1..k (memoised like
     every tree) and translated back.
+
+    The basis is triangular (Chen-Fox-Lyndon): a basis word is the
+    least monomial of its bracketing's expansion, with coefficient 1,
+    or 2 for a square.  So the least monomial of the tree's expansion
+    is its next basis word, and forward substitution finds every
+    coordinate.
     """
     leaves = tree_leaves(tree)
     distinct = sorted(set(leaves))
@@ -119,13 +112,9 @@ def component_normal_form(tree, p):
         pout = component_normal_form(refill(tree, map(rank.get, leaves)), p)
         return MappingProxyType({tuple(distinct[l - 1] for l in w): c
                                  for w, c in pout.items()})
-    expansion = assoc_expand(tree, p)
-    if not expansion:
-        return MappingProxyType({})
-    multiset = tuple(sorted(next(iter(expansion))))
-    words, span = _basis_system(multiset, p)
-    return MappingProxyType({words[j]: c
-                             for j, c in span.coords(expansion).items()})
+    return MappingProxyType(_triangular(
+        assoc_expand(tree, p), min,
+        lambda w: assoc_expand(lyndon_tree(w), p)))
 
 
 # -- elements ---------------------------------------------------------
@@ -460,7 +449,7 @@ def s_action(x: OElement, sigma):
     out_terms = {}
     for t, c in x.terms.items():
         for tt, cc in _term_action(t, sigma, x.kind, p):
-            out_terms[tt] = out_terms.get(tt, 0) + c * cc
+            _add(out_terms, tt, c * cc)
     return x.with_terms(out_terms)
 
 

@@ -24,14 +24,7 @@ from liegraphs.lie import LieElement, basis_words, normalize, word_to_tree
 from liegraphs.linalg import SparseMatrix
 from liegraphs.poly import OElement, make_term
 
-
-def _relabel_tree(tree, mapping):
-    """The tree with every leaf replaced by its image under `mapping`:
-    a leaf rewrite of the tests' own, beside `lie.refill`."""
-    if isinstance(tree, tuple):
-        return (_relabel_tree(tree[0], mapping),
-                _relabel_tree(tree[1], mapping))
-    return mapping[tree]
+from trees import _relabel_tree
 
 
 def _add_class(out, graph, coeff):

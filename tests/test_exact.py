@@ -25,7 +25,6 @@ THIRD = Fraction(1, 3)
 # which is not memoised
 MEMOS = [(poly, "component_normal_form"), (poly, "_substituted"),
          (poly, "_term_action"),
-         (poly, "_basis_system"),
          (lie, "_word_action"), (defcx, "gc_differential"),
          (gutt, "_straighten"), (gutt, "_sigma_basis"),
          (gutt, "_sigma_inv_basis"), (gutt, "_star_basis")]

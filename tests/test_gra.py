@@ -294,6 +294,9 @@ def test_json_refuses_graph_of_other_shape():
         rec = dict(g.to_json(), **{key: value})
         with pytest.raises(ValueError):
             GraElement.from_json(rec)
+    # the shape is checked before any graph is compared with it
+    with pytest.raises(TypeError, match="not an int"):
+        GraElement.from_json(dict(g.to_json(), arity="3"))
     # with no graph to compare against, the shape itself is checked
     for key, value, error in (("arity", "3", TypeError),
                               ("arity", -1, ValueError),

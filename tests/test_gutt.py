@@ -271,6 +271,18 @@ def test_star_against_dense_oracle():
     assert got == want
 
 
+def test_sigma_inv_against_dense_oracle():
+    """sigma_inv of every monomial of length <= 3, against the dense
+    solve over the length + h <= 3 block."""
+    for alg in (heisenberg(), two_dim()):
+        for l in range(4):
+            for m in itertools.combinations_with_replacement(
+                    range(1, alg.dim + 1), l):
+                u = monomial(m)
+                assert sigma_inv(alg, u) \
+                    == _dense_sigma_inverse_oracle(alg, u, 3)
+
+
 def test_series_coefficients():
     s = gutt_mod_I_series(6)
     assert [series_coefficient(s, k) for k in range(4)] \

@@ -1,6 +1,8 @@
 """Exact sparse linear algebra, cross-checked against a dense oracle."""
 
+import ast
 import copy
+import pathlib
 import pickle
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liegraphs import linalg
 from liegraphs.gra import GraElement
 from liegraphs.graphs import OrientedGraph
 from liegraphs.lie import LieElement
@@ -155,6 +158,19 @@ def test_matrix_refuses_non_int_index(index):
         SparseMatrix(1, 3, [[(index, 1)]])
     with pytest.raises(TypeError):
         SparseMatrix.from_columns([{index: 1}], n_rows=3)
+
+
+@pytest.mark.parametrize("n_rows, n_cols, rows, message", [
+    (-1, 2, [], "negative dimensions"),
+    (1, -1, [[]], "negative dimensions"),
+    (2, 2, [[(0, 1)]], "row count mismatch"),
+    (1, 2, [[(2, 1)]], "column index out of range"),
+    (1, 2, [[(-1, 1)]], "column index out of range"),
+    (1, 2, [[(0, 1), (0, 2)]], "duplicate column in row"),
+])
+def test_matrix_refuses_bad_shape(n_rows, n_cols, rows, message):
+    with pytest.raises(ValueError, match=message):
+        SparseMatrix(n_rows, n_cols, rows)
 
 
 @pytest.mark.parametrize("key", [1.5, "1", True])
@@ -337,3 +353,53 @@ def test_mixed_element_sums_raise():
             x + y
     with pytest.raises(ValueError):
         GraElement(2, 1, {OrientedGraph(1, 3, ((1, 2),)): 1})
+
+
+def _modules():
+    """The paths of the package's modules."""
+    modules = sorted(pathlib.Path(linalg.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    return modules
+
+
+def test_sparse_sums_go_through_linalg():
+    """No module adds at a key by hand, `x[k] = x.get(k, 0) + ...`:
+    every sparse accumulation is `linalg._add` or `_axpy`, which also
+    drop the zero sums."""
+    inline = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Assign)
+                    and isinstance(node.targets[0], ast.Subscript)
+                    and isinstance(node.value, ast.BinOp)):
+                continue
+            target, get = node.targets[0], node.value.left
+            if isinstance(get, ast.Call) \
+                    and isinstance(get.func, ast.Attribute) \
+                    and get.func.attr == "get" \
+                    and ast.dump(get.func.value) == ast.dump(target.value) \
+                    and get.args and ast.dump(get.args[0]) \
+                    == ast.dump(target.slice):
+                inline.append((path.name, node.lineno))
+    assert inline == []
+
+
+def test_only_linalg_and_defcx_name_echelon():
+    """The general elimination serves the slice matrices (`defcx`) and
+    the matrix functions (`linalg`); coordinates over a triangular
+    family, the Lie normal forms and sigma_inv, take `_triangular`: no
+    other module names `Echelon`, as a name, an attribute, an import or
+    a string."""
+    named = []
+    for path in _modules():
+        if path.name in ("linalg.py", "defcx.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.value if isinstance(node, ast.Constant)
+                    else None)
+            if name == "Echelon":
+                named.append(path.name)
+    assert named == []

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -10,21 +10,15 @@ from liegraphs import poly
 from liegraphs.gra import GraElement, compose as gra_compose, gra_image
 from liegraphs.gra import element as gra_element
 from liegraphs.graphs import OrientedGraph, perm_sign
-from liegraphs.lie import normalize
+from liegraphs.lie import assoc_expand, normalize
+from liegraphs.linalg import Echelon
 from liegraphs.poly import (OElement, ass_corolla, ass_remark_check,
                             basis_for_multiset, component_normal_form,
                             is_connected_element, is_lyndon, lyndon_tree,
                             make_term, map_i, o_compose, quotient_to_gra,
                             unit)
 
-
-def _relabel_tree(tree, mapping):
-    """The tree with every leaf replaced by its image under `mapping`:
-    a leaf rewrite of the tests' own, beside `lie.refill`."""
-    if isinstance(tree, tuple):
-        return (_relabel_tree(tree[0], mapping),
-                _relabel_tree(tree[1], mapping))
-    return mapping[tree]
+from trees import _relabel_tree, all_bracketings
 
 
 def corolla(d):
@@ -73,20 +67,48 @@ def test_component_normal_form_oracle():
         assert all(c == 0 for c in total.values())
 
 
-def test_dependent_basis_expansion_raises(monkeypatch):
-    """A basis word listed twice has a dependent expansion; the normal
-    form system reports that as a library fault."""
-    words = poly.basis_for_multiset
-    monkeypatch.setattr(poly, "basis_for_multiset",
-                        lambda letters, p: words(letters, p)
-                        + words(letters, p)[:1])
-    memos = (poly._basis_system, component_normal_form)
-    for f in memos:
-        f.cache_clear()
-    with pytest.raises(ArithmeticError):
-        component_normal_form(((1, 2), 3), 0)
-    for f in memos:
-        f.cache_clear()
+def _letter_multisets():
+    """Every multiset of 2 to 5 letters from 1..3, as a sorted tuple."""
+    for m in range(2, 6):
+        yield from combinations_with_replacement((1, 2, 3), m)
+
+
+def test_basis_word_leads_its_expansion():
+    """The triangularity that forward substitution needs: a basis word
+    is the least monomial of its bracketing's expansion, with
+    coefficient 1, or 2 for a square u.u ([u, u] = 2 uu for odd u)."""
+    squares = 0
+    for p in (0, 1):
+        for multiset in _letter_multisets():
+            for w in basis_for_multiset(multiset, p):
+                expansion = assoc_expand(lyndon_tree(w), p)
+                square = w[:len(w) // 2] * 2 == w
+                squares += square
+                assert min(expansion) == w
+                assert expansion[w] == (2 if square else 1)
+    assert squares == 3
+
+
+def test_normal_form_matches_echelon_solve():
+    """The general elimination as the reference: the coordinates of a
+    tree's expansion over the expansions of its multiset's basis words,
+    by an Echelon solve.  Every bracketing of every arrangement of each
+    multiset, so trees over letters other than 1..k take the label-rank
+    path."""
+    trees = 0
+    for p in (0, 1):
+        for multiset in _letter_multisets():
+            words = basis_for_multiset(multiset, p)
+            span = Echelon()
+            for w in words:
+                assert span.add(assoc_expand(lyndon_tree(w), p))
+            for arrangement in set(permutations(multiset)):
+                for tree in all_bracketings(arrangement):
+                    coords = span.coords(assoc_expand(tree, p))
+                    assert component_normal_form(tree, p) \
+                        == {words[j]: c for j, c in coords.items()}
+                    trees += 1
+    assert trees == 2 * (9 + 27 * 2 + 81 * 5 + 243 * 14)
 
 
 def test_compose_corollas_three_terms():
